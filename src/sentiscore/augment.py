@@ -11,7 +11,7 @@ antonym mapping.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 from sentiscore.lexicon import (
@@ -177,13 +177,6 @@ def generate_variants(
     return candidates
 
 
-def augment(
-    mention: Mention, lexicon: Lexicon, config: AugmentConfig
-) -> list[tuple[str, str]]:
-    """Generate ``(variant_text, label)`` substitutions for one mention."""
-    return [(v.text, v.label) for v in generate_variants(mention, lexicon, config)]
-
-
 @dataclass(frozen=True)
 class AugmentedSample:
     """A generated variant plus provenance back to its source mention."""
@@ -207,14 +200,7 @@ def augment_corpus(
     """Augment every mention with per-mention seeds derived from the config."""
     out: list[AugmentedSample] = []
     for index, mention in enumerate(mentions):
-        per_mention = AugmentConfig(
-            score_tolerance=config.score_tolerance,
-            max_variants_per_sample=config.max_variants_per_sample,
-            include_flips=config.include_flips,
-            rng_seed=derive_seed(config.rng_seed, index),
-            antonyms=config.antonyms,
-            comparatives=config.comparatives,
-        )
+        per_mention = replace(config, rng_seed=derive_seed(config.rng_seed, index))
         for variant in generate_variants(mention, lexicon, per_mention):
             out.append(
                 AugmentedSample(

@@ -191,51 +191,3 @@ def solve(
         objective_trace=trace,
     )
 
-
-# ----------------------------------------------------------------------
-# Debug dump format, line oriented for external cross-checking:
-#
-#   boxlsq 1
-#   M D lam
-#   lower: D values ("-inf" allowed)
-#   upper: D values ("inf" allowed)
-#   M rows of D design values, then bias, then target
-
-
-def dump_problem(problem: ConstrainedLsqProblem, path) -> None:
-    m, d = problem.design.shape
-
-    def fmt(values) -> str:
-        return " ".join(repr(float(x)) for x in values)
-
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("boxlsq 1\n")
-        fh.write(f"{m} {d} {problem.lam!r}\n")
-        fh.write(fmt(problem.lower) + "\n")
-        fh.write(fmt(problem.upper) + "\n")
-        for i in range(m):
-            row = list(problem.design[i]) + [problem.bias[i], problem.targets[i]]
-            fh.write(fmt(row) + "\n")
-
-
-def load_problem(path) -> ConstrainedLsqProblem:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.strip() for line in fh if line.strip()]
-    if not lines or lines[0] != "boxlsq 1":
-        raise BoxLsqError(f"{path}: not a boxlsq dump")
-    m_text, d_text, lam_text = lines[1].split()
-    m, d = int(m_text), int(d_text)
-    lower = np.array([float(x) for x in lines[2].split()])
-    upper = np.array([float(x) for x in lines[3].split()])
-    rows = [[float(x) for x in line.split()] for line in lines[4 : 4 + m]]
-    if len(rows) != m or any(len(r) != d + 2 for r in rows):
-        raise BoxLsqError(f"{path}: malformed row block")
-    data = np.array(rows)
-    return ConstrainedLsqProblem(
-        design=data[:, :d],
-        bias=data[:, d],
-        targets=data[:, d + 1],
-        lam=float(lam_text),
-        lower=lower,
-        upper=upper,
-    )

@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
 from sentiscore.augment import AugmentConfig, augment_corpus
 from sentiscore.cnn import (
+    ACTIVATIONS,
+    POOLING_MODES,
     CnnConfig,
     CnnError,
     TrainingDiverged,
@@ -29,7 +31,6 @@ from sentiscore.learner import LearnerError, LearningConfig, train_iterative
 from sentiscore.lexicon import (
     LABEL_INDEX,
     LABEL_SCORES,
-    LABELS,
     NEGATIVE,
     NEUTRAL,
     POSITIVE,
@@ -44,6 +45,7 @@ from sentiscore.lexicon import (
 )
 from sentiscore.losses import LossError, PenaltyMatrix
 from sentiscore.evaluate import (
+    VARIANTS,
     EvalError,
     ExperimentConfig,
     load_experiment_config,
@@ -69,6 +71,26 @@ _PENALTY_HELP = (
     "[predicted][expected] in label order positive negative neutral "
     "(default: 1,4,3;4,1,3;2,2,1)"
 )
+
+
+#: ``train`` flag and help text per CnnConfig field but finetune_embeddings
+#: (set off by ``--static-embeddings``); types and defaults come from
+#: ``CnnConfig()``.
+_TRAIN_FLAGS = {
+    "window": ("--window", "convolution window height"),
+    "filter_count": ("--filters", "convolution filters"),
+    "pool_window": ("--pool-window", "pooling chunk height"),
+    "pooling": ("--pooling", "pooling mode"),
+    "activation": ("--activation", "convolution activation"),
+    "dropout_rate": ("--dropout", "dropout rate"),
+    "learning_rate": ("--learning-rate", "SGD step"),
+    "epochs": ("--epochs", "training epochs"),
+    "batch_size": ("--batch-size", "mini-batch size"),
+    "rng_seed": ("--seed", "rng seed"),
+    "sequence_length": ("--sequence-length", "padded token sequence length"),
+    "embedding_dim": ("--embedding-dim", "embedding width"),
+}
+_TRAIN_CHOICES = {"pooling": POOLING_MODES, "activation": ACTIVATIONS}
 
 
 def _parse_penalty(text: str) -> PenaltyMatrix:
@@ -161,46 +183,22 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--corpus", required=True, help="labeled mention TSV")
     p.add_argument("--out", required=True, help="checkpoint path")
-    p.add_argument("--epochs", type=int, default=5, help="training epochs (default: 5)")
-    p.add_argument(
-        "--batch-size", type=int, default=32, help="mini-batch size (default: 32)"
-    )
-    p.add_argument(
-        "--learning-rate", type=float, default=0.05, help="SGD step (default: 0.05)"
-    )
-    p.add_argument(
-        "--dropout", type=float, default=0.5, help="dropout rate (default: 0.5)"
-    )
-    p.add_argument(
-        "--filters", type=int, default=16, help="convolution filters (default: 16)"
-    )
-    p.add_argument(
-        "--window", type=int, default=3, help="convolution window height (default: 3)"
-    )
-    p.add_argument(
-        "--pool-window", type=int, default=2, help="pooling chunk height (default: 2)"
-    )
-    p.add_argument(
-        "--pooling",
-        choices=["chunked", "max_over_time"],
-        default="chunked",
-        help="pooling mode (default: chunked)",
-    )
-    p.add_argument(
-        "--activation",
-        choices=["relu", "tanh"],
-        default="relu",
-        help="convolution activation (default: relu)",
-    )
-    p.add_argument(
-        "--sequence-length",
-        type=int,
-        default=32,
-        help="padded token sequence length (default: 32)",
-    )
-    p.add_argument(
-        "--embedding-dim", type=int, default=32, help="embedding width (default: 32)"
-    )
+    cnn_defaults = CnnConfig()
+    for f in fields(CnnConfig):
+        if f.name == "finetune_embeddings":
+            continue
+        flag, text = _TRAIN_FLAGS[f.name]
+        default = getattr(cnn_defaults, f.name)
+        choices = _TRAIN_CHOICES.get(f.name)
+        p.add_argument(
+            flag,
+            dest=f.name,
+            type=type(default),
+            default=default,
+            choices=choices,
+            metavar=None if choices else flag[2:].replace("-", "_").upper(),
+            help=f"{text} (default: {default})",
+        )
     p.add_argument(
         "--vocab-size", type=int, default=5000, help="vocabulary cap (default: 5000)"
     )
@@ -212,10 +210,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--penalty", type=str, default=None, help=_PENALTY_HELP)
     p.add_argument(
         "--static-embeddings",
-        action="store_true",
+        dest="finetune_embeddings",
+        action="store_false",
         help="freeze embedding rows during training (default: fine-tune)",
     )
-    p.add_argument("--seed", type=int, default=0, help="rng seed (default: 0)")
 
     p = sub.add_parser(
         "evaluate",
@@ -232,7 +230,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="report path")
     p.add_argument(
         "--variant",
-        choices=["cnn", "cnn-quad", "cnn-cross", "cnn-total"],
+        choices=VARIANTS,
         default=None,
         help="override the config's experiment variant",
     )
@@ -339,21 +337,7 @@ def _cmd_augment(args: argparse.Namespace) -> int:
 
 def _cmd_train(args: argparse.Namespace) -> int:
     records = load_mention_records(args.corpus)
-    config = CnnConfig(
-        window=args.window,
-        filter_count=args.filters,
-        pool_window=args.pool_window,
-        pooling=args.pooling,
-        activation=args.activation,
-        dropout_rate=args.dropout,
-        learning_rate=args.learning_rate,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        rng_seed=args.seed,
-        sequence_length=args.sequence_length,
-        embedding_dim=args.embedding_dim,
-        finetune_embeddings=not args.static_embeddings,
-    )
+    config = CnnConfig(**{f.name: getattr(args, f.name) for f in fields(CnnConfig)})
     token_lists = [tokenize(_masked(r.text, r.entity)) for r in records]
     vocab = build_vocab(token_lists, args.vocab_size)
     dataset = [

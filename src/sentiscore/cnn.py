@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -62,10 +62,13 @@ class CnnConfig:
     finetune_embeddings: bool = True
 
     def __post_init__(self) -> None:
+        for name in (
+            "filter_count", "pool_window", "epochs", "batch_size", "sequence_length", "embedding_dim"
+        ):
+            if getattr(self, name) < 1:
+                raise CnnError(f"{name} must be >= 1")
         if self.window < 1 or self.window > self.sequence_length:
             raise CnnError("window must satisfy 1 <= window <= sequence_length")
-        if self.pool_window < 1:
-            raise CnnError("pool_window must be >= 1")
         if self.pooling not in POOLING_MODES:
             raise CnnError(f"pooling must be one of {POOLING_MODES}")
         if self.activation not in ACTIVATIONS:
@@ -94,6 +97,8 @@ class CnnModel:
     dense_b: np.ndarray  # (3,)
 
     def check_shapes(self, config: CnnConfig) -> None:
+        if self.filters.ndim != 3 or self.embedding.ndim != 2:
+            raise CnnError("filters must be 3-D and the embedding 2-D")
         f, d, k = self.filters.shape
         if d != config.window or f != config.filter_count:
             raise CnnError("filter bank shape disagrees with the config")
@@ -405,50 +410,52 @@ def predict(
 # order (embedding, filters, filter bias, dense weights, dense bias).
 
 _CHECKPOINT_MAGIC = b"sentiscore-cnn 1\n"
+_TENSORS = tuple(f.name for f in fields(CnnModel))
 
 
 def save_checkpoint(path, model: CnnModel, vocab: Vocab, config: CnnConfig) -> None:
     meta = {
         "vocab": list(vocab.terms),
         "config": asdict(config),
-        "shapes": {
-            "embedding": list(model.embedding.shape),
-            "filters": list(model.filters.shape),
-            "filter_bias": list(model.filter_bias.shape),
-            "dense_w": list(model.dense_w.shape),
-            "dense_b": list(model.dense_b.shape),
-        },
+        "shapes": {name: list(getattr(model, name).shape) for name in _TENSORS},
     }
     with open(path, "wb") as fh:
         fh.write(_CHECKPOINT_MAGIC)
         fh.write(json.dumps(meta, sort_keys=True).encode("utf-8") + b"\n")
-        for tensor in (model.embedding, model.filters, model.filter_bias, model.dense_w, model.dense_b):
-            fh.write(np.ascontiguousarray(tensor, dtype="<f8").tobytes())
+        for name in _TENSORS:
+            fh.write(np.ascontiguousarray(getattr(model, name), dtype="<f8").tobytes())
 
 
 def load_checkpoint(path) -> tuple[CnnModel, Vocab, CnnConfig]:
+    """Read a checkpoint; every malformation is a :class:`CnnError` naming ``path``."""
     with open(path, "rb") as fh:
         magic = fh.readline()
-        if magic != _CHECKPOINT_MAGIC:
-            raise CnnError(f"{path}: not a sentiscore checkpoint")
-        meta = json.loads(fh.readline().decode("utf-8"))
+        header = fh.readline()
         payload = fh.read()
-    shapes = {name: tuple(shape) for name, shape in meta["shapes"].items()}
-    tensors = {}
-    offset = 0
-    for name in ("embedding", "filters", "filter_bias", "dense_w", "dense_b"):
-        size = int(np.prod(shapes[name])) if shapes[name] else 1
-        raw = np.frombuffer(payload, dtype="<f8", count=size, offset=offset)
-        tensors[name] = raw.reshape(shapes[name]).astype(float)
-        offset += size * 8
-    model = CnnModel(
-        embedding=tensors["embedding"],
-        filters=tensors["filters"],
-        filter_bias=tensors["filter_bias"],
-        dense_w=tensors["dense_w"],
-        dense_b=tensors["dense_b"],
-    )
-    config = CnnConfig(**meta["config"])
-    vocab = Vocab(tuple(meta["vocab"]))
-    model.check_shapes(config)
+    if magic != _CHECKPOINT_MAGIC:
+        raise CnnError(f"{path}: not a sentiscore checkpoint")
+    try:
+        meta = json.loads(header.decode("utf-8"))
+        config = CnnConfig(**meta["config"])
+        vocab = Vocab(tuple(meta["vocab"]))
+        shapes = [tuple(meta["shapes"][name]) for name in _TENSORS]
+    except KeyError as exc:
+        raise CnnError(f"{path}: checkpoint header lacks {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise CnnError(f"{path}: bad checkpoint header: {exc}") from None
+    if not all(isinstance(n, int) and n >= 0 for shape in shapes for n in shape):
+        raise CnnError(f"{path}: tensor shapes must be non-negative integers")
+    sizes = [math.prod(shape) for shape in shapes]
+    if 8 * sum(sizes) != len(payload):
+        raise CnnError(
+            f"{path}: tensors hold {len(payload)} bytes, the shapes need {8 * sum(sizes)}"
+        )
+    parts = np.split(np.frombuffer(payload, dtype="<f8"), np.cumsum(sizes)[:-1])
+    model = CnnModel(*(part.reshape(shape).astype(float) for part, shape in zip(parts, shapes)))
+    try:
+        model.check_shapes(config)
+        if model.embedding.shape[0] != len(vocab):
+            raise CnnError("embedding rows disagree with the vocabulary size")
+    except CnnError as exc:
+        raise CnnError(f"{path}: {exc}") from None
     return model, vocab, config

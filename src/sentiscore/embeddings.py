@@ -1,10 +1,8 @@
-"""Word embeddings: seeded init, a small skip-gram trainer, and text I/O.
+"""Token sequences as embedding-row indices.
 
-The embedding matrix has one row per vocabulary entry; the PAD row is
-pinned to zero so padded sequence positions contribute nothing. The
-trainer is skip-gram with negative sampling at desk scale: plain SGD,
-fixed context window, noise distribution proportional to unigram
-frequency to the 3/4 power.
+The classifier embeds a sequence by gathering one row of its embedding
+matrix per index; the PAD row is pinned to zero, so padded positions
+contribute nothing.
 """
 from __future__ import annotations
 
@@ -15,130 +13,9 @@ import numpy as np
 from sentiscore.vocab import PAD_INDEX, Vocab
 
 
-def init_embeddings(vocab_size: int, dim: int, seed: int) -> np.ndarray:
-    """Seeded uniform init in (-0.5/dim, 0.5/dim) with a zero PAD row."""
-    if dim <= 0:
-        raise ValueError("embedding dimension must be positive")
-    rng = np.random.default_rng(seed)
-    matrix = (rng.random((vocab_size, dim)) - 0.5) / dim
-    matrix[PAD_INDEX] = 0.0
-    return matrix
-
-
-def embed_sequence(
-    tokens: Sequence[str], vocab: Vocab, matrix: np.ndarray, length: int
-) -> np.ndarray:
-    """Map tokens to embedding rows, padded or truncated to ``length``.
-
-    Unknown tokens use the UNK row; padding positions are zero rows.
-    Equivalent to the one-hot matrix product against the embedding
-    matrix.
-    """
-    indices = sequence_indices(tokens, vocab, length)
-    return matrix[indices]
-
-
 def sequence_indices(tokens: Sequence[str], vocab: Vocab, length: int) -> np.ndarray:
     """Vocabulary indices for ``tokens``, padded/truncated to ``length``."""
     idx = np.full(length, PAD_INDEX, dtype=np.int64)
     for i, tok in enumerate(tokens[:length]):
         idx[i] = vocab.lookup(tok)
     return idx
-
-
-def _sigmoid(x: float) -> float:
-    if x >= 0:
-        return 1.0 / (1.0 + np.exp(-x))
-    z = np.exp(x)
-    return z / (1.0 + z)
-
-
-def train_embeddings(
-    corpus: Sequence[Sequence[str]],
-    vocab: Vocab,
-    dim: int,
-    window: int = 2,
-    negatives: int = 5,
-    epochs: int = 1,
-    seed: int = 0,
-    learning_rate: float = 0.025,
-) -> np.ndarray:
-    """Train skip-gram embeddings with negative sampling.
-
-    ``corpus`` is a sequence of token lists. With ``epochs=0`` the
-    seeded random initialization is returned unchanged. Runs are
-    deterministic for a given seed: sentences and positions are visited
-    in order and negatives are drawn from one seeded generator.
-    """
-    if dim <= 0:
-        raise ValueError("embedding dimension must be positive")
-    rng = np.random.default_rng(seed)
-    matrix = (rng.random((len(vocab), dim)) - 0.5) / dim
-    matrix[PAD_INDEX] = 0.0
-    if epochs == 0:
-        return matrix
-    context_matrix = np.zeros((len(vocab), dim))
-
-    encoded = [np.array(vocab.encode(tokens), dtype=np.int64) for tokens in corpus]
-    counts = np.zeros(len(vocab))
-    for sent in encoded:
-        np.add.at(counts, sent, 1.0)
-    counts[PAD_INDEX] = 0.0
-    noise = counts**0.75
-    total = noise.sum()
-    if total == 0:
-        return matrix
-    noise /= total
-
-    for _ in range(epochs):
-        for sent in encoded:
-            n = len(sent)
-            for pos in range(n):
-                center = sent[pos]
-                lo = max(0, pos - window)
-                hi = min(n, pos + window + 1)
-                for ctx_pos in range(lo, hi):
-                    if ctx_pos == pos:
-                        continue
-                    context = sent[ctx_pos]
-                    center_vec = matrix[center]
-                    grad_center = np.zeros(dim)
-                    samples = [(context, 1.0)]
-                    drawn = rng.choice(len(vocab), size=negatives, p=noise)
-                    samples.extend((int(neg), 0.0) for neg in drawn)
-                    for target, label in samples:
-                        out_vec = context_matrix[target]
-                        score = _sigmoid(float(center_vec @ out_vec))
-                        coeff = learning_rate * (label - score)
-                        grad_center += coeff * out_vec
-                        context_matrix[target] = out_vec + coeff * center_vec
-                    matrix[center] = center_vec + grad_center
-    matrix[PAD_INDEX] = 0.0
-    return matrix
-
-
-def save_embeddings_text(path, vocab: Vocab, matrix: np.ndarray) -> None:
-    """Write one line per term: the term then its vector components."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for i, term in enumerate(vocab.terms):
-            values = " ".join(repr(float(x)) for x in matrix[i])
-            fh.write(f"{term} {values}\n")
-
-
-def load_embeddings_text(path) -> tuple[list[str], np.ndarray]:
-    """Read the text format back as ``(terms, matrix)``."""
-    terms: list[str] = []
-    rows: list[list[float]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) < 2:
-                raise ValueError(f"{path}:{lineno}: expected a term and at least one value")
-            terms.append(parts[0])
-            rows.append([float(x) for x in parts[1:]])
-    matrix = np.array(rows)
-    if matrix.ndim != 2:
-        raise ValueError(f"{path}: inconsistent vector lengths")
-    return terms, matrix

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import configparser
 import io
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -209,7 +209,22 @@ class ExperimentConfig:
             raise EvalError("vocab_size must leave room beyond the specials")
 
 
-def _fmt(value) -> str:
+def _nested(config: ExperimentConfig) -> dict[str, object]:
+    """Sub-configs written as one key per field; the penalty matrix has its own form."""
+    values = {f.name: getattr(config, f.name) for f in fields(config)}
+    return {k: v for k, v in values.items() if is_dataclass(v) and k != "penalty"}
+
+
+def _keys(config) -> list[str]:
+    """A config's plain (non-dataclass) field names, in field order."""
+    return [f.name for f in fields(config) if not is_dataclass(getattr(config, f.name))]
+
+
+def _text(name: str, value) -> str:
+    if name == "antonyms":
+        return " ".join(f"{a}:{b}" for a, b in sorted(value.items()))
+    if name == "comparatives":
+        return "auto" if value is None else " ".join(sorted(value))
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
@@ -217,52 +232,51 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def config_to_text(config: ExperimentConfig) -> str:
-    """Render a config as INI-style sections, parseable back losslessly."""
+def _read(cp: configparser.ConfigParser, section: str, name: str, default):
+    """Parse one key that the text sets; the default's type picks the parser."""
+    if name == "antonyms":
+        antonyms = {}
+        for pair in cp.get(section, name).split():
+            if ":" not in pair:
+                raise EvalError(f"bad antonym pair {pair!r}, expected a:b")
+            a, b = pair.split(":", 1)
+            antonyms[a] = b
+        return antonyms
+    if name == "comparatives":
+        raw = cp.get(section, name).strip()
+        return None if raw == "auto" else frozenset(raw.split())
+    if isinstance(default, bool):
+        return cp.getboolean(section, name)
+    if isinstance(default, int):
+        return cp.getint(section, name)
+    if isinstance(default, float):
+        return cp.getfloat(section, name)
+    return cp.get(section, name)
+
+
+def _read_section(cp: configparser.ConfigParser, section: str, default):
+    """``default`` with every plain field the section sets replaced."""
+    return replace(
+        default,
+        **{
+            name: _read(cp, section, name, getattr(default, name))
+            for name in _keys(default)
+            if cp.has_option(section, name)
+        },
+    )
+
+
+def _parser() -> configparser.ConfigParser:
     cp = configparser.ConfigParser()
     cp.optionxform = str  # keep keys verbatim
-    cp["experiment"] = {
-        "k": _fmt(config.k),
-        "rebalance": _fmt(config.rebalance),
-        "variant": config.variant,
-        "rng_seed": _fmt(config.rng_seed),
-        "vocab_size": _fmt(config.vocab_size),
-    }
-    aug = config.augment
-    cp["augment"] = {
-        "score_tolerance": _fmt(aug.score_tolerance),
-        "max_variants_per_sample": _fmt(aug.max_variants_per_sample),
-        "include_flips": _fmt(aug.include_flips),
-        "rng_seed": _fmt(aug.rng_seed),
-        "antonyms": " ".join(f"{a}:{b}" for a, b in sorted(aug.antonyms.items())),
-        "comparatives": (
-            "auto" if aug.comparatives is None else " ".join(sorted(aug.comparatives))
-        ),
-    }
-    learn = config.learning
-    cp["learning"] = {
-        "max_outer_iterations": _fmt(learn.max_outer_iterations),
-        "lam": _fmt(learn.lam),
-        "epsilon_margin": _fmt(learn.epsilon_margin),
-        "solver_tol": _fmt(learn.solver_tol),
-        "solver_max_iter": _fmt(learn.solver_max_iter),
-    }
-    cnn = config.cnn
-    cp["cnn"] = {
-        "window": _fmt(cnn.window),
-        "filter_count": _fmt(cnn.filter_count),
-        "pool_window": _fmt(cnn.pool_window),
-        "pooling": cnn.pooling,
-        "activation": cnn.activation,
-        "dropout_rate": _fmt(cnn.dropout_rate),
-        "learning_rate": _fmt(cnn.learning_rate),
-        "epochs": _fmt(cnn.epochs),
-        "batch_size": _fmt(cnn.batch_size),
-        "rng_seed": _fmt(cnn.rng_seed),
-        "sequence_length": _fmt(cnn.sequence_length),
-        "embedding_dim": _fmt(cnn.embedding_dim),
-        "finetune_embeddings": _fmt(cnn.finetune_embeddings),
-    }
+    return cp
+
+
+def config_to_text(config: ExperimentConfig) -> str:
+    """Render a config as INI-style sections, parseable back losslessly."""
+    cp = _parser()
+    for section, sub in {"experiment": config, **_nested(config)}.items():
+        cp[section] = {name: _text(name, getattr(sub, name)) for name in _keys(sub)}
     cp["penalty"] = {
         label: " ".join(repr(float(x)) for x in config.penalty.weights[LABEL_INDEX[label]])
         for label in LABELS
@@ -274,91 +288,17 @@ def config_to_text(config: ExperimentConfig) -> str:
 
 def parse_experiment_config(text: str) -> ExperimentConfig:
     """Parse the INI form; absent keys fall back to defaults."""
-    cp = configparser.ConfigParser()
-    cp.optionxform = str
+    cp = _parser()
     try:
         cp.read_string(text)
     except configparser.Error as exc:
         raise EvalError(f"malformed experiment config: {exc}") from None
     defaults = ExperimentConfig()
     try:
-        aug_defaults = defaults.augment
-        antonyms = dict(aug_defaults.antonyms)
-        if cp.has_option("augment", "antonyms"):
-            antonyms = {}
-            for pair in cp.get("augment", "antonyms").split():
-                if ":" not in pair:
-                    raise EvalError(f"bad antonym pair {pair!r}, expected a:b")
-                a, b = pair.split(":", 1)
-                antonyms[a] = b
-        comparatives = aug_defaults.comparatives
-        if cp.has_option("augment", "comparatives"):
-            raw = cp.get("augment", "comparatives").strip()
-            comparatives = None if raw == "auto" else frozenset(raw.split())
-        augment_config = AugmentConfig(
-            score_tolerance=cp.getfloat(
-                "augment", "score_tolerance", fallback=aug_defaults.score_tolerance
-            ),
-            max_variants_per_sample=cp.getint(
-                "augment",
-                "max_variants_per_sample",
-                fallback=aug_defaults.max_variants_per_sample,
-            ),
-            include_flips=cp.getboolean(
-                "augment", "include_flips", fallback=aug_defaults.include_flips
-            ),
-            rng_seed=cp.getint("augment", "rng_seed", fallback=aug_defaults.rng_seed),
-            antonyms=antonyms,
-            comparatives=comparatives,
-        )
-        learn_defaults = defaults.learning
-        learning_config = LearningConfig(
-            max_outer_iterations=cp.getint(
-                "learning",
-                "max_outer_iterations",
-                fallback=learn_defaults.max_outer_iterations,
-            ),
-            lam=cp.getfloat("learning", "lam", fallback=learn_defaults.lam),
-            epsilon_margin=cp.getfloat(
-                "learning", "epsilon_margin", fallback=learn_defaults.epsilon_margin
-            ),
-            solver_tol=cp.getfloat(
-                "learning", "solver_tol", fallback=learn_defaults.solver_tol
-            ),
-            solver_max_iter=cp.getint(
-                "learning", "solver_max_iter", fallback=learn_defaults.solver_max_iter
-            ),
-        )
-        cnn_defaults = defaults.cnn
-        cnn_config = CnnConfig(
-            window=cp.getint("cnn", "window", fallback=cnn_defaults.window),
-            filter_count=cp.getint(
-                "cnn", "filter_count", fallback=cnn_defaults.filter_count
-            ),
-            pool_window=cp.getint(
-                "cnn", "pool_window", fallback=cnn_defaults.pool_window
-            ),
-            pooling=cp.get("cnn", "pooling", fallback=cnn_defaults.pooling),
-            activation=cp.get("cnn", "activation", fallback=cnn_defaults.activation),
-            dropout_rate=cp.getfloat(
-                "cnn", "dropout_rate", fallback=cnn_defaults.dropout_rate
-            ),
-            learning_rate=cp.getfloat(
-                "cnn", "learning_rate", fallback=cnn_defaults.learning_rate
-            ),
-            epochs=cp.getint("cnn", "epochs", fallback=cnn_defaults.epochs),
-            batch_size=cp.getint("cnn", "batch_size", fallback=cnn_defaults.batch_size),
-            rng_seed=cp.getint("cnn", "rng_seed", fallback=cnn_defaults.rng_seed),
-            sequence_length=cp.getint(
-                "cnn", "sequence_length", fallback=cnn_defaults.sequence_length
-            ),
-            embedding_dim=cp.getint(
-                "cnn", "embedding_dim", fallback=cnn_defaults.embedding_dim
-            ),
-            finetune_embeddings=cp.getboolean(
-                "cnn", "finetune_embeddings", fallback=cnn_defaults.finetune_embeddings
-            ),
-        )
+        nested = {
+            section: _read_section(cp, section, sub)
+            for section, sub in _nested(defaults).items()
+        }
         penalty = defaults.penalty
         if cp.has_section("penalty"):
             rows = []
@@ -367,21 +307,7 @@ def parse_experiment_config(text: str) -> ExperimentConfig:
                     raise EvalError(f"penalty section is missing the {label} row")
                 rows.append([float(x) for x in cp.get("penalty", label).split()])
             penalty = PenaltyMatrix(np.array(rows))
-        return ExperimentConfig(
-            k=cp.getint("experiment", "k", fallback=defaults.k),
-            rebalance=cp.getboolean(
-                "experiment", "rebalance", fallback=defaults.rebalance
-            ),
-            variant=cp.get("experiment", "variant", fallback=defaults.variant),
-            rng_seed=cp.getint("experiment", "rng_seed", fallback=defaults.rng_seed),
-            vocab_size=cp.getint(
-                "experiment", "vocab_size", fallback=defaults.vocab_size
-            ),
-            augment=augment_config,
-            learning=learning_config,
-            cnn=cnn_config,
-            penalty=penalty,
-        )
+        return _read_section(cp, "experiment", replace(defaults, **nested, penalty=penalty))
     except ValueError as exc:
         if isinstance(exc, EvalError):
             raise

@@ -11,13 +11,13 @@ values.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from sentiscore.boxlsq import ConstrainedLsqProblem, SolverReport, solve
-from sentiscore.lexicon import NEGATIVE, POSITIVE, Lexicon, Mention
+from sentiscore.boxlsq import ConstrainedLsqProblem, solve
+from sentiscore.lexicon import POSITIVE, Lexicon, Mention
 
 
 class LearnerError(ValueError):
@@ -163,15 +163,6 @@ def build_word_problem(
     )
 
 
-def _solve_half(problem: ConstrainedLsqProblem, config: LearningConfig, start) -> SolverReport:
-    return solve(
-        problem,
-        tol=config.solver_tol,
-        max_iter=config.solver_max_iter,
-        start=start,
-    )
-
-
 def train_iterative(
     mentions: Sequence[Mention],
     seed_lexicon: Lexicon,
@@ -202,7 +193,7 @@ def train_iterative(
         if adverbs:
             adverb_problem = build_adverb_problem(mentions, lexicon, config)
             start = np.array([lexicon.adverb_score(t) for t in adverbs])
-            report = _solve_half(adverb_problem, config, start)
+            report = solve(adverb_problem, config.solver_tol, config.solver_max_iter, start)
             converged = converged and report.converged
             lexicon = lexicon.replace_scores(
                 adverb_scores=dict(zip(adverbs, report.solution))
@@ -219,7 +210,7 @@ def train_iterative(
 
         word_problem = build_word_problem(mentions, lexicon, config)
         start = np.array([lexicon.word_score(t) for t in words])
-        report = _solve_half(word_problem, config, start)
+        report = solve(word_problem, config.solver_tol, config.solver_max_iter, start)
         converged = converged and report.converged
         lexicon = lexicon.replace_scores(word_scores=dict(zip(words, report.solution)))
         word_objective = report.objective

@@ -10,8 +10,10 @@ score of 1 for unmodified words.
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 POSITIVE = "positive"
@@ -124,11 +126,11 @@ class Lexicon:
 
     @property
     def words(self) -> Mapping[str, WordEntry]:
-        return dict(self._words)
+        return MappingProxyType(self._words)
 
     @property
     def adverbs(self) -> Mapping[str, float]:
-        return dict(self._adverbs)
+        return MappingProxyType(self._adverbs)
 
     def word_terms(self) -> list[str]:
         return sorted(self._words)
@@ -190,9 +192,6 @@ class Lexicon:
 
     def __repr__(self) -> str:
         return f"Lexicon(words={len(self._words)}, adverbs={len(self._adverbs)})"
-
-
-Pair = tuple  # (adverb term or None, word term)
 
 
 def extract_pairs(tokens: Sequence[str], lexicon: Lexicon) -> list[tuple[str | None, str]]:
@@ -337,6 +336,8 @@ def load_lexicon(path) -> Lexicon:
                 score = float(score_text)
             except ValueError:
                 raise LexiconError(f"{path}:{lineno}: bad score {score_text!r}") from None
+            if not math.isfinite(score):
+                raise LexiconError(f"{path}:{lineno}: non-finite score {score_text!r}")
             if kind == "word":
                 words[term] = WordEntry(score, polarity)
             elif kind == "adverb":

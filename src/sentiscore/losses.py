@@ -110,15 +110,6 @@ def weighted_cross_entropy(
     return penalty.weight(predicted, idx) * cross_entropy(y, y_hat)
 
 
-def ce_grad_logits(y: np.ndarray, logits: np.ndarray) -> np.ndarray:
-    """Gradient of plain cross entropy composed with softmax."""
-    idx = _one_hot_index(y)
-    probs = softmax(logits)
-    grad = probs.copy()
-    grad[idx] -= 1.0
-    return grad
-
-
 def weighted_ce_grad_logits(
     y: np.ndarray, logits: np.ndarray, penalty: PenaltyMatrix | None
 ) -> np.ndarray:

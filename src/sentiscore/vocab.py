@@ -34,29 +34,15 @@ class Vocab:
         """Index of ``term``, or the UNK index when absent."""
         return self._index.get(term, UNK_INDEX)
 
-    def term(self, index: int) -> str:
-        return self.terms[index]
 
-    def encode(self, tokens: Sequence[str]) -> list[int]:
-        return [self.lookup(tok) for tok in tokens]
-
-
-def _token_lists(corpus: Iterable) -> list[Sequence[str]]:
-    out = []
-    for item in corpus:
-        tokens = getattr(item, "tokens", item)
-        out.append(tokens)
-    return out
-
-
-def build_vocab(corpus: Iterable, max_size: int) -> Vocab:
+def build_vocab(corpus: Iterable[Sequence[str]], max_size: int) -> Vocab:
     """Vocabulary of the ``max_size`` most frequent terms plus PAD and UNK.
 
-    ``corpus`` is an iterable of mentions or plain token sequences.
-    Frequency ties break lexicographically, so the result is
-    deterministic. An empty corpus is an error.
+    ``corpus`` is an iterable of token sequences. Frequency ties break
+    lexicographically, so the result is deterministic. An empty corpus
+    is an error.
     """
-    token_lists = _token_lists(corpus)
+    token_lists = list(corpus)
     if not token_lists:
         raise ValueError("corpus is empty")
     counts: Counter[str] = Counter()

@@ -4,7 +4,6 @@ import pytest
 
 from sentiscore.augment import (
     AugmentConfig,
-    augment,
     augment_corpus,
     derive_seed,
     flip_label,
@@ -151,14 +150,6 @@ class TestGenerateVariants:
     def test_mention_without_sentiment_words_yields_nothing(self, lexicon):
         m = make("nothing to report", "neutral", lexicon)
         assert generate_variants(m, lexicon, AugmentConfig()) == []
-
-    def test_augment_wrapper_returns_text_label_pairs(self, lexicon):
-        m = make("TARGET is horrible", "negative", lexicon)
-        pairs = augment(m, lexicon, AugmentConfig(include_flips=False))
-        assert pairs == [
-            ("TARGET is poor", "negative"),
-            ("TARGET is terrible", "negative"),
-        ]
 
 
 class TestFlipLabel:

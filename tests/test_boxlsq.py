@@ -8,9 +8,7 @@ from helpers import grid_oracle, ls_center
 from sentiscore.boxlsq import (
     BoxLsqError,
     ConstrainedLsqProblem,
-    dump_problem,
     kkt_residual,
-    load_problem,
     objective,
     solve,
 )
@@ -276,39 +274,3 @@ class TestValidation:
         )
         with pytest.raises(BoxLsqError):
             objective(problem, np.zeros(3))
-
-
-class TestDumpFormat:
-    def test_round_trip_exact(self, tmp_path):
-        rng = np.random.default_rng(6)
-        problem = random_problem(rng, d=3)
-        path = tmp_path / "problem.txt"
-        dump_problem(problem, path)
-        loaded = load_problem(path)
-        npt.assert_array_equal(loaded.design, problem.design)
-        npt.assert_array_equal(loaded.bias, problem.bias)
-        npt.assert_array_equal(loaded.targets, problem.targets)
-        npt.assert_array_equal(loaded.lower, problem.lower)
-        npt.assert_array_equal(loaded.upper, problem.upper)
-        assert loaded.lam == problem.lam
-
-    def test_infinite_bounds_survive(self, tmp_path):
-        problem = ConstrainedLsqProblem(
-            design=np.array([[1.0]]),
-            bias=np.zeros(1),
-            targets=np.ones(1),
-            lam=0.0,
-            lower=np.array([-np.inf]),
-            upper=np.array([np.inf]),
-        )
-        path = tmp_path / "problem.txt"
-        dump_problem(problem, path)
-        loaded = load_problem(path)
-        assert loaded.lower[0] == -np.inf
-        assert loaded.upper[0] == np.inf
-
-    def test_bad_header_rejected(self, tmp_path):
-        path = tmp_path / "problem.txt"
-        path.write_text("not a dump\n", encoding="utf-8")
-        with pytest.raises(BoxLsqError):
-            load_problem(path)

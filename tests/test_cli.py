@@ -386,6 +386,37 @@ class TestTrainPredict:
         b = self.train(tmp_path, corpus)
         assert b.read_bytes() == first
 
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ["--epochs", "0"],
+            ["--epochs", "-1"],
+            ["--batch-size", "0"],
+            ["--filters", "0"],
+            ["--embedding-dim", "0"],
+        ],
+    )
+    def test_non_positive_sizes_exit_1(self, tmp_path, capsys, flag):
+        corpus, _ = gen_corpus(tmp_path, size=30, words=6, seed=4)
+        checkpoint = tmp_path / "model.ckpt"
+        code = main(["train", "--corpus", str(corpus), "--out", str(checkpoint)] + flag)
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+        assert not checkpoint.exists()
+
+    def test_checkpoint_with_unknown_config_key_exits_1(self, tmp_path, capsys):
+        corpus, _ = gen_corpus(tmp_path, size=60, words=6, seed=4)
+        checkpoint = self.train(tmp_path, corpus)
+        magic, header, payload = checkpoint.read_bytes().split(b"\n", 2)
+        header = header.replace(b'"config": {', b'"config": {"bogus": 1, ', 1)
+        checkpoint.write_bytes(magic + b"\n" + header + b"\n" + payload)
+        inputs = tmp_path / "inputs.txt"
+        inputs.write_text("TARGET is fine\n", encoding="utf-8")
+        code = main(["predict", "--checkpoint", str(checkpoint), "--input", str(inputs)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(checkpoint) in err
+
     def test_corrupt_checkpoint_exits_1(self, tmp_path, capsys):
         bogus = tmp_path / "bogus.ckpt"
         bogus.write_bytes(b"junk")

@@ -1,6 +1,8 @@
 """Shape, gradient, and training behavior of the text classifier."""
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -63,11 +65,24 @@ class TestConfig:
             {"learning_rate": 0.0},
             {"window": 9, "sequence_length": 6},
             {"pool_window": 0},
+            {"epochs": 0},
+            {"epochs": -1},
+            {"batch_size": 0},
+            {"filter_count": 0},
+            {"embedding_dim": 0},
+            {"sequence_length": 0},
         ],
     )
     def test_invalid_settings_rejected(self, overrides):
         with pytest.raises(CnnError):
             tiny_config(**overrides)
+
+    @pytest.mark.parametrize(
+        "name", ["epochs", "batch_size", "filter_count", "embedding_dim", "sequence_length"]
+    )
+    def test_size_errors_name_the_field(self, name):
+        with pytest.raises(CnnError, match=f"{name} must be >= 1"):
+            tiny_config(**{name: 0})
 
 
 class TestForward:
@@ -339,6 +354,53 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         path.write_bytes(b"not a checkpoint\n" + b"\x00" * 64)
         with pytest.raises(CnnError):
+            load_checkpoint(path)
+
+    def saved(self, tmp_path):
+        config = tiny_config()
+        vocab = Vocab((PAD, UNK, "good", "bad"))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, init_model(len(vocab), config), vocab, config)
+        magic, header, payload = path.read_bytes().split(b"\n", 2)
+        return path, magic, json.loads(header), payload
+
+    def rewrite(self, path, magic, meta, payload):
+        path.write_bytes(magic + b"\n" + json.dumps(meta).encode() + b"\n" + payload)
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda meta: meta["config"].update(bogus=1), "bad checkpoint header"),
+            (lambda meta: meta["config"].update(window="3"), "bad checkpoint header"),
+            (lambda meta: meta["shapes"].pop("dense_w"), "lacks 'dense_w'"),
+            (lambda meta: meta.pop("shapes"), "lacks 'shapes'"),
+            (lambda meta: meta["shapes"].update(dense_b=[-3]), "non-negative"),
+            (lambda meta: meta["vocab"].pop(), "embedding rows"),
+            (lambda meta: meta["config"].update(filter_count=2), "filter bank shape"),
+            (lambda meta: meta["shapes"].update(filters=[24]), "3-D"),
+        ],
+    )
+    def test_bad_header_raises_cnn_error_naming_path(self, tmp_path, corrupt, message):
+        path, magic, meta, payload = self.saved(tmp_path)
+        corrupt(meta)
+        self.rewrite(path, magic, meta, payload)
+        with pytest.raises(CnnError, match=message) as excinfo:
+            load_checkpoint(path)
+        assert str(path) in str(excinfo.value)
+
+    @pytest.mark.parametrize("change", [b"\x00", b"\x00" * 8, -8, -1])
+    def test_payload_length_must_match_shapes(self, tmp_path, change):
+        path, magic, meta, payload = self.saved(tmp_path)
+        payload = payload + change if isinstance(change, bytes) else payload[:change]
+        self.rewrite(path, magic, meta, payload)
+        with pytest.raises(CnnError, match="bytes") as excinfo:
+            load_checkpoint(path)
+        assert str(path) in str(excinfo.value)
+
+    def test_undecodable_header_raises_cnn_error(self, tmp_path):
+        path, magic, _, payload = self.saved(tmp_path)
+        path.write_bytes(magic + b"\n{not json\n" + payload)
+        with pytest.raises(CnnError, match="bad checkpoint header"):
             load_checkpoint(path)
 
 

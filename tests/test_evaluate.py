@@ -263,6 +263,92 @@ class TestConfigRoundTrip:
             ExperimentConfig(variant="cnn-extra")
 
 
+def every_section_changed() -> ExperimentConfig:
+    return ExperimentConfig(
+        k=7,
+        rebalance=False,
+        variant="cnn-total",
+        rng_seed=99,
+        vocab_size=1234,
+        augment=AugmentConfig(
+            score_tolerance=0.25,
+            max_variants_per_sample=2,
+            include_flips=False,
+            rng_seed=5,
+            antonyms={"more": "less", "less": "more", "better": "worse"},
+            comparatives=frozenset({"better", "more", "less", "fancier"}),
+        ),
+        learning=LearningConfig(
+            max_outer_iterations=9,
+            lam=0.75,
+            epsilon_margin=0.001,
+            solver_tol=1e-10,
+            solver_max_iter=500,
+        ),
+        cnn=CnnConfig(
+            window=4,
+            filter_count=6,
+            pool_window=3,
+            pooling="max_over_time",
+            activation="tanh",
+            dropout_rate=0.25,
+            learning_rate=0.125,
+            epochs=7,
+            batch_size=16,
+            rng_seed=11,
+            sequence_length=24,
+            embedding_dim=12,
+            finetune_embeddings=False,
+        ),
+        penalty=PenaltyMatrix(
+            np.array([[1.0, 2.5, 2.0], [2.0, 1.0, 2.0], [3.0, 3.0, 1.0]])
+        ),
+    )
+
+
+class TestConfigTextGolden:
+    """Exact INI bytes: key order, number formatting and special cases."""
+
+    def test_default_text(self):
+        assert config_to_text(ExperimentConfig()) == (
+            "[experiment]\nk = 5\nrebalance = true\nvariant = cnn\nrng_seed = 0\n"
+            "vocab_size = 5000\n\n"
+            "[augment]\nscore_tolerance = 0.1\nmax_variants_per_sample = 4\n"
+            "include_flips = true\nrng_seed = 0\n"
+            "antonyms = better:worse worse:better\ncomparatives = auto\n\n"
+            "[learning]\nmax_outer_iterations = 20\nlam = 0.1\n"
+            "epsilon_margin = 1e-06\nsolver_tol = 1e-08\nsolver_max_iter = 10000\n\n"
+            "[cnn]\nwindow = 3\nfilter_count = 16\npool_window = 2\n"
+            "pooling = chunked\nactivation = relu\ndropout_rate = 0.5\n"
+            "learning_rate = 0.05\nepochs = 5\nbatch_size = 32\nrng_seed = 0\n"
+            "sequence_length = 32\nembedding_dim = 32\nfinetune_embeddings = true\n\n"
+            "[penalty]\npositive = 1.0 4.0 3.0\nnegative = 4.0 1.0 3.0\n"
+            "neutral = 2.0 2.0 1.0\n\n"
+        )
+
+    def test_every_section_changed_text(self):
+        assert config_to_text(every_section_changed()) == (
+            "[experiment]\nk = 7\nrebalance = false\nvariant = cnn-total\n"
+            "rng_seed = 99\nvocab_size = 1234\n\n"
+            "[augment]\nscore_tolerance = 0.25\nmax_variants_per_sample = 2\n"
+            "include_flips = false\nrng_seed = 5\n"
+            "antonyms = better:worse less:more more:less\n"
+            "comparatives = better fancier less more\n\n"
+            "[learning]\nmax_outer_iterations = 9\nlam = 0.75\n"
+            "epsilon_margin = 0.001\nsolver_tol = 1e-10\nsolver_max_iter = 500\n\n"
+            "[cnn]\nwindow = 4\nfilter_count = 6\npool_window = 3\n"
+            "pooling = max_over_time\nactivation = tanh\ndropout_rate = 0.25\n"
+            "learning_rate = 0.125\nepochs = 7\nbatch_size = 16\nrng_seed = 11\n"
+            "sequence_length = 24\nembedding_dim = 12\nfinetune_embeddings = false\n\n"
+            "[penalty]\npositive = 1.0 2.5 2.0\nnegative = 2.0 1.0 2.0\n"
+            "neutral = 3.0 3.0 1.0\n\n"
+        )
+
+    def test_every_section_changed_round_trips(self):
+        config = every_section_changed()
+        assert parse_experiment_config(config_to_text(config)) == config
+
+
 def tiny_corpus(size: int = 120, noise: float = 0.0, seed: int = 3):
     config = CorpusConfig(
         size=size,

@@ -125,6 +125,14 @@ class TestLexiconInvariants:
         with pytest.raises(LexiconError, match="shiny"):
             lexicon.replace_scores(word_scores={"shiny": 1.0})
 
+    def test_term_maps_are_read_only(self, lexicon):
+        with pytest.raises(TypeError):
+            lexicon.words["great"] = WordEntry(2.0, "positive")
+        with pytest.raises(TypeError):
+            lexicon.adverbs["very"] = 2.0
+        assert lexicon.word_score("great") == 1.0
+        assert lexicon.adverb_score("very") == 0.75
+
     def test_unknown_lookups_name_the_term(self, lexicon):
         with pytest.raises(LexiconError, match="shiny"):
             lexicon.word_score("shiny")
@@ -242,6 +250,13 @@ class TestLexiconRoundTrip:
         path = tmp_path / "lex.tsv"
         path.write_text("good\tword\tpositive\t1.0\nbad line\n", encoding="utf-8")
         with pytest.raises(LexiconError, match="2"):
+            load_lexicon(path)
+
+    @pytest.mark.parametrize("score", ["inf", "-inf", "nan"])
+    def test_non_finite_score_reports_location(self, tmp_path, score):
+        path = tmp_path / "lex.tsv"
+        path.write_text(f"good\tword\tpositive\t1.0\nwow\tword\tpositive\t{score}\n")
+        with pytest.raises(LexiconError, match=f"lex.tsv:2: non-finite score '{score}'"):
             load_lexicon(path)
 
 

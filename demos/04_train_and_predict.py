@@ -45,14 +45,12 @@ print("mean loss per epoch:")
 for epoch, loss in enumerate(history, start=1):
     print(f"  {epoch:2d}: {loss:.4f}")
 
-# Accuracy on the training set (this demo overfits on purpose).
-hits = 0
-for record in records:
-    label, _ = predict(model, tokenize(record.text), vocab, config)
-    hits += label == record.label
+# Accuracy on the training set (this demo overfits on purpose). predict
+# takes a list of token sequences and scores them in mini-batches.
+labels, probs = predict(model, token_lists, vocab, config)
+hits = sum(label == record.label for label, record in zip(labels, records))
 print(f"training accuracy: {hits}/{len(records)}")
 
-for record in records[:3]:
-    label, probs = predict(model, tokenize(record.text), vocab, config)
-    shown = " ".join(f"{p:.3f}" for p in probs)
+for label, row, record in zip(labels[:3], probs, records):
+    shown = " ".join(f"{p:.3f}" for p in row)
     print(f"  {label:8s} [{shown}]  {record.text}")

@@ -59,6 +59,9 @@ class AugmentConfig:
             raise ValueError("max_variants_per_sample must be >= 0")
         if not self.score_tolerance >= 0:
             raise ValueError("score_tolerance must be >= 0")
+        for term in (*self.antonyms, *self.antonyms.values()):
+            if not term or ":" in term or any(c.isspace() for c in term):
+                raise ValueError(f"antonym terms must be non-empty without ':' or spaces: {term!r}")
 
     def comparative_terms(self) -> frozenset[str]:
         if self.comparatives is not None:

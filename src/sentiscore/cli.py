@@ -131,18 +131,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lexicon", required=True, help="seed lexicon TSV")
     p.add_argument("--out", required=True, help="path for the learned lexicon TSV")
     p.add_argument("--trace", help="objective trace TSV (default: OUT.trace)")
+    learning = LearningConfig()
     p.add_argument(
         "--lambda",
         dest="lam",
         type=float,
-        default=0.1,
-        help="ridge regularization strength (default: 0.1)",
+        default=learning.lam,
+        help=f"ridge regularization strength (default: {learning.lam})",
     )
     p.add_argument(
-        "--iters", type=int, default=20, help="max outer iterations (default: 20)"
+        "--iters",
+        type=int,
+        default=learning.max_outer_iterations,
+        help=f"max outer iterations (default: {learning.max_outer_iterations})",
     )
     p.add_argument(
-        "--tol", type=float, default=1e-8, help="solver tolerance (default: 1e-08)"
+        "--tol",
+        type=float,
+        default=learning.solver_tol,
+        help=f"solver tolerance (default: {learning.solver_tol})",
     )
     p.add_argument("--seed", type=int, default=0, help="rng seed (default: 0)")
 
@@ -157,17 +164,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True, help="labeled mention TSV")
     p.add_argument("--lexicon", required=True, help="scored lexicon TSV")
     p.add_argument("--out", required=True, help="augmented corpus TSV")
+    augment = AugmentConfig()
     p.add_argument(
         "--delta",
         type=float,
-        default=0.1,
-        help="score similarity tolerance (default: 0.1)",
+        default=augment.score_tolerance,
+        help=f"score similarity tolerance (default: {augment.score_tolerance})",
     )
     p.add_argument(
         "--max-variants",
         type=int,
-        default=4,
-        help="cap on variants per mention (default: 4)",
+        default=augment.max_variants_per_sample,
+        help=f"cap on variants per mention (default: {augment.max_variants_per_sample})",
     )
     p.add_argument(
         "--no-flips",
@@ -373,12 +381,9 @@ def _cmd_predict(args: argparse.Namespace) -> int:
             lines = fh.readlines()
     else:
         lines = sys.stdin.readlines()
-    for line in lines:
-        text = line.rstrip("\n")
-        if not text:
-            continue
-        tokens = tokenize(_masked(text, args.entity))
-        label, probs = predict(model, tokens, vocab, config)
+    texts = (line.rstrip("\n") for line in lines)
+    tokens = (tokenize(_masked(text, args.entity)) for text in texts if text)
+    for label, probs in zip(*predict(model, tokens, vocab, config)):
         formatted = " ".join(f"{p:.6f}" for p in probs)
         print(f"{label}\t{formatted}")
     return 0

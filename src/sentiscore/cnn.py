@@ -1,27 +1,30 @@
 """A small from-scratch CNN text classifier over word embeddings.
 
-The forward pass embeds a token sequence into an N x K matrix, convolves
-it with f window filters of height d (one abstract feature per filter
-per position), zero-pads the per-position feature columns back to N
-rows, pools them either over disjoint chunks of p consecutive rows
+The forward pass works on a mini-batch: it embeds B token sequences
+into a B x N x K tensor, convolves every sequence with f window filters
+of height d as one im2col matrix product (one abstract feature per
+filter per position), zero-pads the per-position feature columns back
+to N rows, pools them either over disjoint chunks of p consecutive rows
 (yielding ceil(N/p) pooled rows per filter) or with a single max over
-all positions, applies inverted dropout to the pooled vector during
-training, and maps through a dense layer to three logits. Backward
-passes are computed analytically for every parameter tensor, including
-the embedding rows touched by the sequence.
+all positions, applies inverted dropout to the pooled vectors during
+training, and maps through a dense layer to three logits per sequence.
+Backward passes are computed analytically for every parameter tensor,
+including the embedding rows touched by the batch.
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import asdict, dataclass, fields
-from typing import Sequence
+from itertools import islice
+from typing import Iterable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from sentiscore.embeddings import sequence_indices
 from sentiscore.lexicon import LABELS
-from sentiscore.losses import PenaltyMatrix, label_loss, one_hot, softmax, weighted_ce_grad_logits
+from sentiscore.losses import PenaltyMatrix, loss_and_logit_grad, softmax
 from sentiscore.vocab import PAD_INDEX, Vocab
 
 CHUNKED = "chunked"
@@ -119,22 +122,12 @@ def _glorot(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, fan_o
     return rng.uniform(-limit, limit, size=shape)
 
 
-def init_model(
-    vocab_size: int,
-    config: CnnConfig,
-    seed: int | None = None,
-    embedding: np.ndarray | None = None,
-) -> CnnModel:
-    """Seeded uniform fan-in/fan-out init; optionally adopt an embedding."""
+def init_model(vocab_size: int, config: CnnConfig, seed: int | None = None) -> CnnModel:
+    """Seeded uniform fan-in/fan-out init; the PAD embedding row starts at zero."""
     rng = np.random.default_rng(config.rng_seed if seed is None else seed)
-    d, f = config.window, config.filter_count
-    if embedding is None:
-        k = config.embedding_dim
-        emb = (rng.random((vocab_size, k)) - 0.5) / k
-        emb[PAD_INDEX] = 0.0
-    else:
-        emb = np.array(embedding, dtype=float)
-        k = emb.shape[1]
+    d, f, k = config.window, config.filter_count, config.embedding_dim
+    emb = (rng.random((vocab_size, k)) - 0.5) / k
+    emb[PAD_INDEX] = 0.0
     filters = _glorot(rng, (f, d, k), fan_in=d * k, fan_out=f)
     dense_in = config.pooled_rows * f
     dense_w = _glorot(rng, (dense_in, 3), fan_in=dense_in, fan_out=3)
@@ -153,12 +146,12 @@ def init_model(
 class ForwardCache:
     """Intermediates retained by the forward pass for backpropagation."""
 
-    windows: np.ndarray  # (P, d, K) sliding views of the input
-    pre: np.ndarray  # (P, f) pre-activation features
-    pool_rows: np.ndarray  # (q, f) row index feeding each pooled value
-    pooled: np.ndarray  # (q * f,) pooled vector before dropout
+    windows: np.ndarray  # (B * P, d * K) im2col rows of the input
+    pre: np.ndarray  # (B, P, f) pre-activation features
+    pool_rows: np.ndarray  # (B, q, f) row index feeding each pooled value
+    pooled: np.ndarray  # (B, q * f) pooled vectors before dropout
     mask: np.ndarray | None  # dropout keep mask, None when inactive
-    kept: np.ndarray  # (q * f,) dense-layer input
+    kept: np.ndarray  # (B, q * f) dense-layer input
 
 
 def _activate(pre: np.ndarray, activation: str) -> np.ndarray:
@@ -186,70 +179,51 @@ def forward(
     dropout_active: bool = False,
     rng: np.random.Generator | int | None = None,
 ) -> tuple[np.ndarray, ForwardCache]:
-    """Logits for one embedded N x K sequence, plus the backward cache.
+    """Logits (B, 3) for B embedded N x K sequences, plus the backward cache.
 
-    Convolution covers the N - d + 1 valid window positions; the feature
-    columns are zero-padded back to N rows so the chunked pooling
-    arithmetic holds for every filter. Dropout uses inverted scaling and
-    only fires when ``dropout_active`` and the configured rate is
-    nonzero.
+    Convolution covers the P = N - d + 1 valid window positions of every
+    sequence as one ``(B*P, d*K) @ (d*K, f)`` product. The feature
+    columns are zero-padded back to N rows, and chunked pooling pads
+    them on to whole chunks with -inf rows that never win a max. Dropout
+    uses inverted scaling and only fires when ``dropout_active`` and the
+    configured rate is nonzero; its one ``(B, q*f)`` draw takes the same
+    numbers from the generator as B draws of ``q*f``.
     """
     embedded = np.asarray(embedded, dtype=float)
     n, k = config.sequence_length, model.embedding.shape[1]
-    if embedded.shape != (n, k):
-        raise CnnError(f"embedded input must be {(n, k)}, got {embedded.shape}")
-    d, f, p = config.window, config.filter_count, config.pool_window
+    if embedded.ndim != 3 or embedded.shape[1:] != (n, k):
+        raise CnnError(f"embedded input must be (B, {n}, {k}), got {embedded.shape}")
+    b, d, f, q = embedded.shape[0], config.window, config.filter_count, config.pooled_rows
+    positions = n - d + 1
 
-    windows = np.lib.stride_tricks.sliding_window_view(embedded, (d, k)).reshape(-1, d, k)
-    pre = np.einsum("pdk,fdk->pf", windows, model.filters) + model.filter_bias
-    feature_rows = _activate(pre, config.activation)
-    positions = windows.shape[0]
-    column = np.zeros((n, f))
-    column[:positions] = feature_rows
-
-    q = config.pooled_rows
-    pooled_matrix = np.empty((q, f))
-    pool_rows = np.empty((q, f), dtype=np.int64)
-    if config.pooling == MAX_OVER_TIME:
-        pool_rows[0] = np.argmax(column, axis=0)
-        pooled_matrix[0] = column[pool_rows[0], np.arange(f)]
-    else:
-        for c in range(q):
-            lo, hi = c * p, min((c + 1) * p, n)
-            segment = column[lo:hi]
-            local = np.argmax(segment, axis=0)
-            pool_rows[c] = lo + local
-            pooled_matrix[c] = segment[local, np.arange(f)]
-    pooled = pooled_matrix.reshape(-1)
+    windows = sliding_window_view(embedded, (d, k), axis=(1, 2)).reshape(b * positions, d * k)
+    pre = (windows @ model.filters.reshape(f, d * k).T + model.filter_bias).reshape(b, positions, f)
+    span = n if config.pooling == MAX_OVER_TIME else config.pool_window
+    column = np.full((b, q * span, f), -np.inf)
+    column[:, :n] = 0.0
+    column[:, :positions] = _activate(pre, config.activation)
+    pool_rows = column.reshape(b, q, span, f).argmax(axis=2) + span * np.arange(q)[:, None]
+    pooled = np.take_along_axis(column, pool_rows, axis=1).reshape(b, q * f)
 
     mask = None
     kept = pooled
     if dropout_active and config.dropout_rate > 0.0:
-        gen = _as_rng(rng, config.rng_seed)
-        mask = gen.random(pooled.shape) >= config.dropout_rate
+        mask = _as_rng(rng, config.rng_seed).random(pooled.shape) >= config.dropout_rate
         kept = pooled * mask / (1.0 - config.dropout_rate)
 
     logits = kept @ model.dense_w + model.dense_b
-    cache = ForwardCache(
-        windows=windows,
-        pre=pre,
-        pool_rows=pool_rows,
-        pooled=pooled,
-        mask=mask,
-        kept=kept,
-    )
-    return logits, cache
+    return logits, ForwardCache(windows, pre, pool_rows, pooled, mask, kept)
 
 
 @dataclass
 class Gradients:
-    """Per-tensor gradients for one example or an accumulated batch."""
+    """Parameter gradients summed over a batch, and per-sequence input gradients."""
 
     filters: np.ndarray
     filter_bias: np.ndarray
     dense_w: np.ndarray
     dense_b: np.ndarray
-    embedded: np.ndarray  # (N, K) gradient of the embedded input
+    embedded: np.ndarray  # (B, N, K) gradient of the embedded input
 
 
 def backward(
@@ -258,44 +232,36 @@ def backward(
     cache: ForwardCache,
     dlogits: np.ndarray,
 ) -> Gradients:
-    """Backpropagate a logit gradient through the cached forward pass.
+    """Backpropagate a (B, 3) logit gradient through the cached forward pass.
 
-    Pooling routes each pooled gradient to the row that won the max;
-    zero-padded rows carry no parameters, so gradient landing there is
-    dropped with them.
+    Pooling routes each pooled gradient to the row that won the max; a
+    pooled cell has one winner and chunks do not overlap, so no two
+    cells write the same row. Zero-padded rows carry no parameters, so
+    gradient landing there is dropped with them.
     """
-    n = config.sequence_length
-    f = config.filter_count
-    d_dense_w = np.outer(cache.kept, dlogits)
-    d_dense_b = dlogits.copy()
-    d_kept = model.dense_w @ dlogits
+    n, f = config.sequence_length, config.filter_count
+    b, positions, _ = cache.pre.shape
+    d_dense_w = cache.kept.T @ dlogits
+    d_dense_b = dlogits.sum(axis=0)
+    d_kept = dlogits @ model.dense_w.T
     if cache.mask is not None:
         d_pooled = d_kept * cache.mask / (1.0 - config.dropout_rate)
     else:
         d_pooled = d_kept
-    d_pool_matrix = d_pooled.reshape(-1, f)
 
-    d_column = np.zeros((n, f))
-    cols = np.broadcast_to(np.arange(f), cache.pool_rows.shape)
-    np.add.at(d_column, (cache.pool_rows, cols), d_pool_matrix)
-
-    positions = cache.windows.shape[0]
-    d_pre = d_column[:positions] * _activation_grad(cache.pre, config.activation)
-    d_filters = np.einsum("pf,pdk->fdk", d_pre, cache.windows)
+    d_column = np.zeros((b, n, f))
+    np.put_along_axis(d_column, cache.pool_rows, d_pooled.reshape(cache.pool_rows.shape), axis=1)
+    d_pre = d_column[:, :positions] * _activation_grad(cache.pre, config.activation)
+    d_pre = d_pre.reshape(-1, f)
+    d_filters = (d_pre.T @ cache.windows).reshape(model.filters.shape)
     d_filter_bias = d_pre.sum(axis=0)
 
-    d_windows = np.einsum("pf,fdk->pdk", d_pre, model.filters)
-    d_embedded = np.zeros((n, model.embedding.shape[1]))
+    d_embedded = np.zeros((b, n, model.embedding.shape[1]))
     for offset in range(config.window):
-        d_embedded[offset : offset + positions] += d_windows[:, offset, :]
+        d_rows = d_pre @ model.filters[:, offset]
+        d_embedded[:, offset : offset + positions] += d_rows.reshape(b, positions, -1)
 
-    return Gradients(
-        filters=d_filters,
-        filter_bias=d_filter_bias,
-        dense_w=d_dense_w,
-        dense_b=d_dense_b,
-        embedded=d_embedded,
-    )
+    return Gradients(d_filters, d_filter_bias, d_dense_w, d_dense_b, d_embedded)
 
 
 def train_step(
@@ -307,58 +273,48 @@ def train_step(
 ) -> tuple[CnnModel, float]:
     """One mini-batch gradient-descent update of all parameters.
 
-    ``batch`` holds ``(token_indices, label_index)`` items; sequences
-    are embedded from the model's current matrix so embedding rows can
-    receive gradients when fine-tuning is enabled. Uses weighted cross
-    entropy when a penalty matrix is given, plain cross entropy
-    otherwise. A non-finite batch loss raises :class:`TrainingDiverged`.
+    ``batch`` holds ``(token_indices, label_index)`` items, run through
+    one batched forward and backward pass. Sequences are embedded from
+    the model's current matrix so embedding rows can receive gradients
+    when fine-tuning is enabled. Uses weighted cross entropy when a
+    penalty matrix is given, plain cross entropy otherwise. A non-finite
+    batch loss raises :class:`TrainingDiverged`.
     """
     if not batch:
         raise CnnError("batch must be non-empty")
+    indices = np.stack([np.asarray(ix, dtype=np.int64) for ix, _ in batch])
+    labels = np.array([label for _, label in batch], dtype=np.int64)
+    if labels.min() < 0 or labels.max() >= len(LABELS):
+        raise CnnError(f"label indices must lie in [0, {len(LABELS)})")
     gen = _as_rng(rng, config.rng_seed)
-    f, d, k = model.filters.shape
-    acc_filters = np.zeros_like(model.filters)
-    acc_filter_bias = np.zeros_like(model.filter_bias)
-    acc_dense_w = np.zeros_like(model.dense_w)
-    acc_dense_b = np.zeros_like(model.dense_b)
-    acc_embedding = np.zeros_like(model.embedding) if config.finetune_embeddings else None
-
-    total_loss = 0.0
-    for indices, label_index in batch:
-        indices = np.asarray(indices, dtype=np.int64)
-        embedded = model.embedding[indices]
-        logits, cache = forward(model, embedded, config, dropout_active=True, rng=gen)
-        if not np.all(np.isfinite(logits)):
-            raise TrainingDiverged("non-finite logits; lower the learning rate")
-        y = one_hot(label_index)
-        total_loss += label_loss(y, softmax(logits), penalty)
-        dlogits = weighted_ce_grad_logits(y, logits, penalty)
-        grads = backward(model, config, cache, dlogits)
-        acc_filters += grads.filters
-        acc_filter_bias += grads.filter_bias
-        acc_dense_w += grads.dense_w
-        acc_dense_b += grads.dense_b
-        if acc_embedding is not None:
-            np.add.at(acc_embedding, indices, grads.embedded)
-
+    logits, cache = forward(model, model.embedding[indices], config, dropout_active=True, rng=gen)
+    if not np.all(np.isfinite(logits)):
+        raise TrainingDiverged("non-finite logits; lower the learning rate")
+    losses, dlogits = loss_and_logit_grad(labels, softmax(logits), penalty)
     count = len(batch)
-    mean_loss = total_loss / count
+    mean_loss = float(losses.sum()) / count
     if not np.isfinite(mean_loss):
         raise TrainingDiverged(f"non-finite training loss: {mean_loss}")
+    grads = backward(model, config, cache, dlogits)
 
     lr = config.learning_rate
     embedding = model.embedding
-    if acc_embedding is not None:
-        acc_embedding[PAD_INDEX] = 0.0
-        embedding = model.embedding - lr * (acc_embedding / count)
+    if config.finetune_embeddings:
+        # A scatter-add over (row, column) cells: bincount adds in the
+        # same order as np.add.at, several times faster.
+        rows, k = model.embedding.shape
+        cells = (indices[..., None] * k + np.arange(k)).reshape(-1)
+        d_embedding = np.bincount(cells, grads.embedded.reshape(-1), rows * k).reshape(rows, k)
+        d_embedding[PAD_INDEX] = 0.0
+        embedding = model.embedding - lr * (d_embedding / count)
     updated = CnnModel(
         embedding=embedding,
-        filters=model.filters - lr * (acc_filters / count),
-        filter_bias=model.filter_bias - lr * (acc_filter_bias / count),
-        dense_w=model.dense_w - lr * (acc_dense_w / count),
-        dense_b=model.dense_b - lr * (acc_dense_b / count),
+        filters=model.filters - lr * (grads.filters / count),
+        filter_bias=model.filter_bias - lr * (grads.filter_bias / count),
+        dense_w=model.dense_w - lr * (grads.dense_w / count),
+        dense_b=model.dense_b - lr * (grads.dense_b / count),
     )
-    return updated, float(mean_loss)
+    return updated, mean_loss
 
 
 def fit(
@@ -388,19 +344,26 @@ def fit(
 
 def predict(
     model: CnnModel,
-    tokens: Sequence[str],
+    token_lists: Iterable[Sequence[str]],
     vocab: Vocab,
     config: CnnConfig,
-) -> tuple[str, np.ndarray]:
-    """Label and probability vector for a token sequence, dropout off.
+) -> tuple[list[str], np.ndarray]:
+    """Labels and (T, 3) probability rows for T token sequences, dropout off.
 
-    Argmax ties resolve to the lowest label index (positive, then
-    negative, then neutral).
+    Takes ``config.batch_size`` sequences at a time from ``token_lists``
+    and runs one forward pass per chunk, so a lazy iterable of sequences
+    keeps memory flat however long the input. Argmax ties resolve to
+    the lowest label index (positive, then negative, then neutral).
     """
-    indices = sequence_indices(tokens, vocab, config.sequence_length)
-    logits, _ = forward(model, model.embedding[indices], config, dropout_active=False)
-    probs = softmax(logits)
-    return LABELS[int(np.argmax(probs))], probs
+    labels: list[str] = []
+    rows = [np.empty((0, len(LABELS)))]
+    sequences = iter(token_lists)
+    while chunk := list(islice(sequences, config.batch_size)):
+        indices = np.stack([sequence_indices(t, vocab, config.sequence_length) for t in chunk])
+        logits, _ = forward(model, model.embedding[indices], config)
+        rows.append(softmax(logits))
+        labels += [LABELS[i] for i in rows[-1].argmax(axis=1)]
+    return labels, np.concatenate(rows)
 
 
 # ----------------------------------------------------------------------

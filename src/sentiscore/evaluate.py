@@ -287,13 +287,21 @@ def config_to_text(config: ExperimentConfig) -> str:
 
 
 def parse_experiment_config(text: str) -> ExperimentConfig:
-    """Parse the INI form; absent keys fall back to defaults."""
+    """Parse the INI form; absent keys fall back to defaults, unknown ones raise."""
     cp = _parser()
     try:
         cp.read_string(text)
     except configparser.Error as exc:
         raise EvalError(f"malformed experiment config: {exc}") from None
     defaults = ExperimentConfig()
+    known = {"experiment": _keys(defaults), "penalty": LABELS}
+    known.update((section, _keys(sub)) for section, sub in _nested(defaults).items())
+    for section in cp.sections():
+        if section not in known:
+            raise EvalError(f"unknown experiment config section [{section}]")
+        for key in cp.options(section):
+            if key not in known[section]:
+                raise EvalError(f"unknown key {key!r} in experiment config section [{section}]")
     try:
         nested = {
             section: _read_section(cp, section, sub)
@@ -420,8 +428,8 @@ def run_experiment(
         model, _ = fit(model, dataset, cnn_cfg, penalty)
 
         cm = ConfusionMatrix.empty()
-        for record in test_records:
-            predicted, _ = predict(model, tokenize(_masked_text(record)), vocab, cnn_cfg)
+        tokens = [tokenize(_masked_text(record)) for record in test_records]
+        for predicted, record in zip(predict(model, tokens, vocab, cnn_cfg)[0], test_records):
             cm.add(predicted, record.label)
         result = FoldResult(fold, cm, metrics(cm), len(samples), len(test_records))
         fold_results.append(result)

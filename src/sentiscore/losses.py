@@ -85,29 +85,46 @@ def _check_distribution(probs: np.ndarray) -> np.ndarray:
     return probs
 
 
-def cross_entropy(y: np.ndarray, y_hat: np.ndarray) -> float:
-    """Negative log probability of the true label.
+def loss_and_logit_grad(
+    labels: np.ndarray, probs: np.ndarray, penalty: PenaltyMatrix | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row loss and its gradient with respect to the pre-softmax logits.
 
-    Probabilities are floored at ``PROB_FLOOR`` before the log so
-    saturated predictions stay finite.
+    ``labels`` holds B expected label indices and ``probs`` the (B, 3)
+    softmax rows; neither is validated here. Probabilities are floored
+    at ``PROB_FLOOR`` before the log so saturated predictions stay
+    finite. With a penalty, each row's cross entropy and gradient are
+    scaled by the weight for its (predicted, expected) pair, the
+    predicted label being the argmax of its probabilities (ties resolve
+    to the lowest index, i.e. positive before negative before neutral).
+    The weight is a constant of the forward pass, since the argmax
+    selection is discrete. ``penalty=None`` gives plain cross entropy.
     """
-    idx = _one_hot_index(y)
-    probs = _check_distribution(y_hat)
-    return float(-np.log(max(probs[idx], PROB_FLOOR)))
+    rows = np.arange(len(labels))
+    grad = probs.copy()
+    grad[rows, labels] -= 1.0
+    loss = -np.log(np.maximum(probs[rows, labels], PROB_FLOOR))
+    if penalty is None:
+        return loss, grad
+    weight = penalty.weights[probs.argmax(axis=1), labels]
+    return weight * loss, weight[:, None] * grad
+
+
+def _single(y: np.ndarray, probs: np.ndarray, penalty: PenaltyMatrix | None):
+    loss, grad = loss_and_logit_grad(np.array([_one_hot_index(y)]), probs[None], penalty)
+    return float(loss[0]), grad[0]
+
+
+def cross_entropy(y: np.ndarray, y_hat: np.ndarray) -> float:
+    """Negative log probability of the true label, floored like the batch loss."""
+    return _single(y, _check_distribution(y_hat), None)[0]
 
 
 def weighted_cross_entropy(
     y: np.ndarray, y_hat: np.ndarray, penalty: PenaltyMatrix
 ) -> float:
-    """Cross entropy scaled by the penalty for this (predicted, expected) pair.
-
-    The predicted label is the argmax of ``y_hat``; argmax ties resolve
-    to the lowest index, i.e. positive before negative before neutral.
-    """
-    idx = _one_hot_index(y)
-    probs = _check_distribution(y_hat)
-    predicted = int(np.argmax(probs))
-    return penalty.weight(predicted, idx) * cross_entropy(y, y_hat)
+    """Cross entropy scaled by the penalty for this (predicted, expected) pair."""
+    return _single(y, _check_distribution(y_hat), penalty)[0]
 
 
 def weighted_ce_grad_logits(
@@ -115,29 +132,20 @@ def weighted_ce_grad_logits(
 ) -> np.ndarray:
     """Gradient of the weighted loss with respect to pre-softmax logits.
 
-    The penalty weight selected on the forward pass is treated as a
-    constant, so the gradient is the plain softmax cross-entropy
-    gradient scaled by that weight. Passing ``penalty=None`` recovers
-    the unweighted gradient.
+    The plain softmax cross-entropy gradient scaled by the penalty
+    weight; ``penalty=None`` recovers the unweighted gradient.
     """
-    idx = _one_hot_index(y)
     logits = np.asarray(logits, dtype=float)
     if not np.all(np.isfinite(logits)):
         raise LossError("logits must be finite")
-    probs = softmax(logits)
-    weight = 1.0 if penalty is None else penalty.weight(int(np.argmax(probs)), idx)
-    grad = probs.copy()
-    grad[idx] -= 1.0
-    return weight * grad
+    return _single(y, softmax(logits), penalty)[1]
 
 
 def label_loss(
     y: np.ndarray, y_hat: np.ndarray, penalty: PenaltyMatrix | None
 ) -> float:
     """Weighted loss when a penalty is given, plain cross entropy otherwise."""
-    if penalty is None:
-        return cross_entropy(y, y_hat)
-    return weighted_cross_entropy(y, y_hat, penalty)
+    return _single(y, _check_distribution(y_hat), penalty)[0]
 
 
 def one_hot(index: int) -> np.ndarray:

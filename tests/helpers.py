@@ -1,4 +1,4 @@
-"""Shared test oracles, independent of the library's own solvers."""
+"""Shared test oracles, independent of the library's own solvers and batched CNN."""
 from __future__ import annotations
 
 import numpy as np
@@ -62,3 +62,91 @@ def grid_oracle(
     assert best is not None
     # Exact recompute guards against accumulated vectorization error.
     return best, objective(problem, best)
+
+
+def _reference_pool(column: np.ndarray, pooling: str, p: int) -> np.ndarray:
+    """Winning row per pooled cell, one chunk (or the whole column) at a time."""
+    n, f = column.shape
+    if pooling == "max_over_time":
+        return np.argmax(column, axis=0)[None]
+    q = -(-n // p)
+    rows = np.empty((q, f), dtype=np.int64)
+    for c in range(q):
+        rows[c] = c * p + np.argmax(column[c * p : (c + 1) * p], axis=0)
+    return rows
+
+
+def reference_step(model, batch, config, penalty, gen):
+    """The per-example training step: one forward, loss and backward per item.
+
+    Returns the updated parameter tensors (a ``type(model)`` instance)
+    and the batch mean loss. Each example draws its own ``q*f`` dropout
+    mask from ``gen`` in batch order.
+    """
+    n, d, f, p = config.sequence_length, config.window, config.filter_count, config.pool_window
+    rate = config.dropout_rate
+    tensors = (model.filters, model.filter_bias, model.dense_w, model.dense_b)
+    grads = [np.zeros_like(t) for t in tensors]
+    d_embedding = np.zeros_like(model.embedding)
+    total = 0.0
+    for indices, label in batch:
+        x = model.embedding[indices]
+        positions = n - d + 1
+        windows = np.stack([x[pos : pos + d] for pos in range(positions)])
+        pre = np.einsum("pdk,fdk->pf", windows, model.filters) + model.filter_bias
+        act = np.maximum(pre, 0.0) if config.activation == "relu" else np.tanh(pre)
+        column = np.zeros((n, f))
+        column[:positions] = act
+        rows = _reference_pool(column, config.pooling, p)
+        pooled = column[rows, np.arange(f)].reshape(-1)
+        mask = gen.random(pooled.shape) >= rate if rate > 0.0 else np.ones(pooled.shape, bool)
+        kept = pooled * mask / (1.0 - rate)
+        logits = kept @ model.dense_w + model.dense_b
+
+        probs = np.exp(logits - logits.max())
+        probs /= probs.sum()
+        weight = 1.0 if penalty is None else penalty.weight(int(np.argmax(probs)), label)
+        total += weight * -np.log(max(probs[label], 1e-12))
+        dlogits = probs.copy()
+        dlogits[label] -= 1.0
+        dlogits *= weight
+
+        d_pooled = (model.dense_w @ dlogits) * mask / (1.0 - rate)
+        d_column = np.zeros((n, f))
+        for (c, j), row in np.ndenumerate(rows):
+            d_column[row, j] += d_pooled[c * f + j]
+        if config.activation == "relu":
+            d_pre = d_column[:positions] * (pre > 0.0)
+        else:
+            d_pre = d_column[:positions] * (1.0 - np.tanh(pre) ** 2)
+        grads[0] += np.einsum("pf,pdk->fdk", d_pre, windows)
+        grads[1] += d_pre.sum(axis=0)
+        grads[2] += np.outer(kept, dlogits)
+        grads[3] += dlogits
+        d_windows = np.einsum("pf,fdk->pdk", d_pre, model.filters)
+        for pos in range(positions):
+            for offset in range(d):
+                d_embedding[indices[pos + offset]] += d_windows[pos, offset]
+
+    count, lr = len(batch), config.learning_rate
+    embedding = model.embedding
+    if config.finetune_embeddings:
+        d_embedding[0] = 0.0
+        embedding = embedding - lr * (d_embedding / count)
+    updated = [t - lr * (g / count) for t, g in zip(tensors, grads)]
+    return type(model)(embedding, *updated), total / count
+
+
+def reference_fit(model, dataset, config, penalty=None):
+    """``cnn.fit`` with :func:`reference_step`: same shuffles, same draws."""
+    gen = np.random.default_rng(config.rng_seed)
+    history = []
+    for _ in range(config.epochs):
+        order = gen.permutation(len(dataset))
+        losses = []
+        for start in range(0, len(dataset), config.batch_size):
+            batch = [dataset[i] for i in order[start : start + config.batch_size]]
+            model, loss = reference_step(model, batch, config, penalty, gen)
+            losses.append(loss)
+        history.append(sum(losses) / len(losses))
+    return model, history

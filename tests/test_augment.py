@@ -192,6 +192,23 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             AugmentConfig(score_tolerance=-0.1)
 
+    @pytest.mark.parametrize(
+        "antonyms",
+        [
+            {"a:b": "c"},
+            {"a": "b:c"},
+            {"": "worse"},
+            {"better": ""},
+            {"much better": "worse"},
+            {"a": "b\tc"},
+        ],
+    )
+    def test_unwritable_antonym_terms_rejected(self, antonyms):
+        # config_to_text writes antonyms as space-separated a:b pairs, so
+        # such a term would not read back as written.
+        with pytest.raises(ValueError, match="antonym"):
+            AugmentConfig(antonyms=antonyms)
+
     def test_comparatives_default_to_antonym_keys(self):
         config = AugmentConfig()
         assert config.comparative_terms() == frozenset({"better", "worse"})

@@ -528,6 +528,20 @@ class TestEvaluate:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_unknown_config_key_exits_1(self, tmp_path, capsys):
+        corpus, _ = gen_corpus(tmp_path, size=60, words=6, seed=4)
+        config_path = tmp_path / "experiment.ini"
+        config_path.write_text("[cnn]\nepoch = 3\n", encoding="utf-8")
+        report_path = tmp_path / "r.txt"
+        code = main(
+            ["evaluate", "--corpus", str(corpus), "--config", str(config_path),
+             "--out", str(report_path)]
+        )
+        assert code == 1
+        assert "unknown key 'epoch'" in capsys.readouterr().err
+        assert not report_path.exists()
+
+
 
 class TestParserBehavior:
     def test_no_subcommand_is_usage_error(self):

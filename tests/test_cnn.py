@@ -7,6 +7,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from helpers import reference_fit
+
 from sentiscore.cnn import (
     CnnConfig,
     CnnError,
@@ -85,59 +87,83 @@ class TestConfig:
             tiny_config(**{name: 0})
 
 
+def random_batch(config: CnnConfig, seed: int, size: int = 3) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return rng.normal(scale=0.7, size=(size, config.sequence_length, config.embedding_dim))
+
+
 class TestForward:
     def test_logit_and_cache_shapes(self):
         config = tiny_config()
         model = init_model(vocab_size=9, config=config)
-        embedded = model.embedding[np.array([2, 3, 4, 5, 0, 0])]
+        embedded = model.embedding[np.array([[2, 3, 4, 5, 0, 0], [6, 7, 8, 0, 0, 0]])]
         logits, cache = forward(model, embedded, config)
-        assert logits.shape == (3,)
-        assert cache.pre.shape == (config.sequence_length - config.window + 1, 3)
-        assert cache.pool_rows.shape == (3, 3)
-        assert cache.kept.shape == (9,)
+        assert logits.shape == (2, 3)
+        assert cache.pre.shape == (2, config.sequence_length - config.window + 1, 3)
+        assert cache.pool_rows.shape == (2, 3, 3)
+        assert cache.kept.shape == (2, 9)
 
     def test_matches_loop_reference(self):
-        # Re-derive the convolution and chunked pooling with plain loops.
-        config = tiny_config(activation="tanh")
+        # Re-derive the convolution and chunked pooling with plain loops,
+        # one sequence at a time, also where N is not a multiple of p.
+        for n, p in [(6, 2), (7, 2), (7, 3)]:
+            config = tiny_config(activation="tanh", sequence_length=n, pool_window=p)
+            self.check_loop_reference(config)
+
+    def check_loop_reference(self, config):
         model = init_model(vocab_size=9, config=config, seed=5)
-        rng = np.random.default_rng(11)
-        embedded = rng.normal(size=(config.sequence_length, config.embedding_dim))
+        embedded = random_batch(config, seed=11)
         logits, _ = forward(model, embedded, config)
 
-        n, d, f, p = 6, config.window, config.filter_count, config.pool_window
-        features = np.zeros((n, f))
-        for pos in range(n - d + 1):
-            window = embedded[pos : pos + d]
-            for j in range(f):
-                features[pos, j] = np.tanh(
-                    float((window * model.filters[j]).sum()) + model.filter_bias[j]
-                )
-        pooled = np.zeros((n // p if n % p == 0 else n // p + 1, f))
-        for row in range(pooled.shape[0]):
-            pooled[row] = features[row * p : (row + 1) * p].max(axis=0)
-        expected = pooled.reshape(-1) @ model.dense_w + model.dense_b
-        npt.assert_allclose(logits, expected, atol=1e-12)
+        n, d, f, p = config.sequence_length, config.window, config.filter_count, config.pool_window
+        for x, row_logits in zip(embedded, logits):
+            features = np.zeros((n, f))
+            for pos in range(n - d + 1):
+                window = x[pos : pos + d]
+                for j in range(f):
+                    features[pos, j] = np.tanh(
+                        float((window * model.filters[j]).sum()) + model.filter_bias[j]
+                    )
+            pooled = np.zeros((n // p if n % p == 0 else n // p + 1, f))
+            for row in range(pooled.shape[0]):
+                pooled[row] = features[row * p : (row + 1) * p].max(axis=0)
+            expected = pooled.reshape(-1) @ model.dense_w + model.dense_b
+            npt.assert_allclose(row_logits, expected, atol=1e-12)
 
     def test_max_over_time_pools_whole_columns(self):
         config = tiny_config(pooling="max_over_time")
         model = init_model(vocab_size=9, config=config, seed=2)
-        rng = np.random.default_rng(3)
-        embedded = rng.normal(size=(6, 4))
+        embedded = random_batch(config, seed=3)
         _, cache = forward(model, embedded, config)
-        assert cache.pooled.shape == (3,)
+        assert cache.pooled.shape == (3, 3)
+        column = np.zeros((3, config.sequence_length, 3))
+        column[:, : cache.pre.shape[1]] = np.maximum(cache.pre, 0.0)
+        npt.assert_array_equal(cache.pooled, column.max(axis=1))
 
     def test_dropout_repeatable_with_seeded_rng(self):
         config = tiny_config(dropout_rate=0.5)
         model = init_model(vocab_size=9, config=config)
-        embedded = model.embedding[np.array([2, 3, 4, 5, 6, 7])]
+        embedded = model.embedding[np.array([[2, 3, 4, 5, 6, 7]])]
         a, _ = forward(model, embedded, config, dropout_active=True, rng=42)
         b, _ = forward(model, embedded, config, dropout_active=True, rng=42)
         npt.assert_array_equal(a, b)
 
+    def test_batch_dropout_draw_equals_sequential_draws(self):
+        # One (B, q*f) draw consumes the generator exactly like B draws
+        # of q*f, so batching leaves every example's mask unchanged.
+        config = tiny_config(dropout_rate=0.5, sequence_length=7)
+        model = init_model(vocab_size=9, config=config)
+        embedded = random_batch(config, seed=4, size=5)
+        _, batched = forward(model, embedded, config, dropout_active=True, rng=9)
+        gen = np.random.default_rng(9)
+        for x, mask in zip(embedded, batched.mask):
+            _, single = forward(model, x[None], config, dropout_active=True, rng=gen)
+            npt.assert_array_equal(single.mask[0], mask)
+
     def test_dropout_off_at_evaluation(self):
         config = tiny_config(dropout_rate=0.9)
         model = init_model(vocab_size=9, config=config)
-        embedded = model.embedding[np.array([2, 3, 4, 5, 6, 7])]
+        embedded = model.embedding[np.array([[2, 3, 4, 5, 6, 7]])]
         logits, cache = forward(model, embedded, config, dropout_active=False)
         assert cache.mask is None
         npt.assert_array_equal(cache.kept, cache.pooled)
@@ -145,25 +171,31 @@ class TestForward:
     def test_wrong_input_shape_rejected(self):
         config = tiny_config()
         model = init_model(vocab_size=9, config=config)
-        with pytest.raises(CnnError):
-            forward(model, np.zeros((4, 4)), config)
+        for shape in [(4, 4), (6, 4), (1, 4, 4), (1, 6, 5)]:
+            with pytest.raises(CnnError):
+                forward(model, np.zeros(shape), config)
 
 
 def finite_difference_check(config: CnnConfig, seed: int, penalty=None) -> float:
-    """Worst relative error between analytic and central-difference grads."""
+    """Worst relative error between analytic and central-difference grads.
+
+    Runs on a batch of three sequences: the loss is the sum of the
+    per-example losses, whose gradient ``backward`` returns.
+    """
     model = init_model(vocab_size=8, config=config, seed=seed)
-    rng = np.random.default_rng(seed + 100)
-    embedded = rng.normal(scale=0.7, size=(config.sequence_length, config.embedding_dim))
-    y = one_hot(seed % 3)
+    embedded = random_batch(config, seed=seed + 100)
+    labels = [(seed + i) % 3 for i in range(len(embedded))]
     h = 1e-5
 
     logits, cache = forward(model, embedded, config)
-    dlogits = weighted_ce_grad_logits(y, logits, penalty)
+    dlogits = np.stack(
+        [weighted_ce_grad_logits(one_hot(y), row, penalty) for y, row in zip(labels, logits)]
+    )
     grads = backward(model, config, cache, dlogits)
 
     def loss_at(candidate, x) -> float:
         out, _ = forward(candidate, x, config)
-        return label_loss(y, softmax(out), penalty)
+        return sum(label_loss(one_hot(y), softmax(row), penalty) for y, row in zip(labels, out))
 
     worst = 0.0
 
@@ -213,6 +245,16 @@ class TestGradients:
         config = tiny_config(pooling=pooling, activation=activation)
         worst = finite_difference_check(config, seed=1)
         assert worst < 1e-4
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("pooling", ["chunked", "max_over_time"])
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_finite_differences_ragged_chunks(self, pooling, activation, weighted):
+        # N = 7 is not a multiple of p = 2: the last chunk holds one
+        # zero-padded row and one row past N.
+        config = tiny_config(pooling=pooling, activation=activation, sequence_length=7)
+        penalty = PenaltyMatrix.default() if weighted else None
+        assert finite_difference_check(config, seed=3, penalty=penalty) < 1e-4
 
     def test_finite_differences_weighted_loss(self):
         config = tiny_config(activation="tanh")
@@ -276,6 +318,13 @@ class TestTrainStep:
         with pytest.raises(CnnError):
             train_step(model, [], config)
 
+    @pytest.mark.parametrize("label", [-1, 3])
+    def test_out_of_range_label_rejected(self, label):
+        config = tiny_config()
+        model = init_model(vocab_size=9, config=config)
+        with pytest.raises(CnnError, match="label"):
+            train_step(model, [(np.array([2, 3, 4, 0, 0, 0]), label)], config)
+
     def test_divergence_raises(self):
         config = tiny_config(learning_rate=1e9)
         model = init_model(vocab_size=9, config=config)
@@ -313,15 +362,71 @@ class TestFit:
             (["good", "fine"], "positive"),
             (["bad", "poor"], "negative"),
         ]:
-            label, probs = predict(model, tokens, vocab, config)
-            assert label == expected
+            labels, probs = predict(model, [tokens], vocab, config)
+            assert labels == [expected]
+            assert probs.shape == (1, 3)
             assert probs.sum() == pytest.approx(1.0)
-            assert label in LABELS
 
     def test_empty_dataset_rejected(self):
         config = tiny_config()
         with pytest.raises(CnnError):
             fit(init_model(8, config), [], config)
+
+    @pytest.mark.parametrize(
+        "overrides, weighted",
+        [
+            ({}, False),
+            ({"pooling": "max_over_time", "activation": "tanh"}, True),
+            ({"activation": "tanh", "finetune_embeddings": False}, True),
+            ({"pooling": "max_over_time", "pool_window": 3}, False),
+            # d = 1 leaves no zero-padded row, so the last chunk of N = 7
+            # holds one real row and one row past N.
+            ({"window": 1, "activation": "tanh"}, True),
+        ],
+    )
+    def test_matches_per_example_reference(self, overrides, weighted):
+        # The per-example oracle draws each dropout mask separately and
+        # sums in another order; the loss histories agree to 1e-12.
+        config = tiny_config(
+            sequence_length=7, dropout_rate=0.5, learning_rate=0.3, batch_size=4, **overrides
+        )
+        rng = np.random.default_rng(17)
+        dataset = [(rng.integers(0, 12, size=7), int(rng.integers(3))) for _ in range(10)]
+        penalty = PenaltyMatrix.default() if weighted else None
+        model, history = fit(init_model(12, config), dataset, config, penalty)
+        expected_model, expected = reference_fit(init_model(12, config), dataset, config, penalty)
+        npt.assert_allclose(history, expected, rtol=0, atol=1e-12)
+        for name in ("embedding", "filters", "filter_bias", "dense_w", "dense_b"):
+            npt.assert_allclose(getattr(model, name), getattr(expected_model, name), atol=1e-12)
+
+
+class TestPredict:
+    def test_chunks_agree_with_single_sequences(self):
+        config = tiny_config(batch_size=2)
+        vocab = Vocab((PAD, UNK, "good", "fine", "nice", "bad", "poor", "sad"))
+        model = init_model(len(vocab), config, seed=3)
+        texts = [["good"], ["bad", "poor"], [], ["nice", "unknown", "sad"], ["fine"] * 9]
+        labels, probs = predict(model, texts, vocab, config)
+        assert probs.shape == (5, 3)
+        for text, label, row in zip(texts, labels, probs):
+            single_labels, single = predict(model, [text], vocab, config)
+            assert single_labels == [label] == [LABELS[int(np.argmax(row))]]
+            npt.assert_allclose(single[0], row, rtol=0, atol=1e-15)
+
+    def test_takes_a_lazy_iterable(self):
+        config = tiny_config(batch_size=2)
+        vocab = Vocab((PAD, UNK, "good", "bad"))
+        model = init_model(len(vocab), config, seed=3)
+        texts = [["good"], ["bad"], ["good", "bad"]]
+        labels, probs = predict(model, (text for text in texts), vocab, config)
+        expected_labels, expected = predict(model, texts, vocab, config)
+        assert labels == expected_labels
+        npt.assert_array_equal(probs, expected)
+
+    def test_no_sequences(self):
+        config = tiny_config()
+        labels, probs = predict(init_model(8, config), [], Vocab((PAD, UNK)), config)
+        assert labels == [] and probs.shape == (0, 3)
 
 
 class TestCheckpoint:
@@ -345,8 +450,8 @@ class TestCheckpoint:
         npt.assert_array_equal(loaded_model.dense_w, model.dense_w)
         npt.assert_array_equal(loaded_model.dense_b, model.dense_b)
 
-        before = predict(model, ["good"], vocab, config)
-        after = predict(loaded_model, ["good"], loaded_vocab, loaded_config)
+        before = predict(model, [["good"]], vocab, config)
+        after = predict(loaded_model, [["good"]], loaded_vocab, loaded_config)
         assert before[0] == after[0]
         npt.assert_array_equal(before[1], after[1])
 
@@ -411,13 +516,6 @@ class TestInitModel:
         b = init_model(9, config, seed=4)
         npt.assert_array_equal(a.filters, b.filters)
         npt.assert_array_equal(a.embedding, b.embedding)
-
-    def test_adopts_given_embedding(self):
-        config = tiny_config()
-        matrix = np.zeros((9, 4))
-        matrix[2] = 1.0
-        model = init_model(9, config, embedding=matrix)
-        npt.assert_array_equal(model.embedding, matrix)
 
     def test_shapes_check_against_config(self):
         config = tiny_config()

@@ -252,6 +252,25 @@ class TestConfigRoundTrip:
         with pytest.raises(EvalError):
             parse_experiment_config("[experiment]\nk = banana\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[cnn]\nepoch = 3\n", r"unknown key 'epoch' in experiment config section \[cnn\]"),
+            ("[experiment]\nk = 3\nfolds = 4\n", r"'folds' in .* section \[experiment\]"),
+            ("[penalty]\nmixed = 1 1 1\n", r"'mixed' in experiment config section \[penalty\]"),
+            ("[cnnn]\nepochs = 3\n", r"unknown experiment config section \[cnnn\]"),
+        ],
+        ids=["cnn-key", "experiment-key", "penalty-key", "section"],
+    )
+    def test_unknown_keys_and_sections_rejected(self, text, message):
+        with pytest.raises(EvalError, match=message):
+            parse_experiment_config(text)
+
+    def test_antonym_pair_with_extra_colon_rejected(self):
+        # "a:b:c" would otherwise read back as {"a": "b:c"}.
+        with pytest.raises(EvalError, match="antonym"):
+            parse_experiment_config("[augment]\nantonyms = a:b:c\n")
+
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "experiment.ini"
         config = ExperimentConfig(k=4, variant="cnn-cross")

@@ -76,6 +76,13 @@ def observed_words(mentions: Sequence[Mention]) -> list[str]:
     return sorted(seen)
 
 
+def _accumulate(index: list[int], values: list[float], size: int) -> np.ndarray:
+    """Sum ``values`` into a zero vector of ``size`` at ``index``, in input order."""
+    return np.bincount(
+        np.asarray(index, dtype=np.intp), weights=np.asarray(values, dtype=float), minlength=size
+    )
+
+
 def build_adverb_problem(
     mentions: Sequence[Mention],
     lexicon: Lexicon,
@@ -97,16 +104,18 @@ def build_adverb_problem(
         raise LearnerError("no modifier occurrences in the corpus")
     col = {term: j for j, term in enumerate(adverbs)}
     m_count, d = len(mentions), len(adverbs)
-    design = np.zeros((m_count, d))
-    bias = np.zeros(m_count)
-    targets = np.zeros(m_count)
+    cells, values, bias_rows, bias_values = [], [], [], []
     for i, mention in enumerate(mentions):
-        targets[i] = mention.target_score
         for adverb, word in mention.pairs:
             if adverb is None:
-                bias[i] += lexicon.word_score(word)
+                bias_rows.append(i)
+                bias_values.append(lexicon.word_score(word))
             else:
-                design[i, col[adverb]] += lexicon.word_score(word)
+                cells.append(i * d + col[adverb])
+                values.append(lexicon.word_score(word))
+    design = _accumulate(cells, values, m_count * d).reshape(m_count, d)
+    bias = _accumulate(bias_rows, bias_values, m_count)
+    targets = np.array([mention.target_score for mention in mentions], dtype=float)
     return ConstrainedLsqProblem(
         design=design,
         bias=bias,
@@ -138,21 +147,17 @@ def build_word_problem(
         raise LearnerError("no sentiment word occurrences in the corpus")
     col = {term: j for j, term in enumerate(words)}
     m_count, d = len(mentions), len(words)
-    design = np.zeros((m_count, d))
-    targets = np.zeros(m_count)
+    cells, values = [], []
     for i, mention in enumerate(mentions):
-        targets[i] = mention.target_score
         for adverb, word in mention.pairs:
-            scale = 1.0 if adverb is None else lexicon.adverb_score(adverb)
-            design[i, col[word]] += scale
+            cells.append(i * d + col[word])
+            values.append(1.0 if adverb is None else lexicon.adverb_score(adverb))
+    design = _accumulate(cells, values, m_count * d).reshape(m_count, d)
+    targets = np.array([mention.target_score for mention in mentions], dtype=float)
+    positive = np.array([lexicon.polarity(term) == POSITIVE for term in words])
     eps = config.epsilon_margin
-    lower = np.empty(d)
-    upper = np.empty(d)
-    for term, j in col.items():
-        if lexicon.polarity(term) == POSITIVE:
-            lower[j], upper[j] = eps, np.inf
-        else:
-            lower[j], upper[j] = -np.inf, -eps
+    lower = np.where(positive, eps, -np.inf)
+    upper = np.where(positive, np.inf, -eps)
     return ConstrainedLsqProblem(
         design=design,
         bias=np.zeros(m_count),
@@ -189,11 +194,13 @@ def train_iterative(
     converged = True
     stopped_early = False
     prev_combined: float | None = None
+    tol, max_iter = config.solver_tol, config.solver_max_iter
     for _ in range(config.max_outer_iterations):
+        # Each problem is built inside the solve call, so its dense
+        # design is freed before the next one is allocated.
         if adverbs:
-            adverb_problem = build_adverb_problem(mentions, lexicon, config)
             start = np.array([lexicon.adverb_score(t) for t in adverbs])
-            report = solve(adverb_problem, config.solver_tol, config.solver_max_iter, start)
+            report = solve(build_adverb_problem(mentions, lexicon, config), tol, max_iter, start)
             converged = converged and report.converged
             lexicon = lexicon.replace_scores(
                 adverb_scores=dict(zip(adverbs, report.solution))
@@ -208,9 +215,8 @@ def train_iterative(
             targets = np.array([m.target_score for m in mentions])
             adverb_objective = float(np.sum((bias - targets) ** 2))
 
-        word_problem = build_word_problem(mentions, lexicon, config)
         start = np.array([lexicon.word_score(t) for t in words])
-        report = solve(word_problem, config.solver_tol, config.solver_max_iter, start)
+        report = solve(build_word_problem(mentions, lexicon, config), tol, max_iter, start)
         converged = converged and report.converged
         lexicon = lexicon.replace_scores(word_scores=dict(zip(words, report.solution)))
         word_objective = report.objective

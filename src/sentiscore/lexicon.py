@@ -374,6 +374,8 @@ def load_mention_records(path) -> list[MentionRecord]:
                     score = float(fields[2])
                 except ValueError:
                     raise LexiconError(f"{path}:{lineno}: bad target score {fields[2]!r}") from None
+                if not math.isfinite(score):
+                    raise LexiconError(f"{path}:{lineno}: non-finite target score {fields[2]!r}")
             entity = fields[3] if len(fields) > 3 and fields[3] else None
             records.append(MentionRecord(text, label, score, entity))
     return records

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from sentiscore.boxlsq import ConstrainedLsqProblem, objective
+from sentiscore.boxlsq import ConstrainedLsqProblem, SolverReport, kkt_residual, objective
 
 
 def ls_center(problem: ConstrainedLsqProblem) -> np.ndarray:
@@ -14,6 +14,51 @@ def ls_center(problem: ConstrainedLsqProblem) -> np.ndarray:
     rhs = X.T @ (problem.targets - problem.bias)
     solution, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
     return solution
+
+
+def residual_form_solve(
+    problem: ConstrainedLsqProblem,
+    tol: float = 1e-8,
+    max_iter: int = 10_000,
+    start: np.ndarray | None = None,
+) -> SolverReport:
+    """Cyclic coordinate descent that keeps the residual ``Xv + b - t``.
+
+    Every coordinate update is an O(M) pass over its design column, and
+    the objective and KKT residual are recomputed from the residual
+    after each sweep. It takes the same exact clipped steps as
+    ``boxlsq.solve`` in a different arithmetic, so it is the reference
+    the Gram-form solver is checked against. It stalls when two
+    successive objective sums stop differing, which can happen while
+    the KKT residual is still above ``tol``.
+    """
+    X = problem.design
+    v = np.clip(np.zeros(problem.n_coords) if start is None else np.array(start, dtype=float),
+                problem.lower, problem.upper)
+    denom = np.einsum("md,md->d", X, X) + problem.lam
+    residual = X @ v + problem.bias - problem.targets
+    obj = float(residual @ residual + problem.lam * (v @ v))
+    trace = [obj]
+    stop_reason = "max_iter"
+    sweeps = 0
+    for sweeps in range(1, max_iter + 1):
+        for j in range(problem.n_coords):
+            if denom[j] > 0.0:
+                col = X[:, j]
+                partial = residual - col * v[j]
+                v[j] = min(max(-(col @ partial) / denom[j], problem.lower[j]), problem.upper[j])
+                residual = partial + col * v[j]
+        prev_obj = obj
+        obj = float(residual @ residual + problem.lam * (v @ v))
+        trace.append(obj)
+        if kkt_residual(problem, v) <= tol:
+            stop_reason = "kkt"
+            break
+        if prev_obj - obj <= 0.0:
+            stop_reason = "stalled"
+            break
+    kkt = kkt_residual(problem, v)
+    return SolverReport(v, obj, sweeps, kkt, kkt <= tol, stop_reason, trace)
 
 
 def grid_oracle(

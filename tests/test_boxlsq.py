@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from helpers import grid_oracle, ls_center
+from helpers import grid_oracle, ls_center, residual_form_solve
 from sentiscore.boxlsq import (
     BoxLsqError,
     ConstrainedLsqProblem,
@@ -12,6 +12,9 @@ from sentiscore.boxlsq import (
     objective,
     solve,
 )
+from sentiscore.learner import LearningConfig, build_word_problem
+from sentiscore.lexicon import prepare_mentions
+from sentiscore.synthetic import CorpusConfig, coarse_seed_lexicon, generate_corpus
 
 
 def random_problem(rng: np.random.Generator, d: int | None = None) -> ConstrainedLsqProblem:
@@ -165,6 +168,81 @@ class TestSolveProperties:
         assert report.solution[0] == pytest.approx(2.0)
         assert report.solution[1] == pytest.approx(1.0)
         assert report.kkt_residual <= 1e-8
+
+
+def word_problem(seed: int) -> ConstrainedLsqProblem:
+    """A learner word problem: 400 mentions coupling 30 words."""
+    records, truth = generate_corpus(
+        CorpusConfig(size=400, word_count=30, adverb_count=4, rng_seed=seed)
+    )
+    lexicon = coarse_seed_lexicon(truth)
+    return build_word_problem(prepare_mentions(records, lexicon), lexicon, LearningConfig(lam=0.01))
+
+
+class TestGramForm:
+    """The Gram-form solve against the residual-form loop it replaced."""
+
+    @staticmethod
+    def check_sweeps_match(problem: ConstrainedLsqProblem) -> None:
+        # Both take the same exact clipped coordinate steps, so their
+        # iterates agree sweep by sweep up to rounding.
+        for sweeps in (1, 2, 3):
+            gram = solve(problem, tol=1e-300, max_iter=sweeps)
+            oracle = residual_form_solve(problem, tol=1e-300, max_iter=sweeps)
+            npt.assert_allclose(gram.solution, oracle.solution, rtol=0.0, atol=1e-9)
+            assert gram.stop_reason in ("kkt", "stalled", "max_iter")
+
+    @staticmethod
+    def check_report(problem: ConstrainedLsqProblem, tol: float) -> None:
+        report = solve(problem, tol=tol)
+        assert report.stop_reason in ("kkt", "stalled", "max_iter")
+        assert np.all(np.diff(report.objective_trace) <= 1e-12)
+        assert len(report.objective_trace) == report.iterations + 1
+        # The trace sums exact per-coordinate decreases, so it ends at
+        # the exact objective of the returned point.
+        assert report.objective_trace[-1] == pytest.approx(report.objective, rel=1e-9, abs=1e-12)
+        assert report.objective == objective(problem, report.solution)
+        assert report.kkt_residual == kkt_residual(problem, report.solution)
+        assert report.converged == (report.kkt_residual <= tol)
+
+    def test_random_problems_match_oracle(self):
+        rng = np.random.default_rng(8)
+        for _ in range(40):
+            problem = random_problem(rng, d=int(rng.integers(1, 6)))
+            self.check_sweeps_match(problem)
+            self.check_report(problem, tol=1e-8)
+
+    def test_word_problem_matches_oracle(self):
+        problem = word_problem(seed=0)
+        self.check_sweeps_match(problem)
+        self.check_report(problem, tol=1e-8)
+        report = solve(problem)
+        assert report.stop_reason == "kkt" and report.converged
+
+    def test_converges_where_the_objective_stall_rule_gave_up(self):
+        # The residual-form loop stops once two O(M) objective sums stop
+        # differing, which happens above the KKT target on some
+        # problems. The Gram solve keeps going while its exact sweep
+        # decrease is positive and certifies every one of them.
+        rng = np.random.default_rng(8)
+        oracle_gave_up = 0
+        for _ in range(40):
+            problem = random_problem(rng, d=int(rng.integers(1, 6)))
+            assert solve(problem).converged
+            oracle = residual_form_solve(problem)
+            oracle_gave_up += oracle.stop_reason == "stalled" and not oracle.converged
+        assert oracle_gave_up > 0
+
+    def test_stop_reasons(self):
+        problem = word_problem(seed=1)
+        capped = solve(problem, max_iter=1)
+        assert (capped.stop_reason, capped.iterations, capped.converged) == ("max_iter", 1, False)
+        unreachable = solve(problem, tol=1e-300)
+        assert unreachable.stop_reason == "stalled"
+        assert not unreachable.converged
+        assert unreachable.iterations < 10_000
+        certified = solve(problem)
+        assert certified.stop_reason == "kkt" and certified.converged
 
 
 class TestKktResidual:

@@ -168,7 +168,7 @@ class TestLearnScores:
                 "--iters",
                 "1",
                 "--tol",
-                "1e-14",
+                "1e-30",
             ]
         )
         assert code == 2
@@ -191,6 +191,26 @@ class TestLearnScores:
         )
         assert code == 1
         assert "absent" in capsys.readouterr().err
+
+    def test_non_finite_target_score_exits_1_naming_file(self, tmp_path, capsys):
+        _, truth_path = gen_corpus(tmp_path, size=40, words=6)
+        seed_path = write_seed_lexicon(tmp_path, truth_path)
+        bad = tmp_path / "nan_target.tsv"
+        bad.write_text("TARGET is good\tpositive\tnan\n", encoding="utf-8")
+        code = main(
+            [
+                "learn-scores",
+                "--mentions",
+                str(bad),
+                "--lexicon",
+                str(seed_path),
+                "--out",
+                str(tmp_path / "out.lex"),
+            ]
+        )
+        assert code == 1
+        assert "nan_target.tsv:1: non-finite target score" in capsys.readouterr().err
+        assert not (tmp_path / "out.lex").exists()
 
     def test_byte_identical_reruns(self, tmp_path):
         corpus, truth_path = gen_corpus(tmp_path)

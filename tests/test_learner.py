@@ -148,6 +148,31 @@ class TestTrainIterative:
         combined = [a + w for a, w in trace.iterations]
         assert all(b <= a + 1e-9 for a, b in zip(combined, combined[1:]))
 
+    def test_joint_objective_non_increasing(self):
+        # Each half-step minimizes ||r||^2 + lam (||a||^2 + ||w||^2) over
+        # its own block exactly, so the joint objective cannot rise from
+        # one outer iteration to the next. A run capped at k iterations
+        # ends where iteration k of a longer run does.
+        config = CorpusConfig(size=300, word_count=12, adverb_count=4, noise_rate=0.2, rng_seed=3)
+        records, truth = generate_corpus(config)
+        seed = coarse_seed_lexicon(truth)
+        mentions = prepare_mentions(records, seed)
+        adverbs, words = observed_adverbs(mentions), observed_words(mentions)
+        lam = 0.01
+
+        def joint(lexicon):
+            r = np.array([m.score(lexicon) - m.target_score for m in mentions])
+            a = np.array([lexicon.adverb_score(t) for t in adverbs])
+            w = np.array([lexicon.word_score(t) for t in words])
+            return float(r @ r + lam * (a @ a + w @ w))
+
+        values = [
+            joint(train_iterative(mentions, seed, LearningConfig(max_outer_iterations=k, lam=lam)).lexicon)
+            for k in range(1, 9)
+        ]
+        assert values[-1] < values[0]
+        assert all(b <= a + 1e-9 * a for a, b in zip(values, values[1:]))
+
     def test_learned_scores_respect_polarity_on_noisy_data(self):
         config = CorpusConfig(
             size=200, word_count=10, adverb_count=3, noise_rate=0.2, rng_seed=5

@@ -286,6 +286,15 @@ class TestMentionRecords:
         with pytest.raises(LexiconError, match="2"):
             load_mention_records(path)
 
+    @pytest.mark.parametrize("score", ["nan", "inf", "-inf"])
+    def test_non_finite_target_score_reports_location(self, tmp_path, score):
+        path = tmp_path / "corpus.tsv"
+        path.write_text(f"fine\tpositive\t1.0\nmeh\tneutral\t{score}\n", encoding="utf-8")
+        with pytest.raises(
+            LexiconError, match=f"corpus.tsv:2: non-finite target score '{score}'"
+        ):
+            load_mention_records(path)
+
     def test_prepare_mentions_masks_entities(self, lexicon):
         records = [MentionRecord("the X2 is very beautiful", "positive", None, "x2")]
         [mention] = prepare_mentions(records, lexicon)

@@ -170,10 +170,10 @@ class TestSolveProperties:
         assert report.kkt_residual <= 1e-8
 
 
-def word_problem(seed: int) -> ConstrainedLsqProblem:
-    """A learner word problem: 400 mentions coupling 30 words."""
+def word_problem(seed: int, size: int = 400, words: int = 30) -> ConstrainedLsqProblem:
+    """A learner word problem: ``size`` mentions coupling ``words`` words."""
     records, truth = generate_corpus(
-        CorpusConfig(size=400, word_count=30, adverb_count=4, rng_seed=seed)
+        CorpusConfig(size=size, word_count=words, adverb_count=4, rng_seed=seed)
     )
     lexicon = coarse_seed_lexicon(truth)
     return build_word_problem(prepare_mentions(records, lexicon), lexicon, LearningConfig(lam=0.01))
@@ -243,6 +243,17 @@ class TestGramForm:
         assert unreachable.iterations < 10_000
         certified = solve(problem)
         assert certified.stop_reason == "kkt" and certified.converged
+
+    def test_unreachable_tol_stalls_at_lexicon_scale(self):
+        # h_j's rounding error grows with the nonzeros of row j of G, so
+        # check the rounding dead zone still lets a 6,000 x 1,000 word
+        # problem stall rather than run out its sweep budget.
+        problem = word_problem(seed=5, size=6000, words=1000)
+        assert problem.design.shape == (6000, 1000)
+        report = solve(problem, tol=1e-300)
+        assert report.stop_reason == "stalled"
+        assert report.iterations < 100
+        assert report.kkt_residual < 1e-10
 
 
 class TestKktResidual:

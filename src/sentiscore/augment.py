@@ -11,8 +11,11 @@ antonym mapping.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field
+from functools import cache
+from itertools import accumulate
+from typing import Callable, Mapping, Sequence
 
 from sentiscore.lexicon import (
     NEGATIVE,
@@ -22,6 +25,7 @@ from sentiscore.lexicon import (
     LexiconError,
     Mention,
     extract_pair_indices,
+    is_token,
     tokenize_with_spans,
 )
 
@@ -44,7 +48,7 @@ class AugmentConfig:
     ``comparatives`` names the tokens that must be antonym-swapped on a
     label flip; it defaults to the keys of ``antonyms``. A flip variant
     whose text contains a comparative missing from ``antonyms`` is
-    dropped rather than emitted inconsistent.
+    dropped rather than emitted inconsistent. Antonyms are single tokens.
     """
 
     score_tolerance: float = 0.1
@@ -60,8 +64,8 @@ class AugmentConfig:
         if not self.score_tolerance >= 0:
             raise ValueError("score_tolerance must be >= 0")
         for term in (*self.antonyms, *self.antonyms.values()):
-            if not term or ":" in term or any(c.isspace() for c in term):
-                raise ValueError(f"antonym terms must be non-empty without ':' or spaces: {term!r}")
+            if not is_token(term):
+                raise ValueError(f"antonym terms must be single lowercase tokens: {term!r}")
 
     def comparative_terms(self) -> frozenset[str]:
         if self.comparatives is not None:
@@ -69,32 +73,47 @@ class AugmentConfig:
         return frozenset(self.antonyms)
 
 
-def similar_terms(
-    word: str, lexicon: Lexicon, delta: float
-) -> tuple[list[str], list[str]]:
+def _similarity_lookup(lexicon: Lexicon, delta: float) -> Callable:
+    """:func:`similar_terms` for one lexicon and ``delta``, memoised per word.
+
+    Words are sorted by absolute score once. The rounded differences
+    ``s - a`` and ``a - s`` are monotone in ``a``, so two bisections bound
+    a window holding every peer of a word with ``|score| = s``, which the
+    exact predicates then filter.
+    """
+    words = lexicon.words
+    by_magnitude = sorted(words, key=lambda term: abs(words[term].score))
+    magnitudes = [abs(words[term].score) for term in by_magnitude]
+
+    @cache
+    def lookup(word: str) -> tuple[list[str], list[str]]:
+        entry = words.get(word)
+        if entry is None:
+            raise LexiconError(f"unknown sentiment word: {word!r}")
+        score, magnitude = entry.score, abs(entry.score)
+        lo = bisect_left(magnitudes, True, key=lambda a: not magnitude - a > delta)
+        hi = bisect_left(magnitudes, True, lo=lo, key=lambda a: a - magnitude > delta)
+        same_sign, opposite_sign = [], []
+        for term in by_magnitude[lo:hi]:
+            other = words[term]
+            if other.polarity == entry.polarity:
+                if term != word and abs(other.score - score) <= delta:
+                    same_sign.append(term)
+            elif abs(abs(other.score) - magnitude) <= delta:
+                opposite_sign.append(term)
+        return sorted(same_sign), sorted(opposite_sign)
+
+    return lookup
+
+
+def similar_terms(word: str, lexicon: Lexicon, delta: float) -> tuple[list[str], list[str]]:
     """Words whose scores are within ``delta`` of ``word``'s.
 
     Returns ``(same_sign, opposite_sign)``: peers of the same polarity
     with close scores, and peers of the opposite polarity with close
     absolute scores. Both lists are sorted lexicographically.
     """
-    if not lexicon.has_word(word):
-        raise LexiconError(f"unknown sentiment word: {word!r}")
-    score = lexicon.word_score(word)
-    polarity = lexicon.polarity(word)
-    same_sign: list[str] = []
-    opposite_sign: list[str] = []
-    for term in lexicon.word_terms():
-        if term == word:
-            continue
-        other = lexicon.word_score(term)
-        if lexicon.polarity(term) == polarity:
-            if abs(other - score) <= delta:
-                same_sign.append(term)
-        else:
-            if abs(abs(other) - abs(score)) <= delta:
-                opposite_sign.append(term)
-    return same_sign, opposite_sign
+    return _similarity_lookup(lexicon, delta)(word)
 
 
 @dataclass(frozen=True)
@@ -106,14 +125,6 @@ class Variant:
     substitution: str
 
 
-def _splice(text: str, replacements: Sequence[tuple[int, int, str]]) -> str:
-    """Apply (start, end, new) span replacements, right to left."""
-    out = text
-    for start, end, new in sorted(replacements, reverse=True):
-        out = out[:start] + new + out[end:]
-    return out
-
-
 def generate_variants(
     mention: Mention, lexicon: Lexicon, config: AugmentConfig
 ) -> list[Variant]:
@@ -122,62 +133,71 @@ def generate_variants(
     Each variant replaces exactly one sentiment-word occurrence. Flip
     variants are only emitted for positive or negative mentions when
     ``include_flips`` is set, and carry the opposite label. Candidates
-    come out in canonical order (occurrence position, then replacement
-    term); when more than ``max_variants_per_sample`` exist a seeded
-    sample is kept, still in canonical order. Duplicate (text, label)
-    combinations are removed. The mention text is expected to be
-    target-masked already.
+    are numbered in canonical order (occurrence position; same-sign
+    replacements, then flips; replacement term). When more than
+    ``max_variants_per_sample`` exist, a seeded sample of the numbers is
+    drawn before splicing. Lexicon terms and antonyms are single tokens,
+    so no two candidates share a (text, label), except flips that swap a
+    comparative lexicon word for its own antonym: all give the fully
+    swapped text, and only the first counts. The mention text is
+    expected to be target-masked already.
     """
-    spans = tokenize_with_spans(mention.raw_text)
+    lookup = _similarity_lookup(lexicon, config.score_tolerance)
+    return _variants(mention, lexicon, config, lookup, config.rng_seed)
+
+
+def _variants(
+    mention: Mention, lexicon: Lexicon, config: AugmentConfig, lookup: Callable, seed: int
+) -> list[Variant]:
+    text = mention.raw_text
+    spans = tokenize_with_spans(text)
     tokens = [tok for tok, _, _ in spans]
-    pair_indices = extract_pair_indices(tokens, lexicon)
     comparatives = config.comparative_terms()
+    swaps = [
+        (idx, start, end, config.antonyms.get(tok))
+        for idx, (tok, start, end) in enumerate(spans)
+        if tok in comparatives
+    ]
+    unmapped = [idx for idx, _, _, antonym in swaps if antonym is None]
+    flips = config.include_flips and mention.label != NEUTRAL
 
-    candidates: list[Variant] = []
-    seen: set[tuple[str, str]] = set()
-
-    def emit(text: str, label: str, substitution: str) -> None:
-        key = (text, label)
-        if key not in seen:
-            seen.add(key)
-            candidates.append(Variant(text, label, substitution))
-
-    for _, word_idx in pair_indices:
+    # (word index, replacements, is_flip) blocks in canonical order.
+    blocks: list[tuple[int, list[str], bool]] = []
+    full_swap_counted = False
+    for _, word_idx in extract_pair_indices(tokens, lexicon):
         word = tokens[word_idx]
-        _, start, end = spans[word_idx]
-        same_sign, opposite_sign = similar_terms(word, lexicon, config.score_tolerance)
-        for replacement in same_sign:
-            emit(
-                _splice(mention.raw_text, [(start, end, replacement)]),
-                mention.label,
-                f"{word}@{word_idx}->{replacement}",
-            )
-        if not config.include_flips or mention.label == NEUTRAL:
+        same_sign, opposite_sign = lookup(word)
+        blocks.append((word_idx, same_sign, False))
+        if not flips or any(idx != word_idx for idx in unmapped):
             continue
-        for replacement in opposite_sign:
-            replacements = [(start, end, replacement)]
-            suppressed = False
-            for idx, (tok, tok_start, tok_end) in enumerate(spans):
-                if idx == word_idx or tok not in comparatives:
-                    continue
-                antonym = config.antonyms.get(tok)
-                if antonym is None:
-                    suppressed = True
-                    break
-                replacements.append((tok_start, tok_end, antonym))
-            if suppressed:
-                continue
-            emit(
-                _splice(mention.raw_text, replacements),
-                flip_label(mention.label),
-                f"{word}@{word_idx}->{replacement} (flip)",
-            )
+        antonym = config.antonyms.get(word) if word in comparatives else None
+        if antonym in opposite_sign:
+            if full_swap_counted:
+                opposite_sign = [term for term in opposite_sign if term != antonym]
+            full_swap_counted = True
+        blocks.append((word_idx, opposite_sign, True))
 
-    if len(candidates) > config.max_variants_per_sample:
-        rng = random.Random(config.rng_seed)
-        keep = sorted(rng.sample(range(len(candidates)), config.max_variants_per_sample))
-        candidates = [candidates[i] for i in keep]
-    return candidates
+    starts = list(accumulate((len(terms) for _, terms, _ in blocks), initial=0))
+    keep: Sequence[int] = range(starts[-1])
+    if len(keep) > config.max_variants_per_sample:
+        keep = sorted(random.Random(seed).sample(keep, config.max_variants_per_sample))
+
+    variants: list[Variant] = []
+    for number in keep:
+        block = bisect_right(starts, number) - 1
+        word_idx, terms, is_flip = blocks[block]
+        replacement = terms[number - starts[block]]
+        _, start, end = spans[word_idx]
+        edits = [(start, end, replacement)]
+        label, note = mention.label, ""
+        if is_flip:
+            edits += [(s, e, new) for idx, s, e, new in swaps if idx != word_idx]
+            label, note = flip_label(mention.label), " (flip)"
+        out = text
+        for s, e, new in sorted(edits, reverse=True):
+            out = out[:s] + new + out[e:]
+        variants.append(Variant(out, label, f"{tokens[word_idx]}@{word_idx}->{replacement}{note}"))
+    return variants
 
 
 @dataclass(frozen=True)
@@ -201,10 +221,11 @@ def augment_corpus(
     config: AugmentConfig,
 ) -> list[AugmentedSample]:
     """Augment every mention with per-mention seeds derived from the config."""
+    lookup = _similarity_lookup(lexicon, config.score_tolerance)
     out: list[AugmentedSample] = []
     for index, mention in enumerate(mentions):
-        per_mention = replace(config, rng_seed=derive_seed(config.rng_seed, index))
-        for variant in generate_variants(mention, lexicon, per_mention):
+        seed = derive_seed(config.rng_seed, index)
+        for variant in _variants(mention, lexicon, config, lookup, seed):
             out.append(
                 AugmentedSample(
                     text=variant.text,

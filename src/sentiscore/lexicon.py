@@ -43,17 +43,26 @@ def tokenize(text: str) -> list[str]:
     Punctuation is discarded; apostrophes inside words are kept. Empty
     input yields an empty list.
     """
-    return [tok for tok, _, _ in tokenize_with_spans(text)]
+    return _TOKEN_RE.findall(text.lower())
 
 
 def tokenize_with_spans(text: str) -> list[tuple[str, int, int]]:
     """Tokenize, returning ``(token, start, end)`` character spans.
 
     Spans index into the original (non-lowercased) text so callers can
-    splice replacements back in.
+    splice replacements back in, even where ``"İ"`` lowercases to two
+    characters (a token ending inside those spans the whole ``"İ"``).
     """
     lowered = text.lower()
-    return [(m.group(0), m.start(), m.end()) for m in _TOKEN_RE.finditer(lowered)]
+    raw = range(len(text))
+    if len(lowered) != len(text):
+        raw = [i for i, ch in enumerate(text) for _ in ch.lower()]
+    return [(m.group(0), raw[m.start()], raw[m.end() - 1] + 1) for m in _TOKEN_RE.finditer(lowered)]
+
+
+def is_token(term: str) -> bool:
+    """Whether ``term`` is one whole token, i.e. ``tokenize(term) == [term]``."""
+    return _TOKEN_RE.fullmatch(term) is not None
 
 
 def mask_target(text: str, entity: str) -> str:
@@ -83,9 +92,9 @@ class Lexicon:
     """Immutable sentiment dictionary of words and modifiers.
 
     ``words`` maps term to :class:`WordEntry`; ``adverbs`` maps term to a
-    non-negative score. Construction validates that scores match their
-    polarity, modifier scores are non-negative, and the two maps are
-    disjoint.
+    non-negative score. Construction validates that terms are single
+    tokens (:func:`is_token`), scores match their polarity, modifier
+    scores are non-negative, and the two maps are disjoint.
     """
 
     def __init__(
@@ -95,6 +104,9 @@ class Lexicon:
     ) -> None:
         words = dict(words)
         adverbs = {term: float(score) for term, score in adverbs.items()}
+        for term in (*words, *adverbs):
+            if not is_token(term):
+                raise LexiconError(f"term {term!r} is not a single lowercase token")
         for term, entry in words.items():
             if entry.polarity not in (POSITIVE, NEGATIVE):
                 raise LexiconError(f"word {term!r}: polarity must be positive or negative")
@@ -332,6 +344,8 @@ def load_lexicon(path) -> Lexicon:
             if len(fields) != 4:
                 raise LexiconError(f"{path}:{lineno}: expected 4 fields, got {len(fields)}")
             term, kind, polarity, score_text = fields
+            if not is_token(term):
+                raise LexiconError(f"{path}:{lineno}: term {term!r} is not a single lowercase token")
             try:
                 score = float(score_text)
             except ValueError:
@@ -348,11 +362,16 @@ def load_lexicon(path) -> Lexicon:
 
 
 def save_mention_records(records: Iterable[MentionRecord], path) -> None:
+    """Write a mention file; a tab or line break in a field would not read back."""
+    lines = []
+    for index, rec in enumerate(records):
+        entity = rec.entity or ""
+        if any(c in value for value in (rec.text, entity) for c in "\t\n\r"):
+            raise LexiconError(f"record {index}: text or entity holds a tab or line break")
+        score = "" if rec.target_score is None else repr(rec.target_score)
+        lines.append(f"{rec.text}\t{rec.label}\t{score}\t{entity}\n")
     with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            score = "" if rec.target_score is None else repr(rec.target_score)
-            entity = rec.entity or ""
-            fh.write(f"{rec.text}\t{rec.label}\t{score}\t{entity}\n")
+        fh.writelines(lines)
 
 
 def load_mention_records(path) -> list[MentionRecord]:

@@ -1,7 +1,14 @@
-"""Shared test oracles, independent of the library's own solvers and batched CNN."""
+"""Shared test oracles, independent of the library's own solvers, batched
+CNN and sample-before-splice augmenter."""
 from __future__ import annotations
 
+import random
+from dataclasses import replace
+
 import numpy as np
+
+from sentiscore.augment import AugmentedSample, Variant, derive_seed, flip_label
+from sentiscore.lexicon import NEUTRAL, extract_pair_indices, tokenize_with_spans
 
 from sentiscore.boxlsq import ConstrainedLsqProblem, SolverReport, kkt_residual, objective
 
@@ -195,3 +202,88 @@ def reference_fit(model, dataset, config, penalty=None):
             losses.append(loss)
         history.append(sum(losses) / len(losses))
     return model, history
+
+
+def reference_similar_terms(word, lexicon, delta):
+    """``(same_sign, opposite_sign)`` by a scan of the whole lexicon."""
+    score = lexicon.word_score(word)
+    polarity = lexicon.polarity(word)
+    same_sign, opposite_sign = [], []
+    for term in lexicon.word_terms():
+        if term == word:
+            continue
+        other = lexicon.word_score(term)
+        if lexicon.polarity(term) == polarity:
+            if abs(other - score) <= delta:
+                same_sign.append(term)
+        elif abs(abs(other) - abs(score)) <= delta:
+            opposite_sign.append(term)
+    return same_sign, opposite_sign
+
+
+def _reference_splice(text, replacements):
+    for start, end, new in sorted(replacements, reverse=True):
+        text = text[:start] + new + text[end:]
+    return text
+
+
+def reference_variants(mention, lexicon, config):
+    """Enumerate every candidate text, drop repeated (text, label) pairs,
+    then keep a seeded sample: the augmenter before it sampled first."""
+    spans = tokenize_with_spans(mention.raw_text)
+    tokens = [tok for tok, _, _ in spans]
+    comparatives = config.comparative_terms()
+    candidates, seen = [], set()
+
+    def emit(text, label, substitution):
+        if (text, label) not in seen:
+            seen.add((text, label))
+            candidates.append(Variant(text, label, substitution))
+
+    for _, word_idx in extract_pair_indices(tokens, lexicon):
+        word = tokens[word_idx]
+        _, start, end = spans[word_idx]
+        same_sign, opposite_sign = reference_similar_terms(word, lexicon, config.score_tolerance)
+        for replacement in same_sign:
+            emit(
+                _reference_splice(mention.raw_text, [(start, end, replacement)]),
+                mention.label,
+                f"{word}@{word_idx}->{replacement}",
+            )
+        if not config.include_flips or mention.label == NEUTRAL:
+            continue
+        for replacement in opposite_sign:
+            replacements = [(start, end, replacement)]
+            suppressed = False
+            for idx, (tok, tok_start, tok_end) in enumerate(spans):
+                if idx == word_idx or tok not in comparatives:
+                    continue
+                antonym = config.antonyms.get(tok)
+                if antonym is None:
+                    suppressed = True
+                    break
+                replacements.append((tok_start, tok_end, antonym))
+            if not suppressed:
+                emit(
+                    _reference_splice(mention.raw_text, replacements),
+                    flip_label(mention.label),
+                    f"{word}@{word_idx}->{replacement} (flip)",
+                )
+
+    if len(candidates) > config.max_variants_per_sample:
+        rng = random.Random(config.rng_seed)
+        keep = sorted(rng.sample(range(len(candidates)), config.max_variants_per_sample))
+        candidates = [candidates[i] for i in keep]
+    return candidates
+
+
+def reference_augment_corpus(mentions, lexicon, config):
+    """:func:`reference_variants` over a corpus with per-mention seeds."""
+    out = []
+    for index, mention in enumerate(mentions):
+        per_mention = replace(config, rng_seed=derive_seed(config.rng_seed, index))
+        for variant in reference_variants(mention, lexicon, per_mention):
+            out.append(
+                AugmentedSample(variant.text, variant.label, index, f"src={index};{variant.substitution}")
+            )
+    return out

@@ -1,8 +1,14 @@
 from __future__ import annotations
 
-import pytest
+import math
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import reference_augment_corpus, reference_similar_terms, reference_variants
 from sentiscore.augment import (
+    DEFAULT_ANTONYMS,
     AugmentConfig,
     augment_corpus,
     derive_seed,
@@ -10,7 +16,7 @@ from sentiscore.augment import (
     generate_variants,
     similar_terms,
 )
-from sentiscore.lexicon import Lexicon, make_mention
+from sentiscore.lexicon import LABELS, Lexicon, make_mention
 
 
 @pytest.fixture
@@ -90,6 +96,15 @@ class TestGenerateVariants:
         variants = generate_variants(m, lexicon, config)
         assert all(v.label == "positive" for v in variants)
 
+    def test_unmapped_comparative_suppresses_only_other_occurrences_flips(self):
+        lex = Lexicon.from_scores({"worse": -0.5, "fine": 0.5})
+        config = AugmentConfig(
+            antonyms={}, comparatives=frozenset({"worse"}), max_variants_per_sample=10
+        )
+        alone = generate_variants(make("worse", "negative", lex), lex, config)
+        assert [(v.text, v.label) for v in alone] == [("fine", "positive")]
+        assert generate_variants(make("worse worse", "negative", lex), lex, config) == []
+
     def test_same_sign_substitution_leaves_comparative_alone(self, lexicon):
         m = make("TARGET is better and horrible", "negative", lexicon)
         config = AugmentConfig(include_flips=False, max_variants_per_sample=10)
@@ -147,6 +162,23 @@ class TestGenerateVariants:
         seen = {(v.text, v.label) for v in variants}
         assert len(seen) == len(variants)
 
+    def test_comparative_lexicon_word_flips_once(self):
+        # Either occurrence, flipped to its antonym, gives "worse worse".
+        lex = Lexicon.from_scores({"better": 0.5, "worse": -0.5})
+        m = make("better better", "positive", lex)
+        variants = generate_variants(m, lex, AugmentConfig(max_variants_per_sample=10))
+        assert [(v.text, v.label, v.substitution) for v in variants] == [
+            ("worse worse", "negative", "better@0->worse (flip)")
+        ]
+
+    def test_splices_at_raw_offsets_in_non_ascii_text(self):
+        # "İ" lowercases to two characters; the splice must still land
+        # on the raw text's "good".
+        lex = Lexicon.from_scores({"good": 1.0, "great": 1.0})
+        m = make("İ liked it, good movie", "positive", lex)
+        variants = generate_variants(m, lex, AugmentConfig())
+        assert [v.text for v in variants] == ["İ liked it, great movie"]
+
     def test_mention_without_sentiment_words_yields_nothing(self, lexicon):
         m = make("nothing to report", "neutral", lexicon)
         assert generate_variants(m, lexicon, AugmentConfig()) == []
@@ -201,14 +233,83 @@ class TestConfigValidation:
             {"better": ""},
             {"much better": "worse"},
             {"a": "b\tc"},
+            {"Better": "worse"},
+            {"better": "not-worse"},
         ],
     )
     def test_unwritable_antonym_terms_rejected(self, antonyms):
-        # config_to_text writes antonyms as space-separated a:b pairs, so
-        # such a term would not read back as written.
+        # Antonyms are matched against tokens and spliced in as tokens;
+        # config_to_text also writes them as space-separated a:b pairs.
         with pytest.raises(ValueError, match="antonym"):
             AugmentConfig(antonyms=antonyms)
 
     def test_comparatives_default_to_antonym_keys(self):
         config = AugmentConfig()
         assert config.comparative_terms() == frozenset({"better", "worse"})
+
+
+# Differential tests against the enumerate, de-duplicate, then sample
+# augmenter kept in tests/helpers.py.
+WORDS = ("good", "fine", "nice", "bad", "poor", "awful", "better", "worse", "meh")
+OTHER_TOKENS = ("the", "camera", "is", "TARGET", "fancier", "very")
+SEPARATORS = (" ", " ", ", ", "-", "! ", " İ", "'s ")
+MAGNITUDES = st.sampled_from([0.1, 0.2, 0.3, 0.1 + 0.2, 0.5, 1.0, math.inf]) | st.floats(0.05, 1.5)
+TOLERANCES = st.sampled_from([0.0, 0.1, 0.2, 0.5, 3.0, math.inf]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def lexicons(draw):
+    terms = draw(st.lists(st.sampled_from(WORDS), min_size=1, unique=True))
+    scores = {t: draw(MAGNITUDES) * draw(st.sampled_from([1.0, -1.0])) for t in terms}
+    return Lexicon.from_scores(scores, {"very": 1.5})
+
+
+@st.composite
+def mention_texts(draw):
+    tokens = draw(st.lists(st.sampled_from(WORDS + OTHER_TOKENS), max_size=8))
+    parts = []
+    for token in tokens:
+        parts.append(draw(st.sampled_from([token, token.upper(), token.title()])))
+        parts.append(draw(st.sampled_from(SEPARATORS)))
+    return "".join(parts)
+
+
+CONFIGS = st.builds(
+    AugmentConfig,
+    score_tolerance=TOLERANCES,
+    max_variants_per_sample=st.integers(0, 30),
+    include_flips=st.booleans(),
+    rng_seed=st.integers(0, 2**32 - 1),
+    antonyms=st.sampled_from(
+        [DEFAULT_ANTONYMS, {"better": "worse"}, {}, {**DEFAULT_ANTONYMS, "fancier": "plainer"}]
+    ),
+    comparatives=st.sampled_from(
+        [None, frozenset({"better", "worse", "fancier"}), frozenset({"fancier"})]
+    ),
+)
+
+
+class TestAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lexicon=lexicons(),
+        labelled=st.lists(st.tuples(mention_texts(), st.sampled_from(LABELS)), max_size=4),
+        config=CONFIGS,
+    )
+    def test_same_variants_as_enumerate_then_sample(self, lexicon, labelled, config):
+        mentions = [make(text, label, lexicon) for text, label in labelled]
+        for mention in mentions:
+            assert generate_variants(mention, lexicon, config) == reference_variants(
+                mention, lexicon, config
+            )
+        assert augment_corpus(mentions, lexicon, config) == reference_augment_corpus(
+            mentions, lexicon, config
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(lexicon=lexicons(), delta=TOLERANCES)
+    def test_similar_terms_match_a_full_scan(self, lexicon, delta):
+        for word in lexicon.word_terms():
+            assert similar_terms(word, lexicon, delta) == reference_similar_terms(
+                word, lexicon, delta
+            )

@@ -325,6 +325,24 @@ class TestAugment:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_multi_token_lexicon_term_exits_1_naming_file(self, tmp_path, capsys):
+        corpus, _ = self.corpus_with_lexicon(tmp_path)
+        bad = tmp_path / "bad.lex"
+        bad.write_text("Good\tword\tpositive\t1.0\n", encoding="utf-8")
+        code = main(
+            [
+                "augment",
+                "--corpus",
+                str(corpus),
+                "--lexicon",
+                str(bad),
+                "--out",
+                str(tmp_path / "out.tsv"),
+            ]
+        )
+        assert code == 1
+        assert "bad.lex:1: term 'Good' is not a single lowercase token" in capsys.readouterr().err
+
 
 TRAIN_FLAGS = [
     "--filters",

@@ -59,6 +59,14 @@ class TestTokenize:
         text = "The battery's life, 10 hours!"
         assert [t for t, _, _ in tokenize_with_spans(text)] == tokenize(text)
 
+    def test_spans_index_raw_text_after_multi_char_lowercase(self):
+        # "İ".lower() is "i" plus a combining dot, two characters.
+        text = "İ liked it, good movie"
+        spans = tokenize_with_spans(text)
+        assert [t for t, _, _ in spans] == tokenize(text)
+        assert spans[0] == ("i", 0, 1)
+        assert [text[start:end] for _, start, end in spans[1:]] == ["liked", "it", "good", "movie"]
+
 
 class TestMaskTarget:
     def test_replaces_case_insensitively(self):
@@ -101,6 +109,13 @@ class TestLexiconInvariants:
     def test_negative_adverb_rejected(self):
         with pytest.raises(LexiconError, match="adverb"):
             Lexicon({}, {"very": -0.1})
+
+    @pytest.mark.parametrize("term", ["Good", "not-bad", "two words", "", "café"])
+    def test_term_that_is_not_one_token_rejected(self, term):
+        with pytest.raises(LexiconError, match="single lowercase token"):
+            Lexicon.from_scores({term: 1.0})
+        with pytest.raises(LexiconError, match="single lowercase token"):
+            Lexicon({}, {term: 1.0})
 
     def test_word_adverb_overlap_rejected(self):
         with pytest.raises(LexiconError, match="both"):
@@ -260,6 +275,13 @@ class TestLexiconRoundTrip:
             load_lexicon(path)
 
 
+    def test_non_token_term_reports_location(self, tmp_path):
+        path = tmp_path / "lex.tsv"
+        path.write_text("good\tword\tpositive\t1.0\nnot-bad\tword\tpositive\t0.5\n")
+        with pytest.raises(LexiconError, match="lex.tsv:2: term 'not-bad' is not a single"):
+            load_lexicon(path)
+
+
 class TestMentionRecords:
     def test_round_trip(self, tmp_path):
         records = [
@@ -270,6 +292,20 @@ class TestMentionRecords:
         path = tmp_path / "corpus.tsv"
         save_mention_records(records, path)
         assert load_mention_records(path) == records
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            MentionRecord("tab\there", "positive"),
+            MentionRecord("two\nlines", "positive"),
+            MentionRecord("carriage\rreturn", "positive"),
+            MentionRecord("TARGET is fine", "neutral", None, "the\tx2"),
+        ],
+    )
+    def test_unwritable_field_rejected_naming_record(self, tmp_path, record):
+        records = [MentionRecord("fine", "neutral"), record]
+        with pytest.raises(LexiconError, match="record 1"):
+            save_mention_records(records, tmp_path / "corpus.tsv")
 
     def test_extra_columns_ignored(self, tmp_path):
         path = tmp_path / "corpus.tsv"

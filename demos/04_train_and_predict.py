@@ -6,21 +6,15 @@ The classifier embeds a fixed-length token sequence, convolves filters
 over sliding windows, max-pools in chunks, and maps the pooled features
 to three label logits. Everything below runs on a generated corpus.
 """
-from sentiscore.cnn import CnnConfig, fit, init_model, predict
-from sentiscore.embeddings import sequence_indices
-from sentiscore.lexicon import LABEL_INDEX, tokenize
+from sentiscore.cnn import CnnConfig, predict, train_classifier
+from sentiscore.lexicon import tokenize
 from sentiscore.synthetic import CorpusConfig, generate_corpus
-from sentiscore.vocab import build_vocab
 
 records, _ = generate_corpus(
     CorpusConfig(size=200, word_count=8, adverb_count=2, noise_rate=0.0, rng_seed=6)
 )
 
-# Vocabulary from the training texts, most frequent terms first.
 token_lists = [tokenize(r.text) for r in records]
-vocab = build_vocab(token_lists, 500)
-print(f"vocabulary: {len(vocab)} entries")
-
 config = CnnConfig(
     window=2,
     filter_count=8,
@@ -34,13 +28,12 @@ config = CnnConfig(
     rng_seed=0,
 )
 
-dataset = [
-    (sequence_indices(tokens, vocab, config.sequence_length), LABEL_INDEX[r.label])
-    for tokens, r in zip(token_lists, records)
-]
-
-model = init_model(len(vocab), config)
-model, history = fit(model, dataset, config)
+# train_classifier builds the vocabulary from the training texts (at most
+# 500 terms, most frequent first), then initializes and fits the model.
+model, vocab, history = train_classifier(
+    token_lists, [r.label for r in records], config, vocab_size=500
+)
+print(f"vocabulary: {len(vocab)} entries")
 print("mean loss per epoch:")
 for epoch, loss in enumerate(history, start=1):
     print(f"  {epoch:2d}: {loss:.4f}")

@@ -1,9 +1,10 @@
 """Command-line entry point wiring the toolkit's pipelines together.
 
 Exit codes: 0 success, 1 malformed or missing input, 2 runtime failure
-(non-convergence, diverged training). All randomness in a command flows
-from its single --seed flag, so identical invocations write identical
-bytes.
+(non-convergence, diverged training). A command that draws random
+numbers draws them all from its single --seed flag (learn-scores draws
+none), so identical invocations write identical bytes. Flags that set a
+config field take their type and default from that config dataclass.
 """
 from __future__ import annotations
 
@@ -18,53 +19,36 @@ from sentiscore.cnn import (
     ACTIVATIONS,
     POOLING_MODES,
     CnnConfig,
-    CnnError,
     TrainingDiverged,
-    fit,
-    init_model,
     load_checkpoint,
     predict,
     save_checkpoint,
+    train_classifier,
 )
-from sentiscore.embeddings import sequence_indices
-from sentiscore.learner import LearnerError, LearningConfig, train_iterative
+from sentiscore.learner import LearningConfig, train_iterative
 from sentiscore.lexicon import (
-    LABEL_INDEX,
     LABEL_SCORES,
-    NEGATIVE,
-    NEUTRAL,
-    POSITIVE,
-    LexiconError,
+    LABELS,
     load_lexicon,
     load_mention_records,
-    mask_target,
+    masked_text,
     prepare_mentions,
     save_lexicon,
     save_mention_records,
     tokenize,
 )
-from sentiscore.losses import LossError, PenaltyMatrix
+from sentiscore.losses import PenaltyMatrix
 from sentiscore.evaluate import (
     VARIANTS,
-    EvalError,
     ExperimentConfig,
     load_experiment_config,
     run_experiment,
     save_report,
 )
-from sentiscore.synthetic import CorpusConfig, GeneratorError, generate_corpus
-from sentiscore.vocab import build_vocab
+from sentiscore.synthetic import CorpusConfig, generate_corpus
 
-_INPUT_ERRORS = (
-    LexiconError,
-    LearnerError,
-    LossError,
-    EvalError,
-    GeneratorError,
-    CnnError,
-    OSError,
-    ValueError,
-)
+#: Every domain error subclasses ValueError.
+_INPUT_ERRORS = (OSError, ValueError)
 
 _PENALTY_HELP = (
     "penalty rows 'p11,p12,p13;p21,p22,p23;p31,p32,p33' indexed "
@@ -72,10 +56,18 @@ _PENALTY_HELP = (
     "(default: 1,4,3;4,1,3;2,2,1)"
 )
 
-
-#: ``train`` flag and help text per CnnConfig field but finetune_embeddings
-#: (set off by ``--static-embeddings``); types and defaults come from
-#: ``CnnConfig()``.
+# Flag and help text per config field a command exposes, in help order.
+_LEARN_FLAGS = {
+    "lam": ("--lambda", "ridge regularization strength"),
+    "max_outer_iterations": ("--iters", "max outer iterations"),
+    "solver_tol": ("--tol", "solver tolerance"),
+}
+_AUGMENT_FLAGS = {
+    "score_tolerance": ("--delta", "score similarity tolerance"),
+    "max_variants_per_sample": ("--max-variants", "cap on variants per mention"),
+    "include_flips": ("--no-flips", "skip opposite-sign substitutions (default: flips enabled)"),
+    "rng_seed": ("--seed", "rng seed"),
+}
 _TRAIN_FLAGS = {
     "window": ("--window", "convolution window height"),
     "filter_count": ("--filters", "convolution filters"),
@@ -90,7 +82,48 @@ _TRAIN_FLAGS = {
     "sequence_length": ("--sequence-length", "padded token sequence length"),
     "embedding_dim": ("--embedding-dim", "embedding width"),
 }
-_TRAIN_CHOICES = {"pooling": POOLING_MODES, "activation": ACTIVATIONS}
+_CORPUS_FLAGS = {
+    "size": ("--size", "mention count"),
+    "word_count": ("--words", "sentiment word count"),
+    "adverb_count": ("--adverbs", "modifier count"),
+    "class_mix": ("--mix", "positive,negative,neutral fractions"),
+    "noise_rate": ("--noise", "label flip rate"),
+    "min_occurrences": ("--min-occurrences", "per-term coverage floor"),
+    "adverb_rate": ("--adverb-rate", "chance a sentiment word is modified"),
+    "rng_seed": ("--seed", "rng seed"),
+}
+_CHOICES = {"pooling": POOLING_MODES, "activation": ACTIVATIONS}
+
+
+def _add_config_flags(parser: argparse.ArgumentParser, defaults, table: dict) -> None:
+    """Add one flag per ``{field: (flag, help)}`` entry, typed and defaulted
+    by ``defaults``. A boolean field's flag flips its default. ``class_mix``
+    stays text for :func:`_parse_mix`, so a malformed mix exits 1, not 2."""
+    for name, (flag, text) in table.items():
+        default = getattr(defaults, name)
+        if isinstance(default, bool):
+            action = "store_false" if default else "store_true"
+            parser.add_argument(flag, dest=name, action=action, help=text)
+            continue
+        if name == "class_mix":
+            default = ",".join(str(default[label]) for label in LABELS)
+        choices = _CHOICES.get(name)
+        parser.add_argument(
+            flag,
+            dest=name,
+            type=type(default),
+            default=default,
+            choices=choices,
+            metavar=None if choices else flag[2:].replace("-", "_").upper(),
+            help=f"{text} (default: {default})",
+        )
+
+
+def _config(cls, args: argparse.Namespace, **overrides):
+    """``cls`` from the parsed fields it has; fields without a flag keep their default."""
+    parsed = vars(args)
+    values = {f.name: parsed[f.name] for f in fields(cls) if f.name in parsed}
+    return cls(**(values | overrides))
 
 
 def _parse_penalty(text: str) -> PenaltyMatrix:
@@ -104,15 +137,7 @@ def _parse_mix(text: str) -> dict[str, float]:
     parts = text.split(",")
     if len(parts) != 3:
         raise ValueError("class mix must be three comma-separated fractions")
-    return {
-        POSITIVE: float(parts[0]),
-        NEGATIVE: float(parts[1]),
-        NEUTRAL: float(parts[2]),
-    }
-
-
-def _masked(text: str, entity: str | None) -> str:
-    return mask_target(text, entity) if entity else text
+    return dict(zip(LABELS, map(float, parts)))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -131,27 +156,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lexicon", required=True, help="seed lexicon TSV")
     p.add_argument("--out", required=True, help="path for the learned lexicon TSV")
     p.add_argument("--trace", help="objective trace TSV (default: OUT.trace)")
-    learning = LearningConfig()
-    p.add_argument(
-        "--lambda",
-        dest="lam",
-        type=float,
-        default=learning.lam,
-        help=f"ridge regularization strength (default: {learning.lam})",
-    )
-    p.add_argument(
-        "--iters",
-        type=int,
-        default=learning.max_outer_iterations,
-        help=f"max outer iterations (default: {learning.max_outer_iterations})",
-    )
-    p.add_argument(
-        "--tol",
-        type=float,
-        default=learning.solver_tol,
-        help=f"solver tolerance (default: {learning.solver_tol})",
-    )
-    p.add_argument("--seed", type=int, default=0, help="rng seed (default: 0)")
+    _add_config_flags(p, LearningConfig(), _LEARN_FLAGS)
 
     p = sub.add_parser(
         "augment",
@@ -164,25 +169,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True, help="labeled mention TSV")
     p.add_argument("--lexicon", required=True, help="scored lexicon TSV")
     p.add_argument("--out", required=True, help="augmented corpus TSV")
-    augment = AugmentConfig()
-    p.add_argument(
-        "--delta",
-        type=float,
-        default=augment.score_tolerance,
-        help=f"score similarity tolerance (default: {augment.score_tolerance})",
-    )
-    p.add_argument(
-        "--max-variants",
-        type=int,
-        default=augment.max_variants_per_sample,
-        help=f"cap on variants per mention (default: {augment.max_variants_per_sample})",
-    )
-    p.add_argument(
-        "--no-flips",
-        action="store_true",
-        help="skip opposite-sign substitutions (default: flips enabled)",
-    )
-    p.add_argument("--seed", type=int, default=0, help="rng seed (default: 0)")
+    _add_config_flags(p, AugmentConfig(), _AUGMENT_FLAGS)
 
     p = sub.add_parser(
         "train",
@@ -191,25 +178,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--corpus", required=True, help="labeled mention TSV")
     p.add_argument("--out", required=True, help="checkpoint path")
-    cnn_defaults = CnnConfig()
-    for f in fields(CnnConfig):
-        if f.name == "finetune_embeddings":
-            continue
-        flag, text = _TRAIN_FLAGS[f.name]
-        default = getattr(cnn_defaults, f.name)
-        choices = _TRAIN_CHOICES.get(f.name)
-        p.add_argument(
-            flag,
-            dest=f.name,
-            type=type(default),
-            default=default,
-            choices=choices,
-            metavar=None if choices else flag[2:].replace("-", "_").upper(),
-            help=f"{text} (default: {default})",
-        )
-    p.add_argument(
-        "--vocab-size", type=int, default=5000, help="vocabulary cap (default: 5000)"
-    )
+    _add_config_flags(p, CnnConfig(), _TRAIN_FLAGS)
+    _add_config_flags(p, ExperimentConfig(), {"vocab_size": ("--vocab-size", "vocabulary cap")})
     p.add_argument(
         "--weighted-ce",
         action="store_true",
@@ -270,33 +240,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--out", required=True, help="corpus TSV path")
     p.add_argument("--lexicon-out", required=True, help="ground-truth lexicon path")
-    p.add_argument("--size", type=int, default=500, help="mention count (default: 500)")
-    p.add_argument(
-        "--words", type=int, default=20, help="sentiment word count (default: 20)"
-    )
-    p.add_argument("--adverbs", type=int, default=5, help="modifier count (default: 5)")
-    p.add_argument(
-        "--mix",
-        type=str,
-        default="0.3,0.3,0.4",
-        help="positive,negative,neutral fractions (default: 0.3,0.3,0.4)",
-    )
-    p.add_argument(
-        "--noise", type=float, default=0.0, help="label flip rate (default: 0.0)"
-    )
-    p.add_argument(
-        "--min-occurrences",
-        type=int,
-        default=3,
-        help="per-term coverage floor (default: 3)",
-    )
-    p.add_argument(
-        "--adverb-rate",
-        type=float,
-        default=0.5,
-        help="chance a sentiment word is modified (default: 0.5)",
-    )
-    p.add_argument("--seed", type=int, default=0, help="rng seed (default: 0)")
+    _add_config_flags(p, CorpusConfig(), _CORPUS_FLAGS)
 
     return parser
 
@@ -305,10 +249,7 @@ def _cmd_learn_scores(args: argparse.Namespace) -> int:
     records = load_mention_records(args.mentions)
     seed_lexicon = load_lexicon(args.lexicon)
     mentions = prepare_mentions(records, seed_lexicon)
-    config = LearningConfig(
-        max_outer_iterations=args.iters, lam=args.lam, solver_tol=args.tol
-    )
-    trace = train_iterative(mentions, seed_lexicon, config)
+    trace = train_iterative(mentions, seed_lexicon, _config(LearningConfig, args))
     save_lexicon(trace.lexicon, args.out)
     trace_path = args.trace or f"{args.out}.trace"
     with open(trace_path, "w", encoding="utf-8") as fh:
@@ -327,13 +268,7 @@ def _cmd_augment(args: argparse.Namespace) -> int:
     records = load_mention_records(args.corpus)
     lexicon = load_lexicon(args.lexicon)
     mentions = prepare_mentions(records, lexicon)
-    config = AugmentConfig(
-        score_tolerance=args.delta,
-        max_variants_per_sample=args.max_variants,
-        include_flips=not args.no_flips,
-        rng_seed=args.seed,
-    )
-    samples = augment_corpus(mentions, lexicon, config)
+    samples = augment_corpus(mentions, lexicon, _config(AugmentConfig, args))
     with open(args.out, "w", encoding="utf-8") as fh:
         for sample in samples:
             score = repr(LABEL_SCORES[sample.label])
@@ -345,18 +280,17 @@ def _cmd_augment(args: argparse.Namespace) -> int:
 
 def _cmd_train(args: argparse.Namespace) -> int:
     records = load_mention_records(args.corpus)
-    config = CnnConfig(**{f.name: getattr(args, f.name) for f in fields(CnnConfig)})
-    token_lists = [tokenize(_masked(r.text, r.entity)) for r in records]
-    vocab = build_vocab(token_lists, args.vocab_size)
-    dataset = [
-        (sequence_indices(tokens, vocab, config.sequence_length), LABEL_INDEX[r.label])
-        for tokens, r in zip(token_lists, records)
-    ]
+    config = _config(CnnConfig, args)
     penalty = None
     if args.weighted_ce:
         penalty = _parse_penalty(args.penalty) if args.penalty else PenaltyMatrix.default()
-    model = init_model(len(vocab), config)
-    model, _ = fit(model, dataset, config, penalty)
+    model, vocab, _ = train_classifier(
+        [tokenize(masked_text(r.text, r.entity)) for r in records],
+        [r.label for r in records],
+        config,
+        args.vocab_size,
+        penalty,
+    )
     save_checkpoint(args.out, model, vocab, config)
     return 0
 
@@ -382,7 +316,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     else:
         lines = sys.stdin.readlines()
     texts = (line.rstrip("\n") for line in lines)
-    tokens = (tokenize(_masked(text, args.entity)) for text in texts if text)
+    tokens = (tokenize(masked_text(text, args.entity)) for text in texts if text)
     for label, probs in zip(*predict(model, tokens, vocab, config)):
         formatted = " ".join(f"{p:.6f}" for p in probs)
         print(f"{label}\t{formatted}")
@@ -390,16 +324,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen_corpus(args: argparse.Namespace) -> int:
-    config = CorpusConfig(
-        size=args.size,
-        word_count=args.words,
-        adverb_count=args.adverbs,
-        class_mix=_parse_mix(args.mix),
-        noise_rate=args.noise,
-        min_occurrences=args.min_occurrences,
-        adverb_rate=args.adverb_rate,
-        rng_seed=args.seed,
-    )
+    config = _config(CorpusConfig, args, class_mix=_parse_mix(args.class_mix))
     records, lexicon = generate_corpus(config)
     save_mention_records(records, args.out)
     save_lexicon(lexicon, args.lexicon_out)

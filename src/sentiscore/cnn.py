@@ -23,9 +23,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from sentiscore.embeddings import sequence_indices
-from sentiscore.lexicon import LABELS
+from sentiscore.lexicon import LABEL_INDEX, LABELS
 from sentiscore.losses import PenaltyMatrix, loss_and_logit_grad, softmax
-from sentiscore.vocab import PAD_INDEX, Vocab
+from sentiscore.vocab import PAD_INDEX, Vocab, build_vocab
 
 CHUNKED = "chunked"
 MAX_OVER_TIME = "max_over_time"
@@ -80,6 +80,8 @@ class CnnConfig:
             raise CnnError("dropout_rate must be in [0, 1)")
         if not self.learning_rate > 0:
             raise CnnError("learning_rate must be > 0")
+        if self.rng_seed < 0:
+            raise CnnError("rng_seed must be >= 0")
 
     @property
     def pooled_rows(self) -> int:
@@ -122,9 +124,10 @@ def _glorot(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, fan_o
     return rng.uniform(-limit, limit, size=shape)
 
 
-def init_model(vocab_size: int, config: CnnConfig, seed: int | None = None) -> CnnModel:
-    """Seeded uniform fan-in/fan-out init; the PAD embedding row starts at zero."""
-    rng = np.random.default_rng(config.rng_seed if seed is None else seed)
+def init_model(vocab_size: int, config: CnnConfig) -> CnnModel:
+    """Uniform fan-in/fan-out init seeded by ``config.rng_seed``; the PAD
+    embedding row starts at zero."""
+    rng = np.random.default_rng(config.rng_seed)
     d, f, k = config.window, config.filter_count, config.embedding_dim
     emb = (rng.random((vocab_size, k)) - 0.5) / k
     emb[PAD_INDEX] = 0.0
@@ -340,6 +343,28 @@ def fit(
             batches += 1
         history.append(epoch_loss / batches)
     return model, history
+
+
+def train_classifier(
+    token_lists: Sequence[Sequence[str]],
+    labels: Sequence[str],
+    config: CnnConfig,
+    vocab_size: int,
+    penalty: PenaltyMatrix | None = None,
+) -> tuple[CnnModel, Vocab, list[float]]:
+    """Train a classifier from scratch on labeled token sequences.
+
+    Builds a vocabulary of the ``vocab_size`` most frequent terms, turns
+    every sequence into padded indices, initializes a model and fits it.
+    Returns the model, its vocabulary and the per-epoch mean loss.
+    """
+    vocab = build_vocab(token_lists, vocab_size)
+    dataset = [
+        (sequence_indices(tokens, vocab, config.sequence_length), LABEL_INDEX[label])
+        for tokens, label in zip(token_lists, labels)
+    ]
+    model, history = fit(init_model(len(vocab), config), dataset, config, penalty)
+    return model, vocab, history
 
 
 def predict(

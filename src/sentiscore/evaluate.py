@@ -18,20 +18,18 @@ from typing import Callable, Sequence
 import numpy as np
 
 from sentiscore.augment import AugmentConfig, augment_corpus
-from sentiscore.cnn import CnnConfig, fit, init_model, predict
-from sentiscore.embeddings import sequence_indices
+from sentiscore.cnn import CnnConfig, predict, train_classifier
 from sentiscore.learner import LearningConfig, train_iterative
 from sentiscore.lexicon import (
     LABEL_INDEX,
     LABELS,
     Lexicon,
     MentionRecord,
-    mask_target,
+    masked_text,
     prepare_mentions,
     tokenize,
 )
 from sentiscore.losses import PenaltyMatrix
-from sentiscore.vocab import build_vocab
 
 VARIANTS = ("cnn", "cnn-quad", "cnn-cross", "cnn-total")
 
@@ -207,6 +205,8 @@ class ExperimentConfig:
             raise EvalError(f"variant must be one of {VARIANTS}")
         if self.vocab_size < 3:
             raise EvalError("vocab_size must leave room beyond the specials")
+        if self.rng_seed < 0:
+            raise EvalError("rng_seed must be >= 0")
 
 
 def _nested(config: ExperimentConfig) -> dict[str, object]:
@@ -322,11 +322,6 @@ def parse_experiment_config(text: str) -> ExperimentConfig:
         raise EvalError(f"malformed experiment config: {exc}") from None
 
 
-def save_experiment_config(path, config: ExperimentConfig) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(config_to_text(config))
-
-
 def load_experiment_config(path) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_experiment_config(fh.read())
@@ -368,12 +363,6 @@ def _fold_seed(base: int, fold: int) -> int:
     return (base * 1009 + fold) % 2**32
 
 
-def _masked_text(record: MentionRecord) -> str:
-    if record.entity:
-        return mask_target(record.text, record.entity)
-    return record.text
-
-
 def run_experiment(
     config: ExperimentConfig,
     records: Sequence[MentionRecord],
@@ -403,7 +392,7 @@ def run_experiment(
         seed = _fold_seed(config.rng_seed, fold)
 
         samples: list[tuple[str, str]] = [
-            (_masked_text(r), r.label) for r in train_records
+            (masked_text(r.text, r.entity), r.label) for r in train_records
         ]
         if variant_uses_learner(config.variant):
             mentions = prepare_mentions(train_records, seed_lexicon)
@@ -414,21 +403,17 @@ def run_experiment(
         if config.rebalance:
             samples = rebalance(samples, seed)
 
-        token_lists = [tokenize(text) for text, _ in samples]
-        vocab = build_vocab(token_lists, config.vocab_size)
         cnn_cfg = replace(config.cnn, rng_seed=seed)
-        dataset = [
-            (
-                sequence_indices(tokens, vocab, cnn_cfg.sequence_length),
-                LABEL_INDEX[label],
-            )
-            for tokens, (_, label) in zip(token_lists, samples)
-        ]
-        model = init_model(len(vocab), cnn_cfg)
-        model, _ = fit(model, dataset, cnn_cfg, penalty)
+        model, vocab, _ = train_classifier(
+            [tokenize(text) for text, _ in samples],
+            [label for _, label in samples],
+            cnn_cfg,
+            config.vocab_size,
+            penalty,
+        )
 
         cm = ConfusionMatrix.empty()
-        tokens = [tokenize(_masked_text(record)) for record in test_records]
+        tokens = [tokenize(masked_text(r.text, r.entity)) for r in test_records]
         for predicted, record in zip(predict(model, tokens, vocab, cnn_cfg)[0], test_records):
             cm.add(predicted, record.label)
         result = FoldResult(fold, cm, metrics(cm), len(samples), len(test_records))

@@ -55,7 +55,6 @@ class LearningTrace:
     iterations: list[tuple[float, float]]
     lexicon: Lexicon
     converged: bool = True
-    stopped_early: bool = False
 
     def trace_lines(self) -> list[str]:
         return [
@@ -192,7 +191,6 @@ def train_iterative(
     lexicon = seed_lexicon
     iterations: list[tuple[float, float]] = []
     converged = True
-    stopped_early = False
     prev_combined: float | None = None
     tol, max_iter = config.solver_tol, config.solver_max_iter
     for _ in range(config.max_outer_iterations):
@@ -224,13 +222,7 @@ def train_iterative(
         iterations.append((adverb_objective, word_objective))
         combined = adverb_objective + word_objective
         if prev_combined is not None and (prev_combined - combined) < config.solver_tol:
-            stopped_early = True
             break
         prev_combined = combined
 
-    return LearningTrace(
-        iterations=iterations,
-        lexicon=lexicon,
-        converged=converged,
-        stopped_early=stopped_early,
-    )
+    return LearningTrace(iterations=iterations, lexicon=lexicon, converged=converged)

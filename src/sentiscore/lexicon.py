@@ -80,6 +80,11 @@ def mask_target(text: str, entity: str) -> str:
     return TARGET_TOKEN.join(pattern.sub(TARGET_TOKEN, seg) for seg in segments)
 
 
+def masked_text(text: str, entity: str | None) -> str:
+    """``text`` with ``entity`` masked as TARGET, or as is when no entity is given."""
+    return mask_target(text, entity) if entity else text
+
+
 @dataclass(frozen=True)
 class WordEntry:
     """A sentiment word's signed score and its declared polarity."""
@@ -289,8 +294,7 @@ def make_mention(
     """
     if label not in LABELS:
         raise LexiconError(f"unknown label: {label!r}")
-    if entity:
-        text = mask_target(text, entity)
+    text = masked_text(text, entity)
     tokens = tuple(tokenize(text))
     pairs = tuple(extract_pairs(tokens, lexicon))
     if target_score is None:
@@ -333,8 +337,10 @@ def save_lexicon(lexicon: Lexicon, path) -> None:
 
 
 def load_lexicon(path) -> Lexicon:
+    """Read a lexicon file; a term may be listed once, as a word or an adverb."""
     words: dict[str, WordEntry] = {}
     adverbs: dict[str, float] = {}
+    listed_at: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -352,6 +358,11 @@ def load_lexicon(path) -> Lexicon:
                 raise LexiconError(f"{path}:{lineno}: bad score {score_text!r}") from None
             if not math.isfinite(score):
                 raise LexiconError(f"{path}:{lineno}: non-finite score {score_text!r}")
+            if term in listed_at:
+                raise LexiconError(
+                    f"{path}:{lineno}: term {term!r} already listed at line {listed_at[term]}"
+                )
+            listed_at[term] = lineno
             if kind == "word":
                 words[term] = WordEntry(score, polarity)
             elif kind == "adverb":

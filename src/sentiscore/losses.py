@@ -52,9 +52,6 @@ class PenaltyMatrix:
     def default(cls) -> "PenaltyMatrix":
         return cls(np.array(DEFAULT_PENALTIES))
 
-    def weight(self, predicted: int, expected: int) -> float:
-        return float(self.weights[predicted, expected])
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PenaltyMatrix):
             return NotImplemented
@@ -110,42 +107,22 @@ def loss_and_logit_grad(
     return weight * loss, weight[:, None] * grad
 
 
-def _single(y: np.ndarray, probs: np.ndarray, penalty: PenaltyMatrix | None):
-    loss, grad = loss_and_logit_grad(np.array([_one_hot_index(y)]), probs[None], penalty)
-    return float(loss[0]), grad[0]
+def _single_loss(y: np.ndarray, y_hat: np.ndarray, penalty: PenaltyMatrix | None) -> float:
+    probs = _check_distribution(y_hat)
+    loss, _ = loss_and_logit_grad(np.array([_one_hot_index(y)]), probs[None], penalty)
+    return float(loss[0])
 
 
 def cross_entropy(y: np.ndarray, y_hat: np.ndarray) -> float:
     """Negative log probability of the true label, floored like the batch loss."""
-    return _single(y, _check_distribution(y_hat), None)[0]
+    return _single_loss(y, y_hat, None)
 
 
 def weighted_cross_entropy(
     y: np.ndarray, y_hat: np.ndarray, penalty: PenaltyMatrix
 ) -> float:
     """Cross entropy scaled by the penalty for this (predicted, expected) pair."""
-    return _single(y, _check_distribution(y_hat), penalty)[0]
-
-
-def weighted_ce_grad_logits(
-    y: np.ndarray, logits: np.ndarray, penalty: PenaltyMatrix | None
-) -> np.ndarray:
-    """Gradient of the weighted loss with respect to pre-softmax logits.
-
-    The plain softmax cross-entropy gradient scaled by the penalty
-    weight; ``penalty=None`` recovers the unweighted gradient.
-    """
-    logits = np.asarray(logits, dtype=float)
-    if not np.all(np.isfinite(logits)):
-        raise LossError("logits must be finite")
-    return _single(y, softmax(logits), penalty)[1]
-
-
-def label_loss(
-    y: np.ndarray, y_hat: np.ndarray, penalty: PenaltyMatrix | None
-) -> float:
-    """Weighted loss when a penalty is given, plain cross entropy otherwise."""
-    return _single(y, _check_distribution(y_hat), penalty)[0]
+    return _single_loss(y, y_hat, penalty)
 
 
 def one_hot(index: int) -> np.ndarray:

@@ -98,6 +98,8 @@ class CorpusConfig:
             raise GeneratorError("min_occurrences must be >= 1")
         if not 0.0 <= self.mixed_rate < 1.0:
             raise GeneratorError("mixed_rate must be in [0, 1)")
+        if self.rng_seed < 0:
+            raise GeneratorError("rng_seed must be >= 0")
 
 
 def make_true_lexicon(word_count: int, adverb_count: int, rng: np.random.Generator) -> Lexicon:
@@ -240,13 +242,6 @@ def generate_corpus(config: CorpusConfig) -> tuple[list[MentionRecord], Lexicon]
             adverb = _pick(rng, adverbs)
         return (adverb, _pick(rng, pool))
 
-    def parts_score(parts: Sequence[tuple[str | None, str]]) -> float:
-        total = 0.0
-        for adverb, word in parts:
-            scale = 1.0 if adverb is None else lexicon.adverb_score(adverb)
-            total += scale * lexicon.word_score(word)
-        return total
-
     def random_parts(label: str, pool: Sequence[str]) -> list[tuple[str | None, str]]:
         # A mixed mention carries one word of each polarity and is kept
         # only when its net score clears a margin on the requested side.
@@ -257,7 +252,7 @@ def generate_corpus(config: CorpusConfig) -> tuple[list[MentionRecord], Lexicon]
         if positive_words and negative_words and rng.random() < config.mixed_rate:
             for _ in range(20):
                 parts = [draw_one(positive_words), draw_one(negative_words)]
-                net = parts_score(parts)
+                net = score_mention(parts, lexicon)
                 if net > _MIXED_MARGIN and label == POSITIVE:
                     return parts
                 if net < -_MIXED_MARGIN and label == NEGATIVE:

@@ -35,13 +35,15 @@ class Vocab:
         return self._index.get(term, UNK_INDEX)
 
 
-def build_vocab(corpus: Iterable[Sequence[str]], max_size: int) -> Vocab:
-    """Vocabulary of the ``max_size`` most frequent terms plus PAD and UNK.
+def build_vocab(corpus: Iterable[Sequence[str]], vocab_size: int) -> Vocab:
+    """Vocabulary of the ``vocab_size`` most frequent terms plus PAD and UNK.
 
     ``corpus`` is an iterable of token sequences. Frequency ties break
     lexicographically, so the result is deterministic. An empty corpus
-    is an error.
+    or a ``vocab_size`` below 1 is an error.
     """
+    if vocab_size < 1:
+        raise ValueError(f"vocab_size must be >= 1, got {vocab_size}")
     token_lists = list(corpus)
     if not token_lists:
         raise ValueError("corpus is empty")
@@ -49,5 +51,5 @@ def build_vocab(corpus: Iterable[Sequence[str]], max_size: int) -> Vocab:
     for tokens in token_lists:
         counts.update(tokens)
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    kept = [term for term, _ in ranked[:max_size]]
+    kept = [term for term, _ in ranked[:vocab_size]]
     return Vocab(tuple([PAD, UNK] + kept))

@@ -157,7 +157,7 @@ def reference_step(model, batch, config, penalty, gen):
 
         probs = np.exp(logits - logits.max())
         probs /= probs.sum()
-        weight = 1.0 if penalty is None else penalty.weight(int(np.argmax(probs)), label)
+        weight = 1.0 if penalty is None else penalty.weights[int(np.argmax(probs)), label]
         total += weight * -np.log(max(probs[label], 1e-12))
         dlogits = probs.copy()
         dlogits[label] -= 1.0

@@ -6,9 +6,10 @@ import re
 
 import pytest
 
-from sentiscore.cli import main
+from sentiscore.augment import AugmentConfig
+from sentiscore.cli import _build_parser, _config, _parse_mix, main
 from sentiscore.cnn import CnnConfig
-from sentiscore.evaluate import ExperimentConfig, save_experiment_config
+from sentiscore.evaluate import ExperimentConfig, config_to_text
 from sentiscore.learner import LearningConfig
 from sentiscore.lexicon import (
     NEGATIVE,
@@ -18,7 +19,7 @@ from sentiscore.lexicon import (
     load_mention_records,
     save_lexicon,
 )
-from sentiscore.synthetic import coarse_seed_lexicon
+from sentiscore.synthetic import CorpusConfig, coarse_seed_lexicon
 
 
 def gen_corpus(tmp_path, name="corpus.tsv", **flags):
@@ -86,6 +87,16 @@ class TestGenCorpus:
         )
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+
+    def test_negative_seed_exits_1_naming_field(self, tmp_path, capsys):
+        code = main(
+            ["gen-corpus", "--out", str(tmp_path / "x.tsv"), "--lexicon-out",
+             str(tmp_path / "x.lex"), "--seed", "-1"]
+        )
+        assert code == 1
+        assert "error: rng_seed must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "x.tsv").exists()
 
 
 class TestLearnScores:
@@ -442,6 +453,22 @@ class TestTrainPredict:
         assert "error:" in capsys.readouterr().err
         assert not checkpoint.exists()
 
+    @pytest.mark.parametrize(
+        "flag, field",
+        [
+            (["--vocab-size", "-1"], "vocab_size"),
+            (["--vocab-size", "0"], "vocab_size"),
+            (["--seed", "-2"], "rng_seed"),
+        ],
+    )
+    def test_bad_vocab_size_or_seed_exits_1_naming_field(self, tmp_path, capsys, flag, field):
+        corpus, _ = gen_corpus(tmp_path, size=30, words=6, seed=4)
+        checkpoint = tmp_path / "model.ckpt"
+        code = main(["train", "--corpus", str(corpus), "--out", str(checkpoint)] + flag)
+        assert code == 1
+        assert f"error: {field} must be" in capsys.readouterr().err
+        assert not checkpoint.exists()
+
     def test_checkpoint_with_unknown_config_key_exits_1(self, tmp_path, capsys):
         corpus, _ = gen_corpus(tmp_path, size=60, words=6, seed=4)
         checkpoint = self.train(tmp_path, corpus)
@@ -488,7 +515,7 @@ class TestEvaluate:
             ),
         )
         config_path = tmp_path / "experiment.ini"
-        save_experiment_config(config_path, config)
+        config_path.write_text(config_to_text(config), encoding="utf-8")
         report_path = tmp_path / "report.txt"
         code = main(
             [
@@ -528,7 +555,7 @@ class TestEvaluate:
             ),
         )
         config_path = tmp_path / "experiment.ini"
-        save_experiment_config(config_path, config)
+        config_path.write_text(config_to_text(config), encoding="utf-8")
         report_path = tmp_path / "report.txt"
         code = main(
             [
@@ -581,6 +608,17 @@ class TestEvaluate:
 
 
 
+    def test_negative_seed_exits_1_naming_field(self, tmp_path, capsys):
+        corpus, _ = gen_corpus(tmp_path, size=60, words=6, seed=4)
+        report_path = tmp_path / "r.txt"
+        code = main(
+            ["evaluate", "--corpus", str(corpus), "--out", str(report_path), "--seed", "-3"]
+        )
+        assert code == 1
+        assert "error: rng_seed must be >= 0" in capsys.readouterr().err
+        assert not report_path.exists()
+
+
 class TestParserBehavior:
     def test_no_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -603,3 +641,22 @@ class TestParserBehavior:
                 main([command, "--help"])
             assert excinfo.value.code == 0
             assert needle in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["learn-scores", "--mentions", "m", "--lexicon", "l", "--out", "o"], LearningConfig()),
+            (["augment", "--corpus", "c", "--lexicon", "l", "--out", "o"], AugmentConfig()),
+            (["train", "--corpus", "c", "--out", "o"], CnnConfig()),
+            (["gen-corpus", "--out", "o", "--lexicon-out", "l"], CorpusConfig()),
+        ],
+        ids=["learn-scores", "augment", "train", "gen-corpus"],
+    )
+    def test_required_flags_alone_give_the_default_config(self, argv, expected):
+        args = _build_parser().parse_args(argv)
+        overrides = {}
+        if isinstance(expected, CorpusConfig):
+            overrides["class_mix"] = _parse_mix(args.class_mix)
+        assert _config(type(expected), args, **overrides) == expected
+        if isinstance(expected, CnnConfig):
+            assert args.vocab_size == ExperimentConfig().vocab_size

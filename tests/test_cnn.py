@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -20,17 +21,20 @@ from sentiscore.cnn import (
     load_checkpoint,
     predict,
     save_checkpoint,
+    train_classifier,
     train_step,
 )
-from sentiscore.lexicon import LABELS
+from sentiscore.embeddings import sequence_indices
+from sentiscore.lexicon import LABEL_INDEX, LABELS
 from sentiscore.losses import (
     PenaltyMatrix,
-    label_loss,
+    cross_entropy,
+    loss_and_logit_grad,
     one_hot,
     softmax,
-    weighted_ce_grad_logits,
+    weighted_cross_entropy,
 )
-from sentiscore.vocab import PAD, UNK, Vocab
+from sentiscore.vocab import PAD, UNK, Vocab, build_vocab
 
 
 def tiny_config(**overrides) -> CnnConfig:
@@ -86,6 +90,10 @@ class TestConfig:
         with pytest.raises(CnnError, match=f"{name} must be >= 1"):
             tiny_config(**{name: 0})
 
+    def test_negative_seed_names_the_field(self):
+        with pytest.raises(CnnError, match="rng_seed must be >= 0"):
+            tiny_config(rng_seed=-2)
+
 
 def random_batch(config: CnnConfig, seed: int, size: int = 3) -> np.ndarray:
     rng = np.random.default_rng(seed)
@@ -111,7 +119,7 @@ class TestForward:
             self.check_loop_reference(config)
 
     def check_loop_reference(self, config):
-        model = init_model(vocab_size=9, config=config, seed=5)
+        model = init_model(vocab_size=9, config=replace(config, rng_seed=5))
         embedded = random_batch(config, seed=11)
         logits, _ = forward(model, embedded, config)
 
@@ -132,7 +140,7 @@ class TestForward:
 
     def test_max_over_time_pools_whole_columns(self):
         config = tiny_config(pooling="max_over_time")
-        model = init_model(vocab_size=9, config=config, seed=2)
+        model = init_model(vocab_size=9, config=replace(config, rng_seed=2))
         embedded = random_batch(config, seed=3)
         _, cache = forward(model, embedded, config)
         assert cache.pooled.shape == (3, 3)
@@ -180,22 +188,28 @@ def finite_difference_check(config: CnnConfig, seed: int, penalty=None) -> float
     """Worst relative error between analytic and central-difference grads.
 
     Runs on a batch of three sequences: the loss is the sum of the
-    per-example losses, whose gradient ``backward`` returns.
+    per-example losses, whose gradient ``backward`` returns. The analytic
+    side is the training loss ``loss_and_logit_grad``; the numeric side
+    differences the paper's per-example formulas.
     """
-    model = init_model(vocab_size=8, config=config, seed=seed)
+    seeded = replace(config, rng_seed=seed)
+    model = init_model(vocab_size=8, config=seeded)
     embedded = random_batch(config, seed=seed + 100)
     labels = [(seed + i) % 3 for i in range(len(embedded))]
     h = 1e-5
 
     logits, cache = forward(model, embedded, config)
-    dlogits = np.stack(
-        [weighted_ce_grad_logits(one_hot(y), row, penalty) for y, row in zip(labels, logits)]
-    )
+    _, dlogits = loss_and_logit_grad(np.array(labels), softmax(logits), penalty)
     grads = backward(model, config, cache, dlogits)
+
+    def example_loss(y: int, row: np.ndarray) -> float:
+        if penalty is None:
+            return cross_entropy(one_hot(y), softmax(row))
+        return weighted_cross_entropy(one_hot(y), softmax(row), penalty)
 
     def loss_at(candidate, x) -> float:
         out, _ = forward(candidate, x, config)
-        return sum(label_loss(one_hot(y), softmax(row), penalty) for y, row in zip(labels, out))
+        return sum(example_loss(y, row) for y, row in zip(labels, out))
 
     worst = 0.0
 
@@ -220,7 +234,7 @@ def finite_difference_check(config: CnnConfig, seed: int, penalty=None) -> float
     x = embedded.copy()
 
     def rebuild():
-        candidate = init_model(vocab_size=8, config=config, seed=seed)
+        candidate = init_model(vocab_size=8, config=seeded)
         candidate = type(candidate)(
             embedding=candidate.embedding,
             filters=filters,
@@ -400,11 +414,43 @@ class TestFit:
             npt.assert_allclose(getattr(model, name), getattr(expected_model, name), atol=1e-12)
 
 
+class TestTrainClassifier:
+    TEXTS = [
+        ["good", "fine", "day"],
+        ["bad", "poor"],
+        ["a", "day", "out"],
+        ["fine", "good"],
+        ["poor", "sad", "day"],
+        ["out", "a"],
+        ["nice", "good", "good"],
+    ]
+    LABELS = ["positive", "negative", "neutral", "positive", "negative", "neutral", "positive"]
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_matches_the_inline_recipe(self, weighted):
+        config = tiny_config(dropout_rate=0.5, epochs=4, rng_seed=7)
+        penalty = PenaltyMatrix.default() if weighted else None
+        model, vocab, history = train_classifier(self.TEXTS, self.LABELS, config, 6, penalty)
+
+        expected_vocab = build_vocab(self.TEXTS, 6)
+        dataset = [
+            (sequence_indices(tokens, expected_vocab, config.sequence_length), LABEL_INDEX[label])
+            for tokens, label in zip(self.TEXTS, self.LABELS)
+        ]
+        expected, expected_history = fit(
+            init_model(len(expected_vocab), config), dataset, config, penalty
+        )
+        assert vocab == expected_vocab and len(vocab) == 8
+        assert history == expected_history
+        for name in ("embedding", "filters", "filter_bias", "dense_w", "dense_b"):
+            npt.assert_array_equal(getattr(model, name), getattr(expected, name))
+
+
 class TestPredict:
     def test_chunks_agree_with_single_sequences(self):
         config = tiny_config(batch_size=2)
         vocab = Vocab((PAD, UNK, "good", "fine", "nice", "bad", "poor", "sad"))
-        model = init_model(len(vocab), config, seed=3)
+        model = init_model(len(vocab), replace(config, rng_seed=3))
         texts = [["good"], ["bad", "poor"], [], ["nice", "unknown", "sad"], ["fine"] * 9]
         labels, probs = predict(model, texts, vocab, config)
         assert probs.shape == (5, 3)
@@ -416,7 +462,7 @@ class TestPredict:
     def test_takes_a_lazy_iterable(self):
         config = tiny_config(batch_size=2)
         vocab = Vocab((PAD, UNK, "good", "bad"))
-        model = init_model(len(vocab), config, seed=3)
+        model = init_model(len(vocab), replace(config, rng_seed=3))
         texts = [["good"], ["bad"], ["good", "bad"]]
         labels, probs = predict(model, (text for text in texts), vocab, config)
         expected_labels, expected = predict(model, texts, vocab, config)
@@ -511,11 +557,13 @@ class TestCheckpoint:
 
 class TestInitModel:
     def test_seeded_determinism(self):
-        config = tiny_config()
-        a = init_model(9, config, seed=4)
-        b = init_model(9, config, seed=4)
+        config = tiny_config(rng_seed=4)
+        a = init_model(9, config)
+        b = init_model(9, config)
         npt.assert_array_equal(a.filters, b.filters)
         npt.assert_array_equal(a.embedding, b.embedding)
+        other = init_model(9, replace(config, rng_seed=5))
+        assert not np.array_equal(a.filters, other.filters)
 
     def test_shapes_check_against_config(self):
         config = tiny_config()

@@ -21,7 +21,6 @@ from sentiscore.evaluate import (
     parse_experiment_config,
     rebalance,
     run_experiment,
-    save_experiment_config,
     save_report,
     variant_uses_learner,
     variant_uses_weighted_loss,
@@ -274,12 +273,16 @@ class TestConfigRoundTrip:
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "experiment.ini"
         config = ExperimentConfig(k=4, variant="cnn-cross")
-        save_experiment_config(path, config)
+        path.write_text(config_to_text(config), encoding="utf-8")
         assert load_experiment_config(path) == config
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(EvalError):
             ExperimentConfig(variant="cnn-extra")
+
+    def test_negative_seed_names_the_field(self):
+        with pytest.raises(EvalError, match="rng_seed must be >= 0"):
+            ExperimentConfig(rng_seed=-3)
 
 
 def every_section_changed() -> ExperimentConfig:

@@ -281,6 +281,21 @@ class TestLexiconRoundTrip:
         with pytest.raises(LexiconError, match="lex.tsv:2: term 'not-bad' is not a single"):
             load_lexicon(path)
 
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            ("good\tword\tpositive\t1.0", "good\tword\tpositive\t0.5"),
+            ("very\tadverb\tn/a\t1.5", "very\tadverb\tn/a\t2.0"),
+            ("good\tword\tpositive\t1.0", "good\tadverb\tn/a\t1.5"),
+        ],
+        ids=["word-twice", "adverb-twice", "word-and-adverb"],
+    )
+    def test_term_listed_twice_reports_both_lines(self, tmp_path, first, second):
+        path = tmp_path / "lex.tsv"
+        path.write_text(f"{first}\nbad\tword\tnegative\t-1.0\n{second}\n")
+        with pytest.raises(LexiconError, match="lex.tsv:3: term '[a-z]+' already listed at line 1"):
+            load_lexicon(path)
+
 
 class TestMentionRecords:
     def test_round_trip(self, tmp_path):

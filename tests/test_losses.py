@@ -10,12 +10,17 @@ from sentiscore.losses import (
     LossError,
     PenaltyMatrix,
     cross_entropy,
-    label_loss,
+    loss_and_logit_grad,
     one_hot,
     softmax,
-    weighted_ce_grad_logits,
     weighted_cross_entropy,
 )
+
+
+def loss_and_grad(y: np.ndarray, logits: np.ndarray, penalty):
+    """One example's loss and logit gradient through the batched training loss."""
+    loss, grad = loss_and_logit_grad(np.array([int(np.argmax(y))]), softmax(logits)[None], penalty)
+    return float(loss[0]), grad[0]
 
 
 class TestPenaltyMatrix:
@@ -40,10 +45,14 @@ class TestPenaltyMatrix:
             PenaltyMatrix(np.ones((2, 2)))
 
     def test_weight_lookup_is_predicted_then_expected(self):
+        # Rows are one-hot-ish predictions; each row's loss is scaled by
+        # weights[predicted, expected].
         matrix = PenaltyMatrix.default()
-        assert matrix.weight(0, 1) == 4.0
-        assert matrix.weight(2, 0) == 2.0
-        assert matrix.weight(1, 1) == 1.0
+        probs = np.array([[0.8, 0.1, 0.1], [0.1, 0.1, 0.8], [0.1, 0.8, 0.1]])
+        labels = np.array([1, 0, 1])
+        plain, _ = loss_and_logit_grad(labels, probs, None)
+        weighted, _ = loss_and_logit_grad(labels, probs, matrix)
+        npt.assert_allclose(weighted / plain, [4.0, 2.0, 1.0], rtol=1e-15)
 
 
 class TestSoftmax:
@@ -121,7 +130,7 @@ class TestWeightedCrossEntropy:
 class TestGradients:
     def test_plain_gradient_is_softmax_minus_target(self):
         logits = np.array([0.5, -0.2, 1.0])
-        grad = weighted_ce_grad_logits(one_hot(1), logits, None)
+        _, grad = loss_and_grad(one_hot(1), logits, None)
         npt.assert_allclose(grad, softmax(logits) - one_hot(1), atol=1e-12)
 
     def test_weighted_gradient_scales_plain_gradient(self):
@@ -130,9 +139,9 @@ class TestGradients:
         for _ in range(30):
             logits = rng.normal(scale=2.0, size=3)
             y = one_hot(int(rng.integers(3)))
-            weight = penalty.weight(int(np.argmax(softmax(logits))), int(np.argmax(y)))
+            weight = penalty.weights[int(np.argmax(softmax(logits))), int(np.argmax(y))]
             npt.assert_allclose(
-                weighted_ce_grad_logits(y, logits, penalty),
+                loss_and_grad(y, logits, penalty)[1],
                 weight * (softmax(logits) - y),
                 atol=1e-12,
             )
@@ -140,7 +149,7 @@ class TestGradients:
     def test_none_penalty_recovers_plain_gradient(self):
         logits = np.array([0.1, 0.2, 0.3])
         npt.assert_array_equal(
-            weighted_ce_grad_logits(one_hot(2), logits, None),
+            loss_and_grad(one_hot(2), logits, None)[1],
             softmax(logits) - one_hot(2),
         )
 
@@ -155,7 +164,7 @@ class TestGradients:
             if probs[-1] - probs[-2] < 1e-3:
                 continue  # keep away from argmax switches
             y = one_hot(int(rng.integers(3)))
-            grad = weighted_ce_grad_logits(y, logits, penalty)
+            _, grad = loss_and_grad(y, logits, penalty)
             for j in range(3):
                 up = logits.copy()
                 up[j] += h
@@ -170,20 +179,22 @@ class TestGradients:
         assert checked >= 30
 
     def test_non_finite_logits_rejected(self):
-        with pytest.raises(LossError):
-            weighted_ce_grad_logits(one_hot(0), np.array([np.nan, 0.0, 0.0]), None)
+        # The batched loss does not validate: a non-finite logit yields a
+        # non-finite loss, which train_step rejects as TrainingDiverged.
+        for penalty in (None, PenaltyMatrix.default()):
+            loss, grad = loss_and_grad(one_hot(0), np.array([np.nan, 0.0, 0.0]), penalty)
+            assert not np.isfinite(loss)
+            assert not np.all(np.isfinite(grad))
 
 
-class TestLabelLoss:
+class TestLossAndLogitGrad:
     def test_dispatches_on_penalty(self):
         y_hat = np.array([0.2, 0.5, 0.3])
-        assert label_loss(one_hot(0), y_hat, None) == pytest.approx(
-            cross_entropy(one_hot(0), y_hat)
-        )
+        plain, _ = loss_and_logit_grad(np.array([0]), y_hat[None], None)
+        assert plain[0] == pytest.approx(cross_entropy(one_hot(0), y_hat))
         penalty = PenaltyMatrix.default()
-        assert label_loss(one_hot(0), y_hat, penalty) == pytest.approx(
-            weighted_cross_entropy(one_hot(0), y_hat, penalty)
-        )
+        weighted, _ = loss_and_logit_grad(np.array([0]), y_hat[None], penalty)
+        assert weighted[0] == pytest.approx(weighted_cross_entropy(one_hot(0), y_hat, penalty))
 
 
 class TestOneHot:

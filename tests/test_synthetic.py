@@ -224,3 +224,7 @@ class TestValidation:
     def test_bad_configs_rejected(self, overrides):
         with pytest.raises(GeneratorError):
             CorpusConfig(**{**dict(size=50, word_count=6, adverb_count=2), **overrides})
+
+    def test_negative_seed_names_the_field(self):
+        with pytest.raises(GeneratorError, match="rng_seed must be >= 0"):
+            CorpusConfig(rng_seed=-1)

@@ -45,18 +45,24 @@ class TestVocab:
 
     def test_build_ranks_by_frequency_then_term(self):
         corpus = [["b", "a", "a"], ["b", "c"]]
-        vocab = build_vocab(corpus, max_size=10)
+        vocab = build_vocab(corpus, vocab_size=10)
         # a and b both occur twice; the tie breaks alphabetically.
         assert vocab.terms == (PAD, UNK, "a", "b", "c")
 
     def test_build_truncates_to_max_size(self):
         corpus = [["a", "a", "b", "b", "c"]]
-        vocab = build_vocab(corpus, max_size=2)
+        vocab = build_vocab(corpus, vocab_size=2)
         assert vocab.terms == (PAD, UNK, "a", "b")
 
     def test_build_rejects_empty_corpus(self):
         with pytest.raises(ValueError):
-            build_vocab([], max_size=5)
+            build_vocab([], vocab_size=5)
+
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_build_rejects_size_below_one(self, size):
+        # -1 once sliced off the least frequent term; 0 kept only PAD and UNK.
+        with pytest.raises(ValueError, match=f"vocab_size must be >= 1, got {size}"):
+            build_vocab([["a", "b", "b"]], vocab_size=size)
 
 
 class TestSequenceEncoding:

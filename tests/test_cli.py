@@ -88,7 +88,6 @@ class TestGenCorpus:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
-
     def test_negative_seed_exits_1_naming_field(self, tmp_path, capsys):
         code = main(
             ["gen-corpus", "--out", str(tmp_path / "x.tsv"), "--lexicon-out",
@@ -605,8 +604,6 @@ class TestEvaluate:
         assert code == 1
         assert "unknown key 'epoch'" in capsys.readouterr().err
         assert not report_path.exists()
-
-
 
     def test_negative_seed_exits_1_naming_field(self, tmp_path, capsys):
         corpus, _ = gen_corpus(tmp_path, size=60, words=6, seed=4)

@@ -45,8 +45,8 @@ class TestPenaltyMatrix:
             PenaltyMatrix(np.ones((2, 2)))
 
     def test_weight_lookup_is_predicted_then_expected(self):
-        # Rows are one-hot-ish predictions; each row's loss is scaled by
-        # weights[predicted, expected].
+        # The rows predict 0, 2, 1 against expected 1, 0, 1, so their losses
+        # scale by weights[0, 1] = 4, weights[2, 0] = 2 and weights[1, 1] = 1.
         matrix = PenaltyMatrix.default()
         probs = np.array([[0.8, 0.1, 0.1], [0.1, 0.1, 0.8], [0.1, 0.8, 0.1]])
         labels = np.array([1, 0, 1])

@@ -25,6 +25,9 @@ from sentiscore.cnn import (
     save_checkpoint,
     train_classifier,
 )
+# Unused here, but perfbench/tests/test_perfbench.py checks that its tracer
+# rebinds this cross-module import of cnn.fit and restores it.
+from sentiscore.cnn import fit  # noqa: F401
 from sentiscore.learner import LearningConfig, train_iterative
 from sentiscore.lexicon import (
     LABEL_SCORES,
@@ -72,8 +75,8 @@ _TRAIN_FLAGS = {
     "window": ("--window", "convolution window height"),
     "filter_count": ("--filters", "convolution filters"),
     "pool_window": ("--pool-window", "pooling chunk height"),
-    "pooling": ("--pooling", "pooling mode"),
-    "activation": ("--activation", "convolution activation"),
+    "pooling": ("--pooling", "pooling mode", {"choices": POOLING_MODES, "metavar": None}),
+    "activation": ("--activation", "convolution activation", {"choices": ACTIVATIONS, "metavar": None}),
     "dropout_rate": ("--dropout", "dropout rate"),
     "learning_rate": ("--learning-rate", "SGD step"),
     "epochs": ("--epochs", "training epochs"),
@@ -86,36 +89,36 @@ _CORPUS_FLAGS = {
     "size": ("--size", "mention count"),
     "word_count": ("--words", "sentiment word count"),
     "adverb_count": ("--adverbs", "modifier count"),
-    "class_mix": ("--mix", "positive,negative,neutral fractions"),
+    # Text for _parse_mix, so a malformed mix exits 1, not 2.
+    "class_mix": (
+        "--mix",
+        "positive,negative,neutral fractions",
+        {"default": ",".join(str(CorpusConfig().class_mix[label]) for label in LABELS)},
+    ),
     "noise_rate": ("--noise", "label flip rate"),
     "min_occurrences": ("--min-occurrences", "per-term coverage floor"),
     "adverb_rate": ("--adverb-rate", "chance a sentiment word is modified"),
     "rng_seed": ("--seed", "rng seed"),
 }
-_CHOICES = {"pooling": POOLING_MODES, "activation": ACTIVATIONS}
 
 
 def _add_config_flags(parser: argparse.ArgumentParser, defaults, table: dict) -> None:
-    """Add one flag per ``{field: (flag, help)}`` entry, typed and defaulted
-    by ``defaults``. A boolean field's flag flips its default. ``class_mix``
-    stays text for :func:`_parse_mix`, so a malformed mix exits 1, not 2."""
-    for name, (flag, text) in table.items():
+    """Add one flag per ``{field: (flag, help[, overrides])}`` entry, typed and
+    defaulted by ``defaults`` unless ``overrides`` (argparse keywords) say
+    otherwise. A boolean field is on by default and its flag turns it off."""
+    for name, (flag, text, *overrides) in table.items():
         default = getattr(defaults, name)
         if isinstance(default, bool):
-            action = "store_false" if default else "store_true"
-            parser.add_argument(flag, dest=name, action=action, help=text)
+            parser.add_argument(flag, dest=name, action="store_false", help=text)
             continue
-        if name == "class_mix":
-            default = ",".join(str(default[label]) for label in LABELS)
-        choices = _CHOICES.get(name)
+        spec = {"default": default, "metavar": flag[2:].replace("-", "_").upper()}
+        spec.update(*overrides)
         parser.add_argument(
             flag,
             dest=name,
-            type=type(default),
-            default=default,
-            choices=choices,
-            metavar=None if choices else flag[2:].replace("-", "_").upper(),
-            help=f"{text} (default: {default})",
+            type=type(spec["default"]),
+            help=f"{text} (default: {spec['default']})",
+            **spec,
         )
 
 

@@ -448,6 +448,12 @@ class TestRunExperiment:
         with pytest.raises(EvalError):
             run_experiment(tiny_experiment(), records)
 
+    def test_vocab_size_follows_the_build_vocab_rule(self):
+        records, _ = tiny_corpus()
+        assert len(run_experiment(tiny_experiment(vocab_size=2), records).folds) == 3
+        with pytest.raises(ValueError, match="vocab_size must be >= 1, got 0"):
+            run_experiment(tiny_experiment(vocab_size=0), records)
+
 
 class TestReportText:
     def test_format_contains_sections_and_ascii(self, tmp_path):

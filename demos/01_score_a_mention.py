@@ -10,7 +10,7 @@ from sentiscore.lexicon import Lexicon, extract_pairs, mask_target, score_mentio
 
 # A small lexicon: positive words score above zero, negative below,
 # and adverbs carry a non-negative multiplier.
-lexicon = Lexicon.from_scores(
+lexicon = Lexicon(
     {"beautiful": 0.75, "sharp": 0.9, "blurry": -0.8, "slow": -0.6},
     {"very": 1.5, "slightly": 0.4},
 )

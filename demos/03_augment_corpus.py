@@ -10,7 +10,7 @@ opposite-sign replacement flips it and also swaps mapped comparatives
 from sentiscore.augment import AugmentConfig, augment_corpus, generate_variants
 from sentiscore.lexicon import Lexicon, make_mention, mask_target
 
-lexicon = Lexicon.from_scores(
+lexicon = Lexicon(
     {"horrible": -1.0, "poor": -1.0, "terrible": -1.0, "great": 1.0, "amazing": 1.0}
 )
 

@@ -12,28 +12,9 @@ The package provides:
 * cross entropy and penalty-weighted cross entropy losses
   (:mod:`sentiscore.losses`),
 * a small from-scratch CNN text classifier with word embeddings
-  (:mod:`sentiscore.vocab`, :mod:`sentiscore.embeddings`,
-  :mod:`sentiscore.cnn`),
+  (:mod:`sentiscore.vocab`, :mod:`sentiscore.cnn`),
 * a cross-validation evaluation harness and synthetic corpus generator
   (:mod:`sentiscore.evaluate`, :mod:`sentiscore.synthetic`).
 """
-
-from sentiscore.lexicon import (
-    Lexicon,
-    Mention,
-    extract_pairs,
-    mask_target,
-    score_mention,
-    tokenize,
-)
-
-__all__ = [
-    "Lexicon",
-    "Mention",
-    "extract_pairs",
-    "mask_target",
-    "score_mention",
-    "tokenize",
-]
 
 __version__ = "0.1.0"

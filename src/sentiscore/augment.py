@@ -22,7 +22,6 @@ from sentiscore.lexicon import (
     NEUTRAL,
     POSITIVE,
     Lexicon,
-    LexiconError,
     Mention,
     extract_pair_indices,
     is_token,
@@ -82,24 +81,22 @@ def _similarity_lookup(lexicon: Lexicon, delta: float) -> Callable:
     exact predicates then filter.
     """
     words = lexicon.words
-    by_magnitude = sorted(words, key=lambda term: abs(words[term].score))
-    magnitudes = [abs(words[term].score) for term in by_magnitude]
+    by_magnitude = sorted(words, key=lambda term: abs(words[term]))
+    magnitudes = [abs(words[term]) for term in by_magnitude]
 
     @cache
     def lookup(word: str) -> tuple[list[str], list[str]]:
-        entry = words.get(word)
-        if entry is None:
-            raise LexiconError(f"unknown sentiment word: {word!r}")
-        score, magnitude = entry.score, abs(entry.score)
+        score = lexicon.word_score(word)
+        magnitude = abs(score)
         lo = bisect_left(magnitudes, True, key=lambda a: not magnitude - a > delta)
         hi = bisect_left(magnitudes, True, lo=lo, key=lambda a: a - magnitude > delta)
         same_sign, opposite_sign = [], []
         for term in by_magnitude[lo:hi]:
             other = words[term]
-            if other.polarity == entry.polarity:
-                if term != word and abs(other.score - score) <= delta:
+            if (other > 0) == (score > 0):
+                if term != word and abs(other - score) <= delta:
                     same_sign.append(term)
-            elif abs(abs(other.score) - magnitude) <= delta:
+            elif abs(abs(other) - magnitude) <= delta:
                 opposite_sign.append(term)
         return sorted(same_sign), sorted(opposite_sign)
 

@@ -22,10 +22,9 @@ from typing import Iterable, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from sentiscore.embeddings import sequence_indices
 from sentiscore.lexicon import LABEL_INDEX, LABELS
 from sentiscore.losses import PenaltyMatrix, loss_and_logit_grad, softmax
-from sentiscore.vocab import PAD_INDEX, Vocab, build_vocab
+from sentiscore.vocab import PAD_INDEX, Vocab, build_vocab, sequence_indices
 
 CHUNKED = "chunked"
 MAX_OVER_TIME = "max_over_time"
@@ -169,18 +168,12 @@ def _activation_grad(pre: np.ndarray, activation: str) -> np.ndarray:
     return 1.0 - np.tanh(pre) ** 2
 
 
-def _as_rng(rng: np.random.Generator | int | None, fallback_seed: int) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(fallback_seed if rng is None else rng)
-
-
 def forward(
     model: CnnModel,
     embedded: np.ndarray,
     config: CnnConfig,
     dropout_active: bool = False,
-    rng: np.random.Generator | int | None = None,
+    rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, ForwardCache]:
     """Logits (B, 3) for B embedded N x K sequences, plus the backward cache.
 
@@ -188,9 +181,9 @@ def forward(
     sequence as one ``(B*P, d*K) @ (d*K, f)`` product. The feature
     columns are zero-padded back to N rows, and chunked pooling pads
     them on to whole chunks with -inf rows that never win a max. Dropout
-    uses inverted scaling and only fires when ``dropout_active`` and the
-    configured rate is nonzero; its one ``(B, q*f)`` draw takes the same
-    numbers from the generator as B draws of ``q*f``.
+    uses inverted scaling and only fires, drawing from ``rng``, when
+    ``dropout_active`` and the configured rate is nonzero; its one
+    ``(B, q*f)`` draw takes the same numbers as B draws of ``q*f``.
     """
     embedded = np.asarray(embedded, dtype=float)
     n, k = config.sequence_length, model.embedding.shape[1]
@@ -211,7 +204,7 @@ def forward(
     mask = None
     kept = pooled
     if dropout_active and config.dropout_rate > 0.0:
-        mask = _as_rng(rng, config.rng_seed).random(pooled.shape) >= config.dropout_rate
+        mask = rng.random(pooled.shape) >= config.dropout_rate
         kept = pooled * mask / (1.0 - config.dropout_rate)
 
     logits = kept @ model.dense_w + model.dense_b
@@ -272,16 +265,18 @@ def train_step(
     batch: Sequence[tuple[np.ndarray, int]],
     config: CnnConfig,
     penalty: PenaltyMatrix | None = None,
-    rng: np.random.Generator | int | None = None,
+    *,
+    rng: np.random.Generator,
 ) -> tuple[CnnModel, float]:
     """One mini-batch gradient-descent update of all parameters.
 
     ``batch`` holds ``(token_indices, label_index)`` items, run through
     one batched forward and backward pass. Sequences are embedded from
     the model's current matrix so embedding rows can receive gradients
-    when fine-tuning is enabled. Uses weighted cross entropy when a
-    penalty matrix is given, plain cross entropy otherwise. A non-finite
-    batch loss raises :class:`TrainingDiverged`.
+    when fine-tuning is enabled. Dropout draws from ``rng``. Uses
+    weighted cross entropy when a penalty matrix is given, plain cross
+    entropy otherwise. A non-finite batch loss raises
+    :class:`TrainingDiverged`.
     """
     if not batch:
         raise CnnError("batch must be non-empty")
@@ -289,8 +284,7 @@ def train_step(
     labels = np.array([label for _, label in batch], dtype=np.int64)
     if labels.min() < 0 or labels.max() >= len(LABELS):
         raise CnnError(f"label indices must lie in [0, {len(LABELS)})")
-    gen = _as_rng(rng, config.rng_seed)
-    logits, cache = forward(model, model.embedding[indices], config, dropout_active=True, rng=gen)
+    logits, cache = forward(model, model.embedding[indices], config, dropout_active=True, rng=rng)
     if not np.all(np.isfinite(logits)):
         raise TrainingDiverged("non-finite logits; lower the learning rate")
     losses, dlogits = loss_and_logit_grad(labels, softmax(logits), penalty)

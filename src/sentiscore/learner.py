@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from sentiscore.boxlsq import ConstrainedLsqProblem, solve
-from sentiscore.lexicon import POSITIVE, Lexicon, Mention
+from sentiscore.lexicon import Lexicon, Mention
 
 
 class LearnerError(ValueError):
@@ -153,7 +153,7 @@ def build_word_problem(
             values.append(1.0 if adverb is None else lexicon.adverb_score(adverb))
     design = _accumulate(cells, values, m_count * d).reshape(m_count, d)
     targets = np.array([mention.target_score for mention in mentions], dtype=float)
-    positive = np.array([lexicon.polarity(term) == POSITIVE for term in words])
+    positive = np.array([lexicon.word_score(term) > 0 for term in words])
     eps = config.epsilon_margin
     lower = np.where(positive, eps, -np.inf)
     upper = np.where(positive, np.inf, -eps)

@@ -85,64 +85,40 @@ def masked_text(text: str, entity: str | None) -> str:
     return mask_target(text, entity) if entity else text
 
 
-@dataclass(frozen=True)
-class WordEntry:
-    """A sentiment word's signed score and its declared polarity."""
-
-    score: float
-    polarity: str
-
-
 class Lexicon:
     """Immutable sentiment dictionary of words and modifiers.
 
-    ``words`` maps term to :class:`WordEntry`; ``adverbs`` maps term to a
-    non-negative score. Construction validates that terms are single
-    tokens (:func:`is_token`), scores match their polarity, modifier
-    scores are non-negative, and the two maps are disjoint.
+    ``words`` maps term to a signed score whose sign is the word's
+    polarity; ``adverbs`` maps term to a non-negative score. Construction
+    validates that terms are single tokens (:func:`is_token`), scores are
+    finite, word scores are nonzero, modifier scores are non-negative,
+    and the two maps are disjoint.
     """
 
     def __init__(
         self,
-        words: Mapping[str, WordEntry],
-        adverbs: Mapping[str, float],
+        word_scores: Mapping[str, float],
+        adverb_scores: Mapping[str, float] | None = None,
     ) -> None:
-        words = dict(words)
-        adverbs = {term: float(score) for term, score in adverbs.items()}
+        words = {term: float(score) for term, score in word_scores.items()}
+        adverbs = {term: float(score) for term, score in (adverb_scores or {}).items()}
         for term in (*words, *adverbs):
             if not is_token(term):
                 raise LexiconError(f"term {term!r} is not a single lowercase token")
-        for term, entry in words.items():
-            if entry.polarity not in (POSITIVE, NEGATIVE):
-                raise LexiconError(f"word {term!r}: polarity must be positive or negative")
-            if entry.polarity == POSITIVE and not entry.score > 0:
-                raise LexiconError(f"positive word {term!r} must have score > 0")
-            if entry.polarity == NEGATIVE and not entry.score < 0:
-                raise LexiconError(f"negative word {term!r} must have score < 0")
+        for term, score in words.items():
+            if not (math.isfinite(score) and score != 0.0):
+                raise LexiconError(f"word {term!r} must have a finite nonzero score")
         for term, score in adverbs.items():
-            if not score >= 0:
-                raise LexiconError(f"adverb {term!r} must have score >= 0")
+            if not (math.isfinite(score) and score >= 0):
+                raise LexiconError(f"adverb {term!r} must have a finite score >= 0")
         overlap = set(words) & set(adverbs)
         if overlap:
             raise LexiconError(f"terms in both maps: {sorted(overlap)}")
         self._words = words
         self._adverbs = adverbs
 
-    @classmethod
-    def from_scores(
-        cls,
-        word_scores: Mapping[str, float],
-        adverb_scores: Mapping[str, float] | None = None,
-    ) -> "Lexicon":
-        """Build a lexicon inferring polarity from each score's sign."""
-        words = {
-            term: WordEntry(float(s), POSITIVE if s > 0 else NEGATIVE)
-            for term, s in word_scores.items()
-        }
-        return cls(words, adverb_scores or {})
-
     @property
-    def words(self) -> Mapping[str, WordEntry]:
+    def words(self) -> Mapping[str, float]:
         return MappingProxyType(self._words)
 
     @property
@@ -163,15 +139,13 @@ class Lexicon:
 
     def word_score(self, term: str) -> float:
         try:
-            return self._words[term].score
+            return self._words[term]
         except KeyError:
             raise LexiconError(f"unknown sentiment word: {term!r}") from None
 
     def polarity(self, term: str) -> str:
-        try:
-            return self._words[term].polarity
-        except KeyError:
-            raise LexiconError(f"unknown sentiment word: {term!r}") from None
+        """The sign of the word's score, as :data:`POSITIVE` or :data:`NEGATIVE`."""
+        return POSITIVE if self.word_score(term) > 0 else NEGATIVE
 
     def adverb_score(self, term: str) -> float:
         try:
@@ -186,21 +160,16 @@ class Lexicon:
     ) -> "Lexicon":
         """Return a new lexicon with the given scores substituted in.
 
-        Polarities are preserved; terms absent from the update keep
-        their current score. Updated scores must still satisfy the
-        polarity invariants.
+        Terms absent from the update keep their current score. An updated
+        word must keep the sign of its current score, i.e. its polarity.
         """
-        words = dict(self._words)
-        for term, score in (word_scores or {}).items():
-            if term not in words:
-                raise LexiconError(f"unknown sentiment word: {term!r}")
-            words[term] = WordEntry(float(score), words[term].polarity)
-        adverbs = dict(self._adverbs)
-        for term, score in (adverb_scores or {}).items():
-            if term not in adverbs:
-                raise LexiconError(f"unknown adverb: {term!r}")
-            adverbs[term] = float(score)
-        return Lexicon(words, adverbs)
+        word_scores, adverb_scores = word_scores or {}, adverb_scores or {}
+        for term, score in word_scores.items():
+            if (score > 0) != (self.word_score(term) > 0):
+                raise LexiconError(f"word {term!r} must keep the sign of its score")
+        for term in adverb_scores:
+            self.adverb_score(term)  # raises on an unknown adverb
+        return Lexicon({**self._words, **word_scores}, {**self._adverbs, **adverb_scores})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Lexicon):
@@ -267,7 +236,6 @@ class Mention:
     """
 
     raw_text: str
-    tokens: tuple[str, ...]
     pairs: tuple[tuple[str | None, str], ...]
     label: str
     target_score: float
@@ -295,11 +263,10 @@ def make_mention(
     if label not in LABELS:
         raise LexiconError(f"unknown label: {label!r}")
     text = masked_text(text, entity)
-    tokens = tuple(tokenize(text))
-    pairs = tuple(extract_pairs(tokens, lexicon))
+    pairs = tuple(extract_pairs(tokenize(text), lexicon))
     if target_score is None:
         target_score = LABEL_SCORES[label]
-    return Mention(text, tokens, pairs, label, float(target_score))
+    return Mention(text, pairs, label, float(target_score))
 
 
 # ----------------------------------------------------------------------
@@ -328,8 +295,7 @@ class MentionRecord:
 def save_lexicon(lexicon: Lexicon, path) -> None:
     lines = []
     for term in lexicon.word_terms():
-        entry = lexicon.words[term]
-        lines.append(f"{term}\tword\t{entry.polarity}\t{entry.score!r}")
+        lines.append(f"{term}\tword\t{lexicon.polarity(term)}\t{lexicon.words[term]!r}")
     for term in lexicon.adverb_terms():
         lines.append(f"{term}\tadverb\tn/a\t{lexicon.adverbs[term]!r}")
     with open(path, "w", encoding="utf-8") as fh:
@@ -337,8 +303,11 @@ def save_lexicon(lexicon: Lexicon, path) -> None:
 
 
 def load_lexicon(path) -> Lexicon:
-    """Read a lexicon file; a term may be listed once, as a word or an adverb."""
-    words: dict[str, WordEntry] = {}
+    """Read a lexicon file; a term may be listed once, as a word or an adverb.
+
+    A word's polarity column must name the sign of its score.
+    """
+    words: dict[str, float] = {}
     adverbs: dict[str, float] = {}
     listed_at: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -346,29 +315,35 @@ def load_lexicon(path) -> Lexicon:
             line = line.rstrip("\n")
             if not line:
                 continue
+            at = f"{path}:{lineno}"
             fields = line.split("\t")
             if len(fields) != 4:
-                raise LexiconError(f"{path}:{lineno}: expected 4 fields, got {len(fields)}")
+                raise LexiconError(f"{at}: expected 4 fields, got {len(fields)}")
             term, kind, polarity, score_text = fields
             if not is_token(term):
-                raise LexiconError(f"{path}:{lineno}: term {term!r} is not a single lowercase token")
+                raise LexiconError(f"{at}: term {term!r} is not a single lowercase token")
             try:
                 score = float(score_text)
             except ValueError:
-                raise LexiconError(f"{path}:{lineno}: bad score {score_text!r}") from None
+                raise LexiconError(f"{at}: bad score {score_text!r}") from None
             if not math.isfinite(score):
-                raise LexiconError(f"{path}:{lineno}: non-finite score {score_text!r}")
+                raise LexiconError(f"{at}: non-finite score {score_text!r}")
             if term in listed_at:
-                raise LexiconError(
-                    f"{path}:{lineno}: term {term!r} already listed at line {listed_at[term]}"
-                )
+                raise LexiconError(f"{at}: term {term!r} already listed at line {listed_at[term]}")
             listed_at[term] = lineno
             if kind == "word":
-                words[term] = WordEntry(score, polarity)
+                if polarity not in (POSITIVE, NEGATIVE):
+                    raise LexiconError(f"{at}: word {term!r} must be positive or negative")
+                if score == 0.0 or (score > 0) != (polarity == POSITIVE):
+                    sign = ">" if polarity == POSITIVE else "<"
+                    raise LexiconError(f"{at}: {polarity} word {term!r} must have score {sign} 0")
+                words[term] = score
             elif kind == "adverb":
+                if score < 0:
+                    raise LexiconError(f"{at}: adverb {term!r} must have score >= 0")
                 adverbs[term] = score
             else:
-                raise LexiconError(f"{path}:{lineno}: unknown kind {kind!r}")
+                raise LexiconError(f"{at}: unknown kind {kind!r}")
     return Lexicon(words, adverbs)
 
 

@@ -47,6 +47,8 @@ _SENTIMENT_TEMPLATES = (
 )
 _TWO_PHRASE_TEMPLATE = "TARGET is {phrase} and {phrase2}"
 _MIXED_MARGIN = 0.3
+#: Chance a single-polarity mention carries a second word of its pool.
+_SECOND_WORD_RATE = 0.2
 _NEUTRAL_TEMPLATES = (
     "TARGET comes with a {f0} and a {f1}",
     "the {f0} on TARGET matches the {f1}",
@@ -74,7 +76,6 @@ class CorpusConfig:
     noise_rate: float = 0.0
     min_occurrences: int = 3
     adverb_rate: float = 0.5
-    second_word_rate: float = 0.2
     mixed_rate: float = 0.15
     rng_seed: int = 0
 
@@ -118,7 +119,7 @@ def make_true_lexicon(word_count: int, adverb_count: int, rng: np.random.Generat
     adverb_scores = {
         f"adv{i:02d}": float(rng.uniform(0.5, 1.5)) for i in range(adverb_count)
     }
-    return Lexicon.from_scores(word_scores, adverb_scores)
+    return Lexicon(word_scores, adverb_scores)
 
 
 def coarse_seed_lexicon(true_lexicon: Lexicon) -> Lexicon:
@@ -134,7 +135,7 @@ def coarse_seed_lexicon(true_lexicon: Lexicon) -> Lexicon:
         magnitude = 1.0 if abs(score) >= 1.0 else 0.5
         word_scores[term] = magnitude if score > 0 else -magnitude
     adverb_scores = {term: 1.0 for term in true_lexicon.adverb_terms()}
-    return Lexicon.from_scores(word_scores, adverb_scores)
+    return Lexicon(word_scores, adverb_scores)
 
 
 def _quotas(config: CorpusConfig) -> dict[str, int]:
@@ -223,24 +224,18 @@ def generate_corpus(config: CorpusConfig) -> tuple[list[MentionRecord], Lexicon]
     negative_words = [w for w in words if lexicon.word_score(w) < 0]
 
     quotas = _quotas(config)
-    jobs = _coverage_jobs(words, adverbs, config.min_occurrences)
-    needed = {POSITIVE: 0, NEGATIVE: 0}
-    for parts in jobs:
-        label = POSITIVE if lexicon.word_score(parts[0][1]) > 0 else NEGATIVE
-        needed[label] += 1
+    sentiment_jobs: dict[str, list[list[tuple[str | None, str]]]] = {POSITIVE: [], NEGATIVE: []}
+    for parts in _coverage_jobs(words, adverbs, config.min_occurrences):
+        sentiment_jobs[lexicon.polarity(parts[0][1])].append(parts)
     for label in (POSITIVE, NEGATIVE):
-        if needed[label] > quotas[label]:
+        if len(sentiment_jobs[label]) > quotas[label]:
             raise GeneratorError(
-                f"coverage needs {needed[label]} {label} mentions but the "
-                f"class mix allows {quotas[label]}; increase size or the "
-                f"{label} fraction"
+                f"coverage needs {len(sentiment_jobs[label])} {label} mentions but the class mix "
+                f"allows {quotas[label]}; increase size or the {label} fraction"
             )
 
-    def draw_one(pool: Sequence[str]) -> tuple[str | None, str]:
-        adverb = None
-        if adverbs and rng.random() < config.adverb_rate:
-            adverb = _pick(rng, adverbs)
-        return (adverb, _pick(rng, pool))
+    def draw_adverb() -> str | None:
+        return _pick(rng, adverbs) if adverbs and rng.random() < config.adverb_rate else None
 
     def random_parts(label: str, pool: Sequence[str]) -> list[tuple[str | None, str]]:
         # A mixed mention carries one word of each polarity and is kept
@@ -251,32 +246,21 @@ def generate_corpus(config: CorpusConfig) -> tuple[list[MentionRecord], Lexicon]
         # still reads two-sided.
         if positive_words and negative_words and rng.random() < config.mixed_rate:
             for _ in range(20):
-                parts = [draw_one(positive_words), draw_one(negative_words)]
+                parts = [
+                    (draw_adverb(), _pick(rng, side)) for side in (positive_words, negative_words)
+                ]
                 net = score_mention(parts, lexicon)
                 if net > _MIXED_MARGIN and label == POSITIVE:
                     return parts
                 if net < -_MIXED_MARGIN and label == NEGATIVE:
                     return parts
         word = _pick(rng, pool)
-        adverb = None
-        if adverbs and rng.random() < config.adverb_rate:
-            adverb = _pick(rng, adverbs)
-        parts = [(adverb, word)]
-        if len(pool) > 1 and rng.random() < config.second_word_rate:
+        parts = [(draw_adverb(), word)]
+        if len(pool) > 1 and rng.random() < _SECOND_WORD_RATE:
             second = _pick(rng, pool)
-            second_adverb = None
-            if adverbs and rng.random() < config.adverb_rate:
-                second_adverb = _pick(rng, adverbs)
-            parts.append((second_adverb, second))
+            parts.append((draw_adverb(), second))
         return parts
 
-    sentiment_jobs: dict[str, list[list[tuple[str | None, str]]]] = {
-        POSITIVE: [],
-        NEGATIVE: [],
-    }
-    for parts in jobs:
-        label = POSITIVE if lexicon.word_score(parts[0][1]) > 0 else NEGATIVE
-        sentiment_jobs[label].append(parts)
     for label, pool in ((POSITIVE, positive_words), (NEGATIVE, negative_words)):
         while len(sentiment_jobs[label]) < quotas[label]:
             sentiment_jobs[label].append(random_parts(label, pool))

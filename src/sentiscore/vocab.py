@@ -1,9 +1,11 @@
-"""Token vocabulary with reserved padding and unknown entries."""
+"""Token vocabulary with reserved padding and unknown entries, and padded index rows."""
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+import numpy as np
 
 PAD = "<pad>"
 UNK = "<unk>"
@@ -53,3 +55,11 @@ def build_vocab(corpus: Iterable[Sequence[str]], vocab_size: int) -> Vocab:
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     kept = [term for term, _ in ranked[:vocab_size]]
     return Vocab(tuple([PAD, UNK] + kept))
+
+
+def sequence_indices(tokens: Sequence[str], vocab: Vocab, length: int) -> np.ndarray:
+    """Vocabulary indices for ``tokens``, padded/truncated to ``length``."""
+    idx = np.full(length, PAD_INDEX, dtype=np.int64)
+    for i, tok in enumerate(tokens[:length]):
+        idx[i] = vocab.lookup(tok)
+    return idx

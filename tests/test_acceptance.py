@@ -76,7 +76,7 @@ def test_1_loss_worked_example_goldens(capsys):
 
 def test_2_mention_scoring_golden(capsys):
     t0 = time.perf_counter()
-    lexicon = Lexicon.from_scores({"beautiful": 0.75}, {"very": 1.5})
+    lexicon = Lexicon({"beautiful": 0.75}, {"very": 1.5})
     pairs = extract_pairs(tokenize("S5 is very beautiful"), lexicon)
     score = score_mention(pairs, lexicon)
     elapsed = time.perf_counter() - t0
@@ -146,7 +146,7 @@ def test_4_score_learning_recovery(capsys):
 
 def test_5_augmentation_goldens(capsys):
     t0 = time.perf_counter()
-    lexicon = Lexicon.from_scores(
+    lexicon = Lexicon(
         {"horrible": -1.0, "poor": -1.0, "terrible": -1.0, "great": 1.0, "amazing": 1.0}
     )
     text = mask_target(
@@ -249,7 +249,7 @@ def test_8_invariant_spot_checks(capsys):
     failures = []
 
     # Linearity: a mention's score is the sum over its pairs.
-    lexicon = Lexicon.from_scores(
+    lexicon = Lexicon(
         {"beautiful": 1.5, "bad": -0.8, "great": 1.0}, {"very": 0.75, "quite": 0.5}
     )
     first = [("very", "beautiful")]

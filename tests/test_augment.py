@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,7 @@ from sentiscore.lexicon import LABELS, Lexicon, make_mention
 
 @pytest.fixture
 def lexicon():
-    return Lexicon.from_scores(
+    return Lexicon(
         {
             "horrible": -1.0,
             "poor": -1.0,
@@ -50,7 +51,7 @@ class TestSimilarTerms:
         assert opposite == []
 
     def test_opposite_compares_absolute_scores(self):
-        lex = Lexicon.from_scores({"up": 0.8, "down": -0.75, "floor": -2.0})
+        lex = Lexicon({"up": 0.8, "down": -0.75, "floor": -2.0})
         same, opposite = similar_terms("up", lex, 0.1)
         assert opposite == ["down"]
 
@@ -97,7 +98,7 @@ class TestGenerateVariants:
         assert all(v.label == "positive" for v in variants)
 
     def test_unmapped_comparative_suppresses_only_other_occurrences_flips(self):
-        lex = Lexicon.from_scores({"worse": -0.5, "fine": 0.5})
+        lex = Lexicon({"worse": -0.5, "fine": 0.5})
         config = AugmentConfig(
             antonyms={}, comparatives=frozenset({"worse"}), max_variants_per_sample=10
         )
@@ -164,7 +165,7 @@ class TestGenerateVariants:
 
     def test_comparative_lexicon_word_flips_once(self):
         # Either occurrence, flipped to its antonym, gives "worse worse".
-        lex = Lexicon.from_scores({"better": 0.5, "worse": -0.5})
+        lex = Lexicon({"better": 0.5, "worse": -0.5})
         m = make("better better", "positive", lex)
         variants = generate_variants(m, lex, AugmentConfig(max_variants_per_sample=10))
         assert [(v.text, v.label, v.substitution) for v in variants] == [
@@ -174,7 +175,7 @@ class TestGenerateVariants:
     def test_splices_at_raw_offsets_in_non_ascii_text(self):
         # "İ" lowercases to two characters; the splice must still land
         # on the raw text's "good".
-        lex = Lexicon.from_scores({"good": 1.0, "great": 1.0})
+        lex = Lexicon({"good": 1.0, "great": 1.0})
         m = make("İ liked it, good movie", "positive", lex)
         variants = generate_variants(m, lex, AugmentConfig())
         assert [v.text for v in variants] == ["İ liked it, great movie"]
@@ -253,7 +254,9 @@ class TestConfigValidation:
 WORDS = ("good", "fine", "nice", "bad", "poor", "awful", "better", "worse", "meh")
 OTHER_TOKENS = ("the", "camera", "is", "TARGET", "fancier", "very")
 SEPARATORS = (" ", " ", ", ", "-", "! ", " İ", "'s ")
-MAGNITUDES = st.sampled_from([0.1, 0.2, 0.3, 0.1 + 0.2, 0.5, 1.0, math.inf]) | st.floats(0.05, 1.5)
+# A lexicon rejects an infinite score; the largest finite one stands in for it.
+MAGNITUDES = st.sampled_from([0.1, 0.2, 0.3, 0.1 + 0.2, 0.5, 1.0, sys.float_info.max])
+MAGNITUDES |= st.floats(0.05, 1.5)
 TOLERANCES = st.sampled_from([0.0, 0.1, 0.2, 0.5, 3.0, math.inf]) | st.floats(0.0, 1.0)
 
 
@@ -261,7 +264,7 @@ TOLERANCES = st.sampled_from([0.0, 0.1, 0.2, 0.5, 3.0, math.inf]) | st.floats(0.
 def lexicons(draw):
     terms = draw(st.lists(st.sampled_from(WORDS), min_size=1, unique=True))
     scores = {t: draw(MAGNITUDES) * draw(st.sampled_from([1.0, -1.0])) for t in terms}
-    return Lexicon.from_scores(scores, {"very": 1.5})
+    return Lexicon(scores, {"very": 1.5})
 
 
 @st.composite

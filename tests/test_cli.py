@@ -202,6 +202,26 @@ class TestLearnScores:
         assert code == 1
         assert "absent" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "good\tword\tnegative\t0.5",
+            "good\tword\tpositive\t0.0",
+            "good\tword\tn/a\t0.5",
+            "very\tadverb\tn/a\t-0.5",
+        ],
+    )
+    def test_bad_polarity_or_sign_exits_1_naming_file(self, tmp_path, capsys, line):
+        corpus, _ = gen_corpus(tmp_path, size=40, words=6)
+        bad = tmp_path / "bad.tsv"
+        bad.write_text(f"awful\tword\tnegative\t-1.0\n{line}\n", encoding="utf-8")
+        out = tmp_path / "out.lex"
+        args = ["--mentions", str(corpus), "--lexicon", str(bad), "--out", str(out)]
+        code = main(["learn-scores", *args])
+        assert code == 1
+        assert re.search(r"^error: .*bad\.tsv:2: ", capsys.readouterr().err)
+        assert not out.exists()
+
     def test_non_finite_target_score_exits_1_naming_file(self, tmp_path, capsys):
         _, truth_path = gen_corpus(tmp_path, size=40, words=6)
         seed_path = write_seed_lexicon(tmp_path, truth_path)

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
+from numpy.random import default_rng
 import pytest
 
 from helpers import reference_fit
@@ -24,7 +25,6 @@ from sentiscore.cnn import (
     train_classifier,
     train_step,
 )
-from sentiscore.embeddings import sequence_indices
 from sentiscore.lexicon import LABEL_INDEX, LABELS
 from sentiscore.losses import (
     PenaltyMatrix,
@@ -34,7 +34,7 @@ from sentiscore.losses import (
     softmax,
     weighted_cross_entropy,
 )
-from sentiscore.vocab import PAD, UNK, Vocab, build_vocab
+from sentiscore.vocab import PAD, UNK, Vocab, build_vocab, sequence_indices
 
 
 def tiny_config(**overrides) -> CnnConfig:
@@ -152,8 +152,8 @@ class TestForward:
         config = tiny_config(dropout_rate=0.5)
         model = init_model(vocab_size=9, config=config)
         embedded = model.embedding[np.array([[2, 3, 4, 5, 6, 7]])]
-        a, _ = forward(model, embedded, config, dropout_active=True, rng=42)
-        b, _ = forward(model, embedded, config, dropout_active=True, rng=42)
+        a, _ = forward(model, embedded, config, dropout_active=True, rng=default_rng(42))
+        b, _ = forward(model, embedded, config, dropout_active=True, rng=default_rng(42))
         npt.assert_array_equal(a, b)
 
     def test_batch_dropout_draw_equals_sequential_draws(self):
@@ -162,8 +162,8 @@ class TestForward:
         config = tiny_config(dropout_rate=0.5, sequence_length=7)
         model = init_model(vocab_size=9, config=config)
         embedded = random_batch(config, seed=4, size=5)
-        _, batched = forward(model, embedded, config, dropout_active=True, rng=9)
-        gen = np.random.default_rng(9)
+        _, batched = forward(model, embedded, config, dropout_active=True, rng=default_rng(9))
+        gen = default_rng(9)
         for x, mask in zip(embedded, batched.mask):
             _, single = forward(model, x[None], config, dropout_active=True, rng=gen)
             npt.assert_array_equal(single.mask[0], mask)
@@ -295,7 +295,7 @@ class TestTrainStep:
         first = None
         loss = None
         for _ in range(40):
-            model, loss = train_step(model, batch, config, rng=0)
+            model, loss = train_step(model, batch, config, rng=default_rng(0))
             if first is None:
                 first = loss
         assert loss < first
@@ -304,7 +304,7 @@ class TestTrainStep:
         config = tiny_config()
         model = init_model(vocab_size=9, config=config)
         for _ in range(10):
-            model, _ = train_step(model, self.dataset(config), config, rng=0)
+            model, _ = train_step(model, self.dataset(config), config, rng=default_rng(0))
         npt.assert_array_equal(model.embedding[0], np.zeros(config.embedding_dim))
 
     def test_static_embeddings_do_not_move(self):
@@ -312,7 +312,7 @@ class TestTrainStep:
         model = init_model(vocab_size=9, config=config)
         before = model.embedding.copy()
         for _ in range(5):
-            model, _ = train_step(model, self.dataset(config), config, rng=0)
+            model, _ = train_step(model, self.dataset(config), config, rng=default_rng(0))
         npt.assert_array_equal(model.embedding, before)
 
     def test_duplicated_example_matches_single(self):
@@ -321,8 +321,8 @@ class TestTrainStep:
         example = (np.array([2, 3, 4, 0, 0, 0]), 0)
         a = init_model(vocab_size=9, config=config)
         b = init_model(vocab_size=9, config=config)
-        a, _ = train_step(a, [example], config, rng=0)
-        b, _ = train_step(b, [example, example], config, rng=0)
+        a, _ = train_step(a, [example], config, rng=default_rng(0))
+        b, _ = train_step(b, [example, example], config, rng=default_rng(0))
         npt.assert_allclose(a.filters, b.filters, atol=1e-12)
         npt.assert_allclose(a.dense_w, b.dense_w, atol=1e-12)
 
@@ -330,21 +330,22 @@ class TestTrainStep:
         config = tiny_config()
         model = init_model(vocab_size=9, config=config)
         with pytest.raises(CnnError):
-            train_step(model, [], config)
+            train_step(model, [], config, rng=default_rng(0))
 
     @pytest.mark.parametrize("label", [-1, 3])
     def test_out_of_range_label_rejected(self, label):
         config = tiny_config()
         model = init_model(vocab_size=9, config=config)
         with pytest.raises(CnnError, match="label"):
-            train_step(model, [(np.array([2, 3, 4, 0, 0, 0]), label)], config)
+            batch = [(np.array([2, 3, 4, 0, 0, 0]), label)]
+            train_step(model, batch, config, rng=default_rng(0))
 
     def test_divergence_raises(self):
         config = tiny_config(learning_rate=1e9)
         model = init_model(vocab_size=9, config=config)
         with np.errstate(all="ignore"), pytest.raises(TrainingDiverged):
             for _ in range(30):
-                model, _ = train_step(model, self.dataset(config), config, rng=0)
+                model, _ = train_step(model, self.dataset(config), config, rng=default_rng(0))
 
 
 class TestFit:

@@ -23,7 +23,7 @@ def mention(text, label, lexicon, target):
 
 @pytest.fixture
 def tiny_lexicon():
-    return Lexicon.from_scores({"good": 1.0, "awful": -1.0}, {"very": 1.0})
+    return Lexicon({"good": 1.0, "awful": -1.0}, {"very": 1.0})
 
 
 class TestProblemBuilders:
@@ -110,7 +110,7 @@ class TestTrainIterative:
         assert trace.lexicon.adverb_score("very") == 0.0
 
     def test_unobserved_terms_keep_seed_scores(self):
-        lexicon = Lexicon.from_scores(
+        lexicon = Lexicon(
             {"good": 0.5, "spare": 1.0, "awful": -0.5},
             {"very": 1.0, "unused": 0.7},
         )
@@ -125,7 +125,7 @@ class TestTrainIterative:
         assert trace.lexicon.adverb_score("unused") == 0.7
 
     def test_corpus_without_adverbs_still_learns_words(self):
-        lexicon = Lexicon.from_scores({"good": 1.0, "awful": -1.0}, {})
+        lexicon = Lexicon({"good": 1.0, "awful": -1.0}, {})
         mentions = [
             mention("good", "positive", lexicon, 0.7),
             mention("good good", "positive", lexicon, 1.4),

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from sentiscore.lexicon import (
     Lexicon,
     LexiconError,
     MentionRecord,
-    WordEntry,
     extract_pairs,
     load_lexicon,
     load_mention_records,
@@ -26,7 +27,7 @@ from sentiscore.lexicon import (
 
 @pytest.fixture
 def lexicon() -> Lexicon:
-    return Lexicon.from_scores(
+    return Lexicon(
         {"beautiful": 1.5, "great": 1.0, "ugly": -1.2, "bad": -0.8},
         {"very": 0.75, "quite": 0.5, "extremely": 1.3},
     )
@@ -93,18 +94,33 @@ class TestMaskTarget:
             mask_target("some text", "")
 
 
-class TestLexiconInvariants:
-    def test_positive_word_with_negative_score_rejected(self):
-        with pytest.raises(LexiconError, match="positive"):
-            Lexicon({"good": WordEntry(-1.0, "positive")}, {})
+def write_lexicon(tmp_path, text: str):
+    path = tmp_path / "lex.tsv"
+    path.write_text(text, encoding="utf-8")
+    return path
 
-    def test_negative_word_with_positive_score_rejected(self):
-        with pytest.raises(LexiconError, match="negative"):
-            Lexicon({"bad": WordEntry(0.5, "negative")}, {})
+
+class TestLexiconInvariants:
+    def test_positive_word_with_negative_score_rejected(self, tmp_path):
+        path = write_lexicon(tmp_path, "good\tword\tpositive\t-1.0\n")
+        with pytest.raises(LexiconError, match="lex.tsv:1: positive word 'good' must have score >"):
+            load_lexicon(path)
+
+    def test_negative_word_with_positive_score_rejected(self, tmp_path):
+        path = write_lexicon(tmp_path, "bad\tword\tnegative\t0.5\n")
+        with pytest.raises(LexiconError, match="lex.tsv:1: negative word 'bad' must have score <"):
+            load_lexicon(path)
 
     def test_zero_score_word_rejected(self):
-        with pytest.raises(LexiconError):
-            Lexicon({"good": WordEntry(0.0, "positive")}, {})
+        with pytest.raises(LexiconError, match="nonzero"):
+            Lexicon({"good": 0.0})
+
+    @pytest.mark.parametrize("score", [math.nan, math.inf, -math.inf])
+    def test_non_finite_score_rejected(self, score):
+        with pytest.raises(LexiconError, match="word 'wow' must have a finite"):
+            Lexicon({"wow": score})
+        with pytest.raises(LexiconError, match="adverb 'very' must have a finite"):
+            Lexicon({}, {"very": score})
 
     def test_negative_adverb_rejected(self):
         with pytest.raises(LexiconError, match="adverb"):
@@ -113,17 +129,19 @@ class TestLexiconInvariants:
     @pytest.mark.parametrize("term", ["Good", "not-bad", "two words", "", "café"])
     def test_term_that_is_not_one_token_rejected(self, term):
         with pytest.raises(LexiconError, match="single lowercase token"):
-            Lexicon.from_scores({term: 1.0})
+            Lexicon({term: 1.0})
         with pytest.raises(LexiconError, match="single lowercase token"):
             Lexicon({}, {term: 1.0})
 
     def test_word_adverb_overlap_rejected(self):
         with pytest.raises(LexiconError, match="both"):
-            Lexicon({"very": WordEntry(1.0, "positive")}, {"very": 1.0})
+            Lexicon({"very": 1.0}, {"very": 1.0})
 
-    def test_from_scores_infers_polarity(self, lexicon):
+    def test_polarity_is_the_sign_of_the_score(self, lexicon):
         assert lexicon.polarity("beautiful") == "positive"
         assert lexicon.polarity("ugly") == "negative"
+        with pytest.raises(LexiconError, match="shiny"):
+            lexicon.polarity("shiny")
 
     def test_replace_scores_preserves_polarity(self, lexicon):
         updated = lexicon.replace_scores(word_scores={"beautiful": 2.0})
@@ -133,8 +151,10 @@ class TestLexiconInvariants:
         assert lexicon.word_score("beautiful") == 1.5
 
     def test_replace_scores_rejects_sign_flip(self, lexicon):
-        with pytest.raises(LexiconError):
+        with pytest.raises(LexiconError, match="'beautiful' must keep the sign"):
             lexicon.replace_scores(word_scores={"beautiful": -0.3})
+        with pytest.raises(LexiconError, match="'ugly' must keep the sign"):
+            lexicon.replace_scores(word_scores={"ugly": 0.3})
 
     def test_replace_scores_rejects_unknown_term(self, lexicon):
         with pytest.raises(LexiconError, match="shiny"):
@@ -142,7 +162,7 @@ class TestLexiconInvariants:
 
     def test_term_maps_are_read_only(self, lexicon):
         with pytest.raises(TypeError):
-            lexicon.words["great"] = WordEntry(2.0, "positive")
+            lexicon.words["great"] = 2.0
         with pytest.raises(TypeError):
             lexicon.adverbs["very"] = 2.0
         assert lexicon.word_score("great") == 1.0
@@ -208,7 +228,7 @@ class TestScoreMention:
                 {f"n{i}": -float(s) for i, s in enumerate(rng.uniform(0.2, 2.0, 3))}
             )
             adverbs = {f"a{i}": float(s) for i, s in enumerate(rng.uniform(0.0, 2.0, 2))}
-            lex = Lexicon.from_scores(words, adverbs)
+            lex = Lexicon(words, adverbs)
             factor = float(rng.uniform(0.5, 3.0))
             scaled = lex.replace_scores(
                 word_scores={t: s * factor for t, s in words.items()}
@@ -253,8 +273,21 @@ class TestLexiconRoundTrip:
         loaded = load_lexicon(path)
         assert loaded == lexicon
 
+    def test_polarity_column_is_the_sign_and_round_trips_byte_for_byte(self, tmp_path, lexicon):
+        first, second = tmp_path / "first.tsv", tmp_path / "second.tsv"
+        save_lexicon(lexicon, first)
+        save_lexicon(load_lexicon(first), second)
+        assert second.read_bytes() == first.read_bytes()
+        rows = [line.split("\t") for line in first.read_text(encoding="utf-8").splitlines()]
+        assert {term: polarity for term, kind, polarity, _ in rows if kind == "word"} == {
+            "bad": "negative",
+            "beautiful": "positive",
+            "great": "positive",
+            "ugly": "negative",
+        }
+
     def test_round_trip_preserves_awkward_floats(self, tmp_path):
-        lex = Lexicon.from_scores({"odd": 0.1 + 0.2}, {"mod": 1.0 / 3.0})
+        lex = Lexicon({"odd": 0.1 + 0.2}, {"mod": 1.0 / 3.0})
         path = tmp_path / "lex.tsv"
         save_lexicon(lex, path)
         loaded = load_lexicon(path)
@@ -279,6 +312,20 @@ class TestLexiconRoundTrip:
         path = tmp_path / "lex.tsv"
         path.write_text("good\tword\tpositive\t1.0\nnot-bad\tword\tpositive\t0.5\n")
         with pytest.raises(LexiconError, match="lex.tsv:2: term 'not-bad' is not a single"):
+            load_lexicon(path)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("good\tword\tpositive\t0.0", "positive word 'good' must have score > 0"),
+            ("good\tword\tn/a\t0.5", "word 'good' must be positive or negative"),
+            ("very\tadverb\tn/a\t-0.5", "adverb 'very' must have score >= 0"),
+        ],
+        ids=["positive-at-zero", "word-without-polarity", "negative-adverb"],
+    )
+    def test_polarity_or_sign_mismatch_reports_location(self, tmp_path, line, message):
+        path = write_lexicon(tmp_path, f"bad\tword\tnegative\t-1.0\n{line}\n")
+        with pytest.raises(LexiconError, match=f"lex.tsv:2: {message}"):
             load_lexicon(path)
 
     @pytest.mark.parametrize(

@@ -6,8 +6,7 @@ import numpy.testing as npt
 import pytest
 
 from sentiscore.cnn import CnnConfig, init_model
-from sentiscore.embeddings import sequence_indices
-from sentiscore.vocab import PAD, PAD_INDEX, UNK, UNK_INDEX, Vocab, build_vocab
+from sentiscore.vocab import PAD, PAD_INDEX, UNK, UNK_INDEX, Vocab, build_vocab, sequence_indices
 
 
 def small_vocab() -> Vocab:

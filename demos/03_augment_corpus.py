@@ -7,7 +7,7 @@ absolute score. A same-sign replacement keeps the label; an
 opposite-sign replacement flips it and also swaps mapped comparatives
 (better <-> worse) so the variant text stays coherent.
 """
-from sentiscore.augment import AugmentConfig, augment_corpus, generate_variants
+from sentiscore.augment import AugmentConfig, augment_corpus
 from sentiscore.lexicon import Lexicon, make_mention, mask_target
 
 lexicon = Lexicon(
@@ -19,14 +19,14 @@ mention = make_mention(text, "negative", lexicon)
 
 print("original:", mention.raw_text, f"({mention.label})")
 print()
-for variant in generate_variants(mention, lexicon, AugmentConfig()):
+for variant in augment_corpus([mention], lexicon, AugmentConfig()):
     print(f"  {variant.label:8s} {variant.text}")
     print(f"           substitution: {variant.substitution}")
 
 # With flips off only the label-preserving substitutions remain.
 print()
 print("without flips:")
-for variant in generate_variants(mention, lexicon, AugmentConfig(include_flips=False)):
+for variant in augment_corpus([mention], lexicon, AugmentConfig(include_flips=False)):
     print(f"  {variant.label:8s} {variant.text}")
 
 # augment_corpus applies the same expansion to a whole labeled corpus

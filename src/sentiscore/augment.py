@@ -73,12 +73,13 @@ class AugmentConfig:
 
 
 def _similarity_lookup(lexicon: Lexicon, delta: float) -> Callable:
-    """:func:`similar_terms` for one lexicon and ``delta``, memoised per word.
+    """A word's sorted peers within ``delta``, ``(same_sign, opposite_sign)``.
 
-    Words are sorted by absolute score once. The rounded differences
-    ``s - a`` and ``a - s`` are monotone in ``a``, so two bisections bound
-    a window holding every peer of a word with ``|score| = s``, which the
-    exact predicates then filter.
+    Same-sign peers are compared by score, opposite-sign ones by |score|.
+    Words are sorted by |score| once; the rounded differences ``s - a``
+    and ``a - s`` are monotone in ``a``, so two bisections bound a window
+    holding every peer of a word with ``|score| = s``, which the exact
+    predicates then filter. Results are memoised per word.
     """
     words = lexicon.words
     by_magnitude = sorted(words, key=lambda term: abs(words[term]))
@@ -103,49 +104,55 @@ def _similarity_lookup(lexicon: Lexicon, delta: float) -> Callable:
     return lookup
 
 
-def similar_terms(word: str, lexicon: Lexicon, delta: float) -> tuple[list[str], list[str]]:
-    """Words whose scores are within ``delta`` of ``word``'s.
-
-    Returns ``(same_sign, opposite_sign)``: peers of the same polarity
-    with close scores, and peers of the opposite polarity with close
-    absolute scores. Both lists are sorted lexicographically.
-    """
-    return _similarity_lookup(lexicon, delta)(word)
-
-
 @dataclass(frozen=True)
-class Variant:
-    """One generated substitution: new text, label, and what changed."""
+class AugmentedSample:
+    """A generated variant: new text, label, source mention and what changed."""
 
     text: str
     label: str
+    source_index: int
     substitution: str
 
+    @property
+    def provenance(self) -> str:
+        return f"src={self.source_index};{self.substitution}"
 
-def generate_variants(
-    mention: Mention, lexicon: Lexicon, config: AugmentConfig
-) -> list[Variant]:
-    """Substitution variants of one mention, with provenance.
+
+def derive_seed(rng_seed: int, index: int) -> int:
+    """Per-mention seed so corpus augmentation parallelizes cleanly."""
+    return (rng_seed * 1_000_003 + index) % 2**32
+
+
+def augment_corpus(
+    mentions: Sequence[Mention],
+    lexicon: Lexicon,
+    config: AugmentConfig,
+) -> list[AugmentedSample]:
+    """Substitution variants of every (target-masked) mention, in order.
 
     Each variant replaces exactly one sentiment-word occurrence. Flip
     variants are only emitted for positive or negative mentions when
-    ``include_flips`` is set, and carry the opposite label. Candidates
-    are numbered in canonical order (occurrence position; same-sign
-    replacements, then flips; replacement term). When more than
-    ``max_variants_per_sample`` exist, a seeded sample of the numbers is
-    drawn before splicing. Lexicon terms and antonyms are single tokens,
-    so no two candidates share a (text, label), except flips that swap a
+    ``include_flips`` is set, and carry the opposite label. A mention's
+    candidates are numbered in canonical order (occurrence position;
+    same-sign replacements, then flips; replacement term). When more
+    than ``max_variants_per_sample`` exist, a sample of the numbers,
+    seeded with ``derive_seed(rng_seed, index)``, is drawn before
+    splicing. Lexicon terms and antonyms are single tokens, so no two
+    candidates share a (text, label), except flips that swap a
     comparative lexicon word for its own antonym: all give the fully
-    swapped text, and only the first counts. The mention text is
-    expected to be target-masked already.
+    swapped text, and only the first counts.
     """
     lookup = _similarity_lookup(lexicon, config.score_tolerance)
-    return _variants(mention, lexicon, config, lookup, config.rng_seed)
+    return [
+        sample
+        for index, mention in enumerate(mentions)
+        for sample in _variants(mention, lexicon, config, lookup, index)
+    ]
 
 
 def _variants(
-    mention: Mention, lexicon: Lexicon, config: AugmentConfig, lookup: Callable, seed: int
-) -> list[Variant]:
+    mention: Mention, lexicon: Lexicon, config: AugmentConfig, lookup: Callable, index: int
+) -> list[AugmentedSample]:
     text = mention.raw_text
     spans = tokenize_with_spans(text)
     tokens = [tok for tok, _, _ in spans]
@@ -177,9 +184,10 @@ def _variants(
     starts = list(accumulate((len(terms) for _, terms, _ in blocks), initial=0))
     keep: Sequence[int] = range(starts[-1])
     if len(keep) > config.max_variants_per_sample:
+        seed = derive_seed(config.rng_seed, index)
         keep = sorted(random.Random(seed).sample(keep, config.max_variants_per_sample))
 
-    variants: list[Variant] = []
+    variants: list[AugmentedSample] = []
     for number in keep:
         block = bisect_right(starts, number) - 1
         word_idx, terms, is_flip = blocks[block]
@@ -193,42 +201,6 @@ def _variants(
         out = text
         for s, e, new in sorted(edits, reverse=True):
             out = out[:s] + new + out[e:]
-        variants.append(Variant(out, label, f"{tokens[word_idx]}@{word_idx}->{replacement}{note}"))
+        substitution = f"{tokens[word_idx]}@{word_idx}->{replacement}{note}"
+        variants.append(AugmentedSample(out, label, index, substitution))
     return variants
-
-
-@dataclass(frozen=True)
-class AugmentedSample:
-    """A generated variant plus provenance back to its source mention."""
-
-    text: str
-    label: str
-    source_index: int
-    provenance: str
-
-
-def derive_seed(rng_seed: int, index: int) -> int:
-    """Per-mention seed so corpus augmentation parallelizes cleanly."""
-    return (rng_seed * 1_000_003 + index) % 2**32
-
-
-def augment_corpus(
-    mentions: Sequence[Mention],
-    lexicon: Lexicon,
-    config: AugmentConfig,
-) -> list[AugmentedSample]:
-    """Augment every mention with per-mention seeds derived from the config."""
-    lookup = _similarity_lookup(lexicon, config.score_tolerance)
-    out: list[AugmentedSample] = []
-    for index, mention in enumerate(mentions):
-        seed = derive_seed(config.rng_seed, index)
-        for variant in _variants(mention, lexicon, config, lookup, seed):
-            out.append(
-                AugmentedSample(
-                    text=variant.text,
-                    label=variant.label,
-                    source_index=index,
-                    provenance=f"src={index};{variant.substitution}",
-                )
-            )
-    return out

@@ -315,7 +315,10 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     model, vocab, config = load_checkpoint(args.checkpoint)
     if args.input:
         with open(args.input, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
+            try:
+                lines = fh.readlines()
+            except UnicodeDecodeError:
+                raise ValueError(f"{args.input}: not UTF-8 text") from None
     else:
         lines = sys.stdin.readlines()
     texts = (line.rstrip("\n") for line in lines)

@@ -268,7 +268,7 @@ def _read_section(cp: configparser.ConfigParser, section: str, default):
 
 
 def _parser() -> configparser.ConfigParser:
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)  # a value's "%" is literal
     cp.optionxform = str  # keep keys verbatim
     return cp
 
@@ -325,7 +325,11 @@ def parse_experiment_config(text: str) -> ExperimentConfig:
 
 def load_experiment_config(path) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_experiment_config(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError:
+            raise EvalError(f"{path}: not UTF-8 text") from None
+    return parse_experiment_config(text)
 
 
 # ----------------------------------------------------------------------

@@ -14,7 +14,7 @@ import math
 import re
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -131,12 +131,6 @@ class Lexicon:
     def adverb_terms(self) -> list[str]:
         return sorted(self._adverbs)
 
-    def has_word(self, term: str) -> bool:
-        return term in self._words
-
-    def has_adverb(self, term: str) -> bool:
-        return term in self._adverbs
-
     def word_score(self, term: str) -> float:
         try:
             return self._words[term]
@@ -202,11 +196,12 @@ def extract_pair_indices(
     Used by the augmenter, which needs occurrence positions to splice
     replacements into the raw text.
     """
+    words, adverbs = lexicon.words, lexicon.adverbs
     pairs: list[tuple[int | None, int]] = []
     for i, tok in enumerate(tokens):
-        if not lexicon.has_word(tok):
+        if tok not in words:
             continue
-        if i > 0 and lexicon.has_adverb(tokens[i - 1]):
+        if i > 0 and tokens[i - 1] in adverbs:
             pairs.append((i - 1, i))
         else:
             pairs.append((None, i))
@@ -292,6 +287,18 @@ class MentionRecord:
     entity: str | None = None
 
 
+def _rows(path) -> Iterator[tuple[int, list[str]]]:
+    """``(line number, tab-separated fields)`` of each non-empty line of a UTF-8 file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.rstrip("\n")
+                if line:
+                    yield lineno, line.split("\t")
+        except UnicodeDecodeError:
+            raise LexiconError(f"{path}: not UTF-8 text") from None
+
+
 def save_lexicon(lexicon: Lexicon, path) -> None:
     lines = []
     for term in lexicon.word_terms():
@@ -305,45 +312,43 @@ def save_lexicon(lexicon: Lexicon, path) -> None:
 def load_lexicon(path) -> Lexicon:
     """Read a lexicon file; a term may be listed once, as a word or an adverb.
 
-    A word's polarity column must name the sign of its score.
+    A word's polarity column must name the sign of its score; an
+    adverb's must be ``n/a``.
     """
     words: dict[str, float] = {}
     adverbs: dict[str, float] = {}
     listed_at: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            at = f"{path}:{lineno}"
-            fields = line.split("\t")
-            if len(fields) != 4:
-                raise LexiconError(f"{at}: expected 4 fields, got {len(fields)}")
-            term, kind, polarity, score_text = fields
-            if not is_token(term):
-                raise LexiconError(f"{at}: term {term!r} is not a single lowercase token")
-            try:
-                score = float(score_text)
-            except ValueError:
-                raise LexiconError(f"{at}: bad score {score_text!r}") from None
-            if not math.isfinite(score):
-                raise LexiconError(f"{at}: non-finite score {score_text!r}")
-            if term in listed_at:
-                raise LexiconError(f"{at}: term {term!r} already listed at line {listed_at[term]}")
-            listed_at[term] = lineno
-            if kind == "word":
-                if polarity not in (POSITIVE, NEGATIVE):
-                    raise LexiconError(f"{at}: word {term!r} must be positive or negative")
-                if score == 0.0 or (score > 0) != (polarity == POSITIVE):
-                    sign = ">" if polarity == POSITIVE else "<"
-                    raise LexiconError(f"{at}: {polarity} word {term!r} must have score {sign} 0")
-                words[term] = score
-            elif kind == "adverb":
-                if score < 0:
-                    raise LexiconError(f"{at}: adverb {term!r} must have score >= 0")
-                adverbs[term] = score
-            else:
-                raise LexiconError(f"{at}: unknown kind {kind!r}")
+    for lineno, fields in _rows(path):
+        at = f"{path}:{lineno}"
+        if len(fields) != 4:
+            raise LexiconError(f"{at}: expected 4 fields, got {len(fields)}")
+        term, kind, polarity, score_text = fields
+        if not is_token(term):
+            raise LexiconError(f"{at}: term {term!r} is not a single lowercase token")
+        try:
+            score = float(score_text)
+        except ValueError:
+            raise LexiconError(f"{at}: bad score {score_text!r}") from None
+        if not math.isfinite(score):
+            raise LexiconError(f"{at}: non-finite score {score_text!r}")
+        if term in listed_at:
+            raise LexiconError(f"{at}: term {term!r} already listed at line {listed_at[term]}")
+        listed_at[term] = lineno
+        if kind == "word":
+            if polarity not in (POSITIVE, NEGATIVE):
+                raise LexiconError(f"{at}: word {term!r} must be positive or negative")
+            if score == 0.0 or (score > 0) != (polarity == POSITIVE):
+                sign = ">" if polarity == POSITIVE else "<"
+                raise LexiconError(f"{at}: {polarity} word {term!r} must have score {sign} 0")
+            words[term] = score
+        elif kind == "adverb":
+            if polarity != "n/a":
+                raise LexiconError(f"{at}: adverb {term!r} must have polarity n/a")
+            if score < 0:
+                raise LexiconError(f"{at}: adverb {term!r} must have score >= 0")
+            adverbs[term] = score
+        else:
+            raise LexiconError(f"{at}: unknown kind {kind!r}")
     return Lexicon(words, adverbs)
 
 
@@ -362,27 +367,22 @@ def save_mention_records(records: Iterable[MentionRecord], path) -> None:
 
 def load_mention_records(path) -> list[MentionRecord]:
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) < 2:
-                raise LexiconError(f"{path}:{lineno}: expected at least text and label")
-            text, label = fields[0], fields[1]
-            if label not in LABELS:
-                raise LexiconError(f"{path}:{lineno}: unknown label {label!r}")
-            score: float | None = None
-            if len(fields) > 2 and fields[2]:
-                try:
-                    score = float(fields[2])
-                except ValueError:
-                    raise LexiconError(f"{path}:{lineno}: bad target score {fields[2]!r}") from None
-                if not math.isfinite(score):
-                    raise LexiconError(f"{path}:{lineno}: non-finite target score {fields[2]!r}")
-            entity = fields[3] if len(fields) > 3 and fields[3] else None
-            records.append(MentionRecord(text, label, score, entity))
+    for lineno, fields in _rows(path):
+        if len(fields) < 2:
+            raise LexiconError(f"{path}:{lineno}: expected at least text and label")
+        text, label = fields[0], fields[1]
+        if label not in LABELS:
+            raise LexiconError(f"{path}:{lineno}: unknown label {label!r}")
+        score: float | None = None
+        if len(fields) > 2 and fields[2]:
+            try:
+                score = float(fields[2])
+            except ValueError:
+                raise LexiconError(f"{path}:{lineno}: bad target score {fields[2]!r}") from None
+            if not math.isfinite(score):
+                raise LexiconError(f"{path}:{lineno}: non-finite target score {fields[2]!r}")
+        entity = fields[3] if len(fields) > 3 and fields[3] else None
+        records.append(MentionRecord(text, label, score, entity))
     return records
 
 

@@ -88,10 +88,9 @@ class CorpusConfig:
             raise GeneratorError("adverb_count must be >= 0")
         if set(self.class_mix) != set(LABELS):
             raise GeneratorError("class_mix must assign a fraction to every label")
-        total = sum(self.class_mix.get(label, 0.0) for label in LABELS)
-        if abs(total - 1.0) > 1e-9:
+        if not abs(sum(self.class_mix[label] for label in LABELS) - 1.0) <= 1e-9:
             raise GeneratorError("class_mix fractions must sum to 1")
-        if any(self.class_mix.get(label, 0.0) < 0 for label in LABELS):
+        if not all(fraction >= 0 for fraction in self.class_mix.values()):
             raise GeneratorError("class_mix fractions must be non-negative")
         if not 0.0 <= self.noise_rate < 1.0:
             raise GeneratorError("noise_rate must be in [0, 1)")
@@ -99,6 +98,8 @@ class CorpusConfig:
             raise GeneratorError("min_occurrences must be >= 1")
         if not 0.0 <= self.mixed_rate < 1.0:
             raise GeneratorError("mixed_rate must be in [0, 1)")
+        if not 0.0 <= self.adverb_rate <= 1.0:
+            raise GeneratorError("adverb_rate must be in [0, 1]")
         if self.rng_seed < 0:
             raise GeneratorError("rng_seed must be >= 0")
 

@@ -29,9 +29,6 @@ class Vocab:
     def __len__(self) -> int:
         return len(self.terms)
 
-    def __contains__(self, term: str) -> bool:
-        return term in self._index
-
     def lookup(self, term: str) -> int:
         """Index of ``term``, or the UNK index when absent."""
         return self._index.get(term, UNK_INDEX)

@@ -3,11 +3,10 @@ CNN and sample-before-splice augmenter."""
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 
 import numpy as np
 
-from sentiscore.augment import AugmentedSample, Variant, derive_seed, flip_label
+from sentiscore.augment import AugmentedSample, derive_seed, flip_label
 from sentiscore.lexicon import NEUTRAL, extract_pair_indices, tokenize_with_spans
 
 from sentiscore.boxlsq import ConstrainedLsqProblem, SolverReport, kkt_residual, objective
@@ -204,7 +203,7 @@ def reference_fit(model, dataset, config, penalty=None):
     return model, history
 
 
-def reference_similar_terms(word, lexicon, delta):
+def reference_peers(word, lexicon, delta):
     """``(same_sign, opposite_sign)`` by a scan of the whole lexicon."""
     score = lexicon.word_score(word)
     polarity = lexicon.polarity(word)
@@ -227,9 +226,10 @@ def _reference_splice(text, replacements):
     return text
 
 
-def reference_variants(mention, lexicon, config):
-    """Enumerate every candidate text, drop repeated (text, label) pairs,
-    then keep a seeded sample: the augmenter before it sampled first."""
+def reference_variants(mention, lexicon, config, index):
+    """Enumerate every candidate text of the mention at ``index``, drop
+    repeated (text, label) pairs, then keep a sample seeded with
+    ``derive_seed``: the augmenter before it sampled first."""
     spans = tokenize_with_spans(mention.raw_text)
     tokens = [tok for tok, _, _ in spans]
     comparatives = config.comparative_terms()
@@ -238,12 +238,12 @@ def reference_variants(mention, lexicon, config):
     def emit(text, label, substitution):
         if (text, label) not in seen:
             seen.add((text, label))
-            candidates.append(Variant(text, label, substitution))
+            candidates.append(AugmentedSample(text, label, index, substitution))
 
     for _, word_idx in extract_pair_indices(tokens, lexicon):
         word = tokens[word_idx]
         _, start, end = spans[word_idx]
-        same_sign, opposite_sign = reference_similar_terms(word, lexicon, config.score_tolerance)
+        same_sign, opposite_sign = reference_peers(word, lexicon, config.score_tolerance)
         for replacement in same_sign:
             emit(
                 _reference_splice(mention.raw_text, [(start, end, replacement)]),
@@ -271,19 +271,16 @@ def reference_variants(mention, lexicon, config):
                 )
 
     if len(candidates) > config.max_variants_per_sample:
-        rng = random.Random(config.rng_seed)
+        rng = random.Random(derive_seed(config.rng_seed, index))
         keep = sorted(rng.sample(range(len(candidates)), config.max_variants_per_sample))
         candidates = [candidates[i] for i in keep]
     return candidates
 
 
 def reference_augment_corpus(mentions, lexicon, config):
-    """:func:`reference_variants` over a corpus with per-mention seeds."""
-    out = []
-    for index, mention in enumerate(mentions):
-        per_mention = replace(config, rng_seed=derive_seed(config.rng_seed, index))
-        for variant in reference_variants(mention, lexicon, per_mention):
-            out.append(
-                AugmentedSample(variant.text, variant.label, index, f"src={index};{variant.substitution}")
-            )
-    return out
+    """:func:`reference_variants` over a corpus, in mention order."""
+    return [
+        sample
+        for index, mention in enumerate(mentions)
+        for sample in reference_variants(mention, lexicon, config, index)
+    ]

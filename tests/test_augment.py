@@ -7,15 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_augment_corpus, reference_similar_terms, reference_variants
+from helpers import reference_augment_corpus
 from sentiscore.augment import (
     DEFAULT_ANTONYMS,
     AugmentConfig,
     augment_corpus,
     derive_seed,
     flip_label,
-    generate_variants,
-    similar_terms,
 )
 from sentiscore.lexicon import LABELS, Lexicon, make_mention
 
@@ -40,33 +38,21 @@ def make(text, label, lexicon, **kwargs):
 
 
 class TestSimilarTerms:
-    def test_same_sign_within_tolerance(self, lexicon):
-        same, opposite = similar_terms("horrible", lexicon, 0.1)
-        assert same == ["poor", "terrible"]
-        assert opposite == ["amazing", "great"]
-
     def test_tolerance_excludes_distant_scores(self, lexicon):
-        same, opposite = similar_terms("nice", lexicon, 0.1)
-        assert same == []
-        assert opposite == []
+        m = make("TARGET is nice", "positive", lexicon)
+        assert augment_corpus([m], lexicon, AugmentConfig(score_tolerance=0.1)) == []
 
     def test_opposite_compares_absolute_scores(self):
         lex = Lexicon({"up": 0.8, "down": -0.75, "floor": -2.0})
-        same, opposite = similar_terms("up", lex, 0.1)
-        assert opposite == ["down"]
-
-    def test_unknown_word_rejected(self, lexicon):
-        from sentiscore.lexicon import LexiconError
-
-        with pytest.raises(LexiconError):
-            similar_terms("stupendous", lexicon, 0.1)
+        variants = augment_corpus([make("up", "positive", lex)], lex, AugmentConfig())
+        assert [(v.text, v.label) for v in variants] == [("down", "negative")]
 
 
 class TestGenerateVariants:
     def test_same_sign_substitution_keeps_label(self, lexicon):
         m = make("TARGET is horrible", "negative", lexicon)
         config = AugmentConfig(include_flips=False)
-        variants = generate_variants(m, lexicon, config)
+        variants = augment_corpus([m], lexicon, config)
         assert [(v.text, v.label) for v in variants] == [
             ("TARGET is poor", "negative"),
             ("TARGET is terrible", "negative"),
@@ -74,16 +60,14 @@ class TestGenerateVariants:
 
     def test_opposite_sign_substitution_flips_label(self, lexicon):
         m = make("TARGET is horrible", "negative", lexicon)
-        variants = generate_variants(m, lexicon, AugmentConfig())
+        variants = augment_corpus([m], lexicon, AugmentConfig())
         flips = [(v.text, v.label) for v in variants if v.label == "positive"]
         assert ("TARGET is amazing", "positive") in flips
         assert ("TARGET is great", "positive") in flips
 
     def test_flip_swaps_comparative(self, lexicon):
         m = make("TARGET is better and great", "positive", lexicon)
-        variants = generate_variants(
-            m, lexicon, AugmentConfig(max_variants_per_sample=10)
-        )
+        variants = augment_corpus([m], lexicon, AugmentConfig(max_variants_per_sample=10))
         flipped = [v for v in variants if v.label == "negative"]
         assert flipped
         assert all("worse" in v.text and "better" not in v.text for v in flipped)
@@ -94,7 +78,7 @@ class TestGenerateVariants:
             max_variants_per_sample=10,
             comparatives=frozenset({"fancier"}),
         )
-        variants = generate_variants(m, lexicon, config)
+        variants = augment_corpus([m], lexicon, config)
         assert all(v.label == "positive" for v in variants)
 
     def test_unmapped_comparative_suppresses_only_other_occurrences_flips(self):
@@ -102,34 +86,34 @@ class TestGenerateVariants:
         config = AugmentConfig(
             antonyms={}, comparatives=frozenset({"worse"}), max_variants_per_sample=10
         )
-        alone = generate_variants(make("worse", "negative", lex), lex, config)
+        alone = augment_corpus([make("worse", "negative", lex)], lex, config)
         assert [(v.text, v.label) for v in alone] == [("fine", "positive")]
-        assert generate_variants(make("worse worse", "negative", lex), lex, config) == []
+        assert augment_corpus([make("worse worse", "negative", lex)], lex, config) == []
 
     def test_same_sign_substitution_leaves_comparative_alone(self, lexicon):
         m = make("TARGET is better and horrible", "negative", lexicon)
         config = AugmentConfig(include_flips=False, max_variants_per_sample=10)
-        variants = generate_variants(m, lexicon, config)
+        variants = augment_corpus([m], lexicon, config)
         assert variants
         assert all("better" in v.text for v in variants)
 
     def test_neutral_mentions_never_flip(self, lexicon):
         m = make("TARGET is nice i suppose", "neutral", lexicon)
-        variants = generate_variants(
-            m, lexicon, AugmentConfig(score_tolerance=0.5, max_variants_per_sample=10)
+        variants = augment_corpus(
+            [m], lexicon, AugmentConfig(score_tolerance=0.5, max_variants_per_sample=10)
         )
         assert all(v.label == "neutral" for v in variants)
 
     def test_substitution_provenance_names_position_and_terms(self, lexicon):
         m = make("TARGET is horrible", "negative", lexicon)
         config = AugmentConfig(include_flips=False)
-        variants = generate_variants(m, lexicon, config)
+        variants = augment_corpus([m], lexicon, config)
         assert variants[0].substitution == "horrible@2->poor"
 
     def test_each_variant_changes_one_occurrence(self, lexicon):
         m = make("horrible camera but great sound", "neutral", lexicon)
         config = AugmentConfig(include_flips=False, max_variants_per_sample=10)
-        for variant in generate_variants(m, lexicon, config):
+        for variant in augment_corpus([m], lexicon, config):
             differing = sum(
                 a != b
                 for a, b in zip(m.raw_text.split(), variant.text.split())
@@ -138,12 +122,8 @@ class TestGenerateVariants:
 
     def test_cap_and_seeded_selection_preserve_canonical_order(self, lexicon):
         m = make("horrible and poor and terrible", "negative", lexicon)
-        full = generate_variants(
-            m, lexicon, AugmentConfig(max_variants_per_sample=100, include_flips=True)
-        )
-        capped = generate_variants(
-            m, lexicon, AugmentConfig(max_variants_per_sample=3, include_flips=True)
-        )
+        full = augment_corpus([m], lexicon, AugmentConfig(max_variants_per_sample=100))
+        capped = augment_corpus([m], lexicon, AugmentConfig(max_variants_per_sample=3))
         assert len(capped) == 3
         texts = [v.text for v in full]
         positions = [texts.index(v.text) for v in capped]
@@ -151,15 +131,13 @@ class TestGenerateVariants:
 
     def test_selection_is_deterministic_per_seed(self, lexicon):
         m = make("horrible and poor and terrible", "negative", lexicon)
-        a = generate_variants(m, lexicon, AugmentConfig(max_variants_per_sample=3, rng_seed=9))
-        b = generate_variants(m, lexicon, AugmentConfig(max_variants_per_sample=3, rng_seed=9))
+        a = augment_corpus([m], lexicon, AugmentConfig(max_variants_per_sample=3, rng_seed=9))
+        b = augment_corpus([m], lexicon, AugmentConfig(max_variants_per_sample=3, rng_seed=9))
         assert a == b
 
     def test_no_duplicate_text_label_pairs(self, lexicon):
         m = make("poor poor poor", "negative", lexicon)
-        variants = generate_variants(
-            m, lexicon, AugmentConfig(max_variants_per_sample=50)
-        )
+        variants = augment_corpus([m], lexicon, AugmentConfig(max_variants_per_sample=50))
         seen = {(v.text, v.label) for v in variants}
         assert len(seen) == len(variants)
 
@@ -167,7 +145,7 @@ class TestGenerateVariants:
         # Either occurrence, flipped to its antonym, gives "worse worse".
         lex = Lexicon({"better": 0.5, "worse": -0.5})
         m = make("better better", "positive", lex)
-        variants = generate_variants(m, lex, AugmentConfig(max_variants_per_sample=10))
+        variants = augment_corpus([m], lex, AugmentConfig(max_variants_per_sample=10))
         assert [(v.text, v.label, v.substitution) for v in variants] == [
             ("worse worse", "negative", "better@0->worse (flip)")
         ]
@@ -177,12 +155,12 @@ class TestGenerateVariants:
         # on the raw text's "good".
         lex = Lexicon({"good": 1.0, "great": 1.0})
         m = make("İ liked it, good movie", "positive", lex)
-        variants = generate_variants(m, lex, AugmentConfig())
+        variants = augment_corpus([m], lex, AugmentConfig())
         assert [v.text for v in variants] == ["İ liked it, great movie"]
 
     def test_mention_without_sentiment_words_yields_nothing(self, lexicon):
         m = make("nothing to report", "neutral", lexicon)
-        assert generate_variants(m, lexicon, AugmentConfig()) == []
+        assert augment_corpus([m], lexicon, AugmentConfig()) == []
 
 
 class TestFlipLabel:
@@ -297,22 +275,14 @@ class TestAgainstReference:
     @given(
         lexicon=lexicons(),
         labelled=st.lists(st.tuples(mention_texts(), st.sampled_from(LABELS)), max_size=4),
+        last_label=st.sampled_from(LABELS),
         config=CONFIGS,
     )
-    def test_same_variants_as_enumerate_then_sample(self, lexicon, labelled, config):
+    def test_same_variants_as_enumerate_then_sample(self, lexicon, labelled, last_label, config):
+        # The last mention holds every word, so each word's peers are
+        # checked against the reference's scan of the whole lexicon.
         mentions = [make(text, label, lexicon) for text, label in labelled]
-        for mention in mentions:
-            assert generate_variants(mention, lexicon, config) == reference_variants(
-                mention, lexicon, config
-            )
+        mentions.append(make(" ".join(lexicon.word_terms()), last_label, lexicon))
         assert augment_corpus(mentions, lexicon, config) == reference_augment_corpus(
             mentions, lexicon, config
         )
-
-    @settings(max_examples=200, deadline=None)
-    @given(lexicon=lexicons(), delta=TOLERANCES)
-    def test_similar_terms_match_a_full_scan(self, lexicon, delta):
-        for word in lexicon.word_terms():
-            assert similar_terms(word, lexicon, delta) == reference_similar_terms(
-                word, lexicon, delta
-            )

@@ -88,6 +88,14 @@ class TestGenCorpus:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_nan_mix_exits_1_naming_field(self, tmp_path, capsys):
+        code = main(
+            ["gen-corpus", "--out", str(tmp_path / "x.tsv"), "--lexicon-out",
+             str(tmp_path / "x.lex"), "--mix", "nan,nan,nan"]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: class_mix fractions must sum to 1\n"
+
     def test_negative_seed_exits_1_naming_field(self, tmp_path, capsys):
         code = main(
             ["gen-corpus", "--out", str(tmp_path / "x.tsv"), "--lexicon-out",
@@ -209,6 +217,7 @@ class TestLearnScores:
             "good\tword\tpositive\t0.0",
             "good\tword\tn/a\t0.5",
             "very\tadverb\tn/a\t-0.5",
+            "very\tadverb\tnegative\t1.5",
         ],
     )
     def test_bad_polarity_or_sign_exits_1_naming_file(self, tmp_path, capsys, line):
@@ -625,6 +634,19 @@ class TestEvaluate:
         assert "unknown key 'epoch'" in capsys.readouterr().err
         assert not report_path.exists()
 
+    def test_percent_in_config_exits_1_naming_field(self, tmp_path, capsys):
+        corpus, _ = gen_corpus(tmp_path, size=60, words=6, seed=4)
+        config_path = tmp_path / "experiment.ini"
+        config_path.write_text("[experiment]\nvariant = cnn%\n", encoding="utf-8")
+        code = main(
+            ["evaluate", "--corpus", str(corpus), "--config", str(config_path),
+             "--out", str(tmp_path / "r.txt")]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: variant must be one of")
+
     def test_negative_seed_exits_1_naming_field(self, tmp_path, capsys):
         corpus, _ = gen_corpus(tmp_path, size=60, words=6, seed=4)
         report_path = tmp_path / "r.txt"
@@ -677,3 +699,33 @@ class TestParserBehavior:
         assert _config(type(expected), args, **overrides) == expected
         if isinstance(expected, CnnConfig):
             assert args.vocab_size == ExperimentConfig().vocab_size
+
+
+class TestUndecodableInput:
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("learn-scores", "--lexicon"),
+            ("learn-scores", "--mentions"),
+            ("train", "--corpus"),
+            ("evaluate", "--config"),
+            ("predict", "--input"),
+        ],
+    )
+    def test_non_utf8_file_exits_1_naming_it(self, tmp_path, capsys, command, flag):
+        corpus, truth = gen_corpus(tmp_path, size=40, words=6)
+        checkpoint = tmp_path / "model.ckpt"
+        if command == "predict":
+            assert main(["train", "--corpus", str(corpus), "--out", str(checkpoint), *TRAIN_FLAGS]) == 0
+        inputs = {
+            "learn-scores": {"--mentions": corpus, "--lexicon": truth, "--out": tmp_path / "o"},
+            "train": {"--corpus": corpus, "--out": tmp_path / "o"},
+            "evaluate": {"--corpus": corpus, "--config": None, "--out": tmp_path / "o"},
+            "predict": {"--checkpoint": checkpoint, "--input": None},
+        }[command]
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(b"fine\tline\n\xff\xfe\n")
+        inputs[flag] = bad
+        code = main([command, *(str(x) for item in inputs.items() for x in item)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {bad}: not UTF-8 text\n"

@@ -252,6 +252,20 @@ class TestConfigRoundTrip:
             parse_experiment_config("[experiment]\nk = banana\n")
 
     @pytest.mark.parametrize(
+        "text, field",
+        [("[experiment]\nvariant = cnn%\n", "variant"), ("[cnn]\npooling = %(x)s\n", "pooling")],
+        ids=["percent", "interpolation-syntax"],
+    )
+    def test_percent_is_literal(self, text, field):
+        # No interpolation: the value reaches its field's own check as written.
+        with pytest.raises(EvalError, match=f"{field} must be one of"):
+            parse_experiment_config(text)
+
+    def test_percent_in_a_comparative_round_trips(self):
+        config = ExperimentConfig(augment=AugmentConfig(comparatives=frozenset({"50%", "%(k)s"})))
+        assert parse_experiment_config(config_to_text(config)) == config
+
+    @pytest.mark.parametrize(
         "text, message",
         [
             ("[cnn]\nepoch = 3\n", r"unknown key 'epoch' in experiment config section \[cnn\]"),

@@ -320,8 +320,9 @@ class TestLexiconRoundTrip:
             ("good\tword\tpositive\t0.0", "positive word 'good' must have score > 0"),
             ("good\tword\tn/a\t0.5", "word 'good' must be positive or negative"),
             ("very\tadverb\tn/a\t-0.5", "adverb 'very' must have score >= 0"),
+            ("very\tadverb\tnegative\t1.5", "adverb 'very' must have polarity n/a"),
         ],
-        ids=["positive-at-zero", "word-without-polarity", "negative-adverb"],
+        ids=["positive-at-zero", "word-without-polarity", "negative-adverb", "adverb-with-polarity"],
     )
     def test_polarity_or_sign_mismatch_reports_location(self, tmp_path, line, message):
         path = write_lexicon(tmp_path, f"bad\tword\tnegative\t-1.0\n{line}\n")

@@ -1,6 +1,8 @@
 """Generated-corpus invariants: quotas, coverage, labels, noise."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -219,10 +221,17 @@ class TestValidation:
             {"min_occurrences": -2},
             {"class_mix": {POSITIVE: 0.9, NEGATIVE: 0.2, NEUTRAL: 0.2}},
             {"class_mix": {POSITIVE: 1.0}},
+            {"class_mix": {POSITIVE: math.nan, NEGATIVE: math.nan, NEUTRAL: math.nan}},
+            {"class_mix": {POSITIVE: 1.0, NEGATIVE: math.nan, NEUTRAL: 0.0}},
+            {"class_mix": {POSITIVE: 1.5, NEGATIVE: -0.5, NEUTRAL: 0.0}},
+            {"adverb_rate": 7.0},
+            {"adverb_rate": -1.0},
+            {"adverb_rate": math.nan},
         ],
     )
     def test_bad_configs_rejected(self, overrides):
-        with pytest.raises(GeneratorError):
+        field = next(iter(overrides))
+        with pytest.raises(GeneratorError, match=field):
             CorpusConfig(**{**dict(size=50, word_count=6, adverb_count=2), **overrides})
 
     def test_negative_seed_names_the_field(self):

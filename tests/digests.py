@@ -1,0 +1,156 @@
+"""Run every command on a small generated corpus and digest what it writes.
+
+``python tests/digests.py WORKDIR`` runs the commands in this one
+process, with BLAS pinned to one thread and help text 80 columns wide,
+and prints a JSON object: the numpy version, the BLAS thread count and
+a SHA-256 digest of every output, keyed ``"<command>: <output>"``. Exit
+codes are recorded under ``"<command>: exit"``.
+
+``python tests/digests.py --record`` writes that object to
+``tests/output_digests.json``, the table ``test_output_digests``
+compares against. Re-recording the table changes test data: only a
+change meant to alter output bytes (or a numpy upgrade) does it, and
+says why.
+"""
+from __future__ import annotations
+
+import os
+
+BLAS_THREADS = 1
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = str(BLAS_THREADS)
+os.environ["COLUMNS"] = "80"
+
+import contextlib  # noqa: E402
+import hashlib  # noqa: E402
+import io  # noqa: E402
+import json  # noqa: E402
+import runpy  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+TABLE = Path(__file__).resolve().parent / "output_digests.json"
+
+EXPERIMENT_INI = """\
+[experiment]
+k = 3
+rng_seed = 1
+
+[cnn]
+window = 2
+filter_count = 4
+sequence_length = 12
+embedding_dim = 8
+epochs = 3
+batch_size = 8
+learning_rate = 0.2
+dropout_rate = 0.1
+"""
+
+SMALL_CNN = [
+    "--window", "2", "--filters", "4", "--sequence-length", "12",
+    "--embedding-dim", "8", "--epochs", "3", "--batch-size", "8",
+]
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_all(work: Path) -> dict[str, str]:
+    """Every command's outputs under ``work``, as ``{"<command>: <output>": digest}``."""
+    from sentiscore.cli import main
+    from sentiscore.lexicon import load_lexicon, save_lexicon
+    from sentiscore.synthetic import coarse_seed_lexicon
+
+    out: dict[str, str] = {}
+
+    def run(name: str, argv: list[str], files: list[str] = ()) -> None:
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # --help
+                code = exc.code
+        out[f"{name}: exit"] = str(code)
+        if stdout.getvalue():
+            out[f"{name}: stdout"] = _sha256(stdout.getvalue().encode("utf-8"))
+        for file in files:
+            out[f"{name}: {file}"] = _sha256((work / file).read_bytes())
+
+    def path(file: str) -> str:
+        return str(work / file)
+
+    run("gen-corpus", [
+        "gen-corpus", "--out", path("corpus.tsv"), "--lexicon-out", path("truth.lexicon"),
+        "--size", "120", "--words", "8", "--adverbs", "3", "--noise", "0.1", "--seed", "7",
+    ], ["corpus.tsv", "truth.lexicon"])
+    save_lexicon(coarse_seed_lexicon(load_lexicon(work / "truth.lexicon")), work / "seed.lexicon")
+    run("learn-scores", [
+        "learn-scores", "--mentions", path("corpus.tsv"), "--lexicon", path("seed.lexicon"),
+        "--out", path("learned.lexicon"), "--lambda", "0.01",
+    ], ["learned.lexicon", "learned.lexicon.trace"])
+    augment = ["augment", "--corpus", path("corpus.tsv"), "--lexicon", path("learned.lexicon")]
+    run("augment", [*augment, "--out", path("augmented.tsv"), "--seed", "3"], ["augmented.tsv"])
+    run("augment --no-flips", [
+        *augment, "--out", path("augmented_no_flips.tsv"), "--no-flips", "--max-variants", "2",
+    ], ["augmented_no_flips.tsv"])
+    run("train", ["train", "--corpus", path("corpus.tsv"), "--out", path("plain.ckpt"), *SMALL_CNN],
+        ["plain.ckpt"])
+    run("train --weighted-ce", [
+        "train", "--corpus", path("augmented.tsv"), "--out", path("weighted.ckpt"),
+        *SMALL_CNN, "--weighted-ce",
+    ], ["weighted.ckpt"])
+    texts = (work / "corpus.tsv").read_text(encoding="utf-8").splitlines()[:20]
+    (work / "texts.txt").write_text(
+        "".join(line.split("\t")[0] + "\n" for line in texts) + "\nthe camera is good\n",
+        encoding="utf-8",
+    )
+    run("predict", [
+        "predict", "--checkpoint", path("plain.ckpt"), "--input", path("texts.txt"),
+        "--entity", "camera",
+    ])
+    (work / "experiment.ini").write_text(EXPERIMENT_INI, encoding="utf-8")
+    evaluate = ["evaluate", "--corpus", path("corpus.tsv"), "--config", path("experiment.ini")]
+    run("evaluate cnn", [*evaluate, "--out", path("report_cnn.txt"), "--variant", "cnn"],
+        ["report_cnn.txt"])
+    run("evaluate cnn-total", [
+        *evaluate, "--lexicon", path("seed.lexicon"), "--out", path("report_total.txt"),
+        "--variant", "cnn-total",
+    ], ["report_total.txt"])
+    for command in ("", "gen-corpus", "learn-scores", "augment", "train", "predict", "evaluate"):
+        argv = [command, "--help"] if command else ["--help"]
+        run(" ".join(argv), argv)
+
+    for demo in sorted((ROOT / "demos").glob("*.py")):
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            runpy.run_path(str(demo), run_name="__main__")
+        out[f"demo {demo.stem}: stdout"] = _sha256(stdout.getvalue().encode("utf-8"))
+    return out
+
+
+def digest_table(work: Path) -> dict:
+    return {"numpy": np.__version__, "blas_threads": BLAS_THREADS, "outputs": run_all(work)}
+
+
+def main(argv: list[str]) -> int:
+    sys.path.insert(0, str(ROOT / "src"))
+    if argv == ["--record"]:
+        with tempfile.TemporaryDirectory() as work:
+            table = digest_table(Path(work))
+        TABLE.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+        return 0
+    if len(argv) != 1:
+        print("usage: digests.py WORKDIR | --record", file=sys.stderr)
+        return 2
+    print(json.dumps(digest_table(Path(argv[0])), sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

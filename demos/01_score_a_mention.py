@@ -4,9 +4,10 @@ Scoring a mention with a hand-built lexicon
 
 A mention is scored by pairing each sentiment word with the adverb
 directly in front of it (if that adverb is in the lexicon) and summing
-modifier score times word score over the pairs.
+modifier score times word score over the pairs. A ``Mention`` finds its
+pairs once, when it is made.
 """
-from sentiscore.lexicon import Lexicon, extract_pairs, mask_target, score_mention, tokenize
+from sentiscore.lexicon import Lexicon, make_mention, mask_target, tokenize
 
 # A small lexicon: positive words score above zero, negative below,
 # and adverbs carry a non-negative multiplier.
@@ -25,11 +26,11 @@ tokens = tokenize(masked)
 print("tokens: ", tokens)
 
 # Each pair is (adverb or None, sentiment word).
-pairs = extract_pairs(tokens, lexicon)
-print("pairs:  ", pairs)
+mention = make_mention(masked, "positive", lexicon)
+print("pairs:  ", list(mention.pairs))
 
 # very(1.5) * beautiful(0.75) + slightly(0.4) * slow(-0.6) = 0.885
-print("score:  ", score_mention(pairs, lexicon))
+print("score:  ", mention.score(lexicon))
 
 # An unmodified word contributes its raw score.
-print("bare:   ", score_mention(extract_pairs(tokenize("TARGET is blurry"), lexicon), lexicon))
+print("bare:   ", make_mention("TARGET is blurry", "negative", lexicon).score(lexicon))

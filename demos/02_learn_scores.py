@@ -7,8 +7,6 @@ adverbs), alternate two box-constrained least squares solves until the
 scores reproduce each mention's target value. On a clean synthetic
 corpus the learned scores recover the generator's ground truth.
 """
-import numpy as np
-
 from sentiscore.learner import LearningConfig, train_iterative
 from sentiscore.lexicon import prepare_mentions
 from sentiscore.synthetic import CorpusConfig, coarse_seed_lexicon, generate_corpus

@@ -23,9 +23,7 @@ from sentiscore.lexicon import (
     POSITIVE,
     Lexicon,
     Mention,
-    extract_pair_indices,
     is_token,
-    tokenize_with_spans,
 )
 
 #: Comparatives swapped when a variant flips the label.
@@ -141,21 +139,22 @@ def augment_corpus(
     candidates share a (text, label), except flips that swap a
     comparative lexicon word for its own antonym: all give the fully
     swapped text, and only the first counts.
+
+    ``lexicon`` must hold the same words as the one the mentions were
+    made with; a word it lacks raises ``LexiconError``.
     """
     lookup = _similarity_lookup(lexicon, config.score_tolerance)
     return [
         sample
         for index, mention in enumerate(mentions)
-        for sample in _variants(mention, lexicon, config, lookup, index)
+        for sample in _variants(mention, config, lookup, index)
     ]
 
 
 def _variants(
-    mention: Mention, lexicon: Lexicon, config: AugmentConfig, lookup: Callable, index: int
+    mention: Mention, config: AugmentConfig, lookup: Callable, index: int
 ) -> list[AugmentedSample]:
-    text = mention.raw_text
-    spans = tokenize_with_spans(text)
-    tokens = [tok for tok, _, _ in spans]
+    text, spans = mention.raw_text, mention.spans
     comparatives = config.comparative_terms()
     swaps = [
         (idx, start, end, config.antonyms.get(tok))
@@ -168,8 +167,8 @@ def _variants(
     # (word index, replacements, is_flip) blocks in canonical order.
     blocks: list[tuple[int, list[str], bool]] = []
     full_swap_counted = False
-    for _, word_idx in extract_pair_indices(tokens, lexicon):
-        word = tokens[word_idx]
+    for _, word_idx in mention.pair_indices:
+        word = spans[word_idx][0]
         same_sign, opposite_sign = lookup(word)
         blocks.append((word_idx, same_sign, False))
         if not flips or any(idx != word_idx for idx in unmapped):
@@ -192,7 +191,7 @@ def _variants(
         block = bisect_right(starts, number) - 1
         word_idx, terms, is_flip = blocks[block]
         replacement = terms[number - starts[block]]
-        _, start, end = spans[word_idx]
+        word, start, end = spans[word_idx]
         edits = [(start, end, replacement)]
         label, note = mention.label, ""
         if is_flip:
@@ -201,6 +200,6 @@ def _variants(
         out = text
         for s, e, new in sorted(edits, reverse=True):
             out = out[:s] + new + out[e:]
-        substitution = f"{tokens[word_idx]}@{word_idx}->{replacement}{note}"
+        substitution = f"{word}@{word_idx}->{replacement}{note}"
         variants.append(AugmentedSample(out, label, index, substitution))
     return variants

@@ -9,6 +9,7 @@ config field take their type and default from that config dataclass.
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 from dataclasses import fields, replace
 
@@ -313,14 +314,13 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 def _cmd_predict(args: argparse.Namespace) -> int:
     model, vocab, config = load_checkpoint(args.checkpoint)
-    if args.input:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            try:
-                lines = fh.readlines()
-            except UnicodeDecodeError:
-                raise ValueError(f"{args.input}: not UTF-8 text") from None
-    else:
-        lines = sys.stdin.readlines()
+    # Standard input is read as the file is: strict UTF-8, universal newlines.
+    binary = open(args.input, "rb") if args.input else io.BytesIO(sys.stdin.buffer.read())
+    with io.TextIOWrapper(binary, encoding="utf-8") as fh:
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError:
+            raise ValueError(f"{args.input or '<stdin>'}: not UTF-8 text") from None
     texts = (line.rstrip("\n") for line in lines)
     tokens = (tokenize(masked_text(text, args.entity)) for text in texts if text)
     for label, probs in zip(*predict(model, tokens, vocab, config)):

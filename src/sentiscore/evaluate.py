@@ -297,6 +297,8 @@ def parse_experiment_config(text: str) -> ExperimentConfig:
     defaults = ExperimentConfig()
     known = {"experiment": _keys(defaults), "penalty": LABELS}
     known.update((section, _keys(sub)) for section, sub in _nested(defaults).items())
+    if cp.defaults():  # its keys would reach every section unseen
+        raise EvalError(f"unknown experiment config section [{cp.default_section}]")
     for section in cp.sections():
         if section not in known:
             raise EvalError(f"unknown experiment config section [{section}]")

@@ -63,62 +63,82 @@ class LearningTrace:
         ]
 
 
-def observed_adverbs(mentions: Sequence[Mention]) -> list[str]:
-    """Modifiers that occur in at least one extracted pair, sorted."""
-    seen = {adv for m in mentions for adv, _ in m.pairs if adv is not None}
-    return sorted(seen)
+@dataclass(frozen=True)
+class OccurrenceIndex:
+    """A corpus's (modifier, word) occurrences as integer columns.
+
+    Occurrence ``k`` lies in mention row ``rows[k]``; its word is
+    ``words[word_cols[k]]`` and its modifier ``adverbs[adverb_cols[k]]``,
+    or none when ``adverb_cols[k]`` is -1. Occurrences run in mention
+    order, then token order. ``adverbs`` and ``words`` are the observed
+    terms, sorted: the columns of the modifier and word problems.
+    """
+
+    rows: np.ndarray
+    adverb_cols: np.ndarray
+    word_cols: np.ndarray
+    adverbs: list[str]
+    words: list[str]
+    targets: np.ndarray
+
+    def scores(self, lexicon: Lexicon) -> tuple[np.ndarray, np.ndarray]:
+        """The lexicon's scores of the observed modifiers and words, by column."""
+        return (
+            np.array([lexicon.adverb_score(term) for term in self.adverbs], dtype=float),
+            np.array([lexicon.word_score(term) for term in self.words], dtype=float),
+        )
 
 
-def observed_words(mentions: Sequence[Mention]) -> list[str]:
-    """Sentiment words that occur in at least one extracted pair, sorted."""
-    seen = {word for m in mentions for _, word in m.pairs}
-    return sorted(seen)
+def index_occurrences(mentions: Sequence[Mention]) -> OccurrenceIndex:
+    """Index every occurrence of ``mentions`` once."""
+    if not mentions:
+        raise LearnerError("mention list is empty")
+    pairs = [(row, adverb, word) for row, m in enumerate(mentions) for adverb, word in m.pairs]
+    if not pairs:
+        raise LearnerError("no sentiment word occurrences in the corpus")
+    adverbs = sorted({adverb for _, adverb, _ in pairs if adverb is not None})
+    words = sorted({word for _, _, word in pairs})
+    adverb_col = {None: -1, **{term: j for j, term in enumerate(adverbs)}}
+    word_col = {term: j for j, term in enumerate(words)}
+    rows, adverb_cols, word_cols = np.array(
+        [(row, adverb_col[adverb], word_col[word]) for row, adverb, word in pairs], dtype=np.intp
+    ).T
+    targets = np.array([m.target_score for m in mentions], dtype=float)
+    return OccurrenceIndex(rows, adverb_cols, word_cols, adverbs, words, targets)
 
 
-def _accumulate(index: list[int], values: list[float], size: int) -> np.ndarray:
-    """Sum ``values`` into a zero vector of ``size`` at ``index``, in input order."""
+def _no_modifier_bias(index: OccurrenceIndex, word_scores: np.ndarray) -> np.ndarray:
+    """Per mention, the sum of its unmodified words' scores, in occurrence order."""
+    bare = index.adverb_cols < 0
     return np.bincount(
-        np.asarray(index, dtype=np.intp), weights=np.asarray(values, dtype=float), minlength=size
+        index.rows[bare], weights=word_scores[index.word_cols[bare]], minlength=len(index.targets)
     )
 
 
 def build_adverb_problem(
-    mentions: Sequence[Mention],
-    lexicon: Lexicon,
-    config: LearningConfig,
+    index: OccurrenceIndex, word_scores: np.ndarray, config: LearningConfig
 ) -> ConstrainedLsqProblem:
     """Design the modifier-score problem with word scores held fixed.
 
     One row per mention; the column for modifier ``j`` accumulates the
-    current scores of words it modifies in that mention. Words without a
-    modifier contribute their score to the row's bias. All coordinates
-    are bounded below by zero. Columns cover the observed modifiers in
-    sorted order; modifiers never seen in the corpus are excluded so
-    regularization cannot drag their scores.
+    current scores (``word_scores``, by word column) of words it
+    modifies in that mention. Words without a modifier contribute their
+    score to the row's bias. All coordinates are bounded below by zero.
+    Columns cover the observed modifiers in sorted order; modifiers
+    never seen in the corpus are excluded so regularization cannot drag
+    their scores.
     """
-    if not mentions:
-        raise LearnerError("mention list is empty")
-    adverbs = observed_adverbs(mentions)
-    if not adverbs:
+    if not index.adverbs:
         raise LearnerError("no modifier occurrences in the corpus")
-    col = {term: j for j, term in enumerate(adverbs)}
-    m_count, d = len(mentions), len(adverbs)
-    cells, values, bias_rows, bias_values = [], [], [], []
-    for i, mention in enumerate(mentions):
-        for adverb, word in mention.pairs:
-            if adverb is None:
-                bias_rows.append(i)
-                bias_values.append(lexicon.word_score(word))
-            else:
-                cells.append(i * d + col[adverb])
-                values.append(lexicon.word_score(word))
-    design = _accumulate(cells, values, m_count * d).reshape(m_count, d)
-    bias = _accumulate(bias_rows, bias_values, m_count)
-    targets = np.array([mention.target_score for mention in mentions], dtype=float)
+    m_count, d = len(index.targets), len(index.adverbs)
+    modified = index.adverb_cols >= 0
+    cells = index.rows[modified] * d + index.adverb_cols[modified]
+    values = word_scores[index.word_cols[modified]]
+    design = np.bincount(cells, weights=values, minlength=m_count * d).reshape(m_count, d)
     return ConstrainedLsqProblem(
         design=design,
-        bias=bias,
-        targets=targets,
+        bias=_no_modifier_bias(index, word_scores),
+        targets=index.targets,
         lam=config.lam,
         lower=np.zeros(d),
         upper=np.full(d, np.inf),
@@ -126,44 +146,31 @@ def build_adverb_problem(
 
 
 def build_word_problem(
-    mentions: Sequence[Mention],
-    lexicon: Lexicon,
-    config: LearningConfig,
+    index: OccurrenceIndex, adverb_scores: np.ndarray, word_scores: np.ndarray, config: LearningConfig
 ) -> ConstrainedLsqProblem:
     """Design the word-score problem with modifier scores held fixed.
 
     One row per mention; the column for word ``i`` accumulates, over
     that word's occurrences in the mention, the score of its modifier
-    (or 1 when unmodified). Bias is zero. Bounds keep each word on its
-    polarity's side of zero with an epsilon margin. Columns cover the
-    observed words in sorted order; unseen words keep their current
+    (``adverb_scores``, by modifier column) or 1 when unmodified. Bias
+    is zero. Bounds keep each word on the side of zero its current
+    score (``word_scores``) is on, with an epsilon margin. Columns cover
+    the observed words in sorted order; unseen words keep their current
     scores.
     """
-    if not mentions:
-        raise LearnerError("mention list is empty")
-    words = observed_words(mentions)
-    if not words:
-        raise LearnerError("no sentiment word occurrences in the corpus")
-    col = {term: j for j, term in enumerate(words)}
-    m_count, d = len(mentions), len(words)
-    cells, values = [], []
-    for i, mention in enumerate(mentions):
-        for adverb, word in mention.pairs:
-            cells.append(i * d + col[word])
-            values.append(1.0 if adverb is None else lexicon.adverb_score(adverb))
-    design = _accumulate(cells, values, m_count * d).reshape(m_count, d)
-    targets = np.array([mention.target_score for mention in mentions], dtype=float)
-    positive = np.array([lexicon.word_score(term) > 0 for term in words])
-    eps = config.epsilon_margin
-    lower = np.where(positive, eps, -np.inf)
-    upper = np.where(positive, np.inf, -eps)
+    m_count, d = len(index.targets), len(index.words)
+    # Column -1 of the extended scores is the 1 that scales an unmodified word.
+    scales = np.append(adverb_scores, 1.0)[index.adverb_cols]
+    cells = index.rows * d + index.word_cols
+    design = np.bincount(cells, weights=scales, minlength=m_count * d).reshape(m_count, d)
+    positive, eps = word_scores > 0, config.epsilon_margin
     return ConstrainedLsqProblem(
         design=design,
         bias=np.zeros(m_count),
-        targets=targets,
+        targets=index.targets,
         lam=config.lam,
-        lower=lower,
-        upper=upper,
+        lower=np.where(positive, eps, -np.inf),
+        upper=np.where(positive, np.inf, -eps),
     )
 
 
@@ -174,21 +181,15 @@ def train_iterative(
 ) -> LearningTrace:
     """Alternate the modifier and word solves to learn the lexicon.
 
-    Each outer iteration solves the modifier problem against the current
-    word scores, installs the result, then solves the word problem
-    against the new modifier scores and installs that. The loop runs for
-    at most ``max_outer_iterations`` and stops early once the combined
-    objective decrease per iteration falls below the solver tolerance.
-    Terms never observed in the corpus keep their seed scores.
+    The corpus is indexed once. Each outer iteration solves the modifier
+    problem against the current word scores, then the word problem
+    against the new modifier scores. The loop runs for at most
+    ``max_outer_iterations`` and stops early once the combined objective
+    decrease per iteration falls below the solver tolerance. Terms never
+    observed in the corpus keep their seed scores.
     """
-    if not mentions:
-        raise LearnerError("mention list is empty")
-    adverbs = observed_adverbs(mentions)
-    words = observed_words(mentions)
-    if not words:
-        raise LearnerError("no sentiment word occurrences in the corpus")
-
-    lexicon = seed_lexicon
+    index = index_occurrences(mentions)
+    adverb_scores, word_scores = index.scores(seed_lexicon)
     iterations: list[tuple[float, float]] = []
     converged = True
     prev_combined: float | None = None
@@ -196,28 +197,23 @@ def train_iterative(
     for _ in range(config.max_outer_iterations):
         # Each problem is built inside the solve call, so its dense
         # design is freed before the next one is allocated.
-        if adverbs:
-            start = np.array([lexicon.adverb_score(t) for t in adverbs])
-            report = solve(build_adverb_problem(mentions, lexicon, config), tol, max_iter, start)
-            converged = converged and report.converged
-            lexicon = lexicon.replace_scores(
-                adverb_scores=dict(zip(adverbs, report.solution))
+        if index.adverbs:
+            report = solve(
+                build_adverb_problem(index, word_scores, config), tol, max_iter, adverb_scores
             )
-            adverb_objective = report.objective
+            converged = converged and report.converged
+            adverb_scores, adverb_objective = report.solution, report.objective
         else:
             # No modifiers observed: the modifier half-step is a no-op
             # and its objective is the plain residual of the bias terms.
-            bias = np.array(
-                [sum(lexicon.word_score(w) for a, w in m.pairs if a is None) for m in mentions]
-            )
-            targets = np.array([m.target_score for m in mentions])
-            adverb_objective = float(np.sum((bias - targets) ** 2))
+            residual = _no_modifier_bias(index, word_scores) - index.targets
+            adverb_objective = float(np.sum(residual**2))
 
-        start = np.array([lexicon.word_score(t) for t in words])
-        report = solve(build_word_problem(mentions, lexicon, config), tol, max_iter, start)
+        report = solve(
+            build_word_problem(index, adverb_scores, word_scores, config), tol, max_iter, word_scores
+        )
         converged = converged and report.converged
-        lexicon = lexicon.replace_scores(word_scores=dict(zip(words, report.solution)))
-        word_objective = report.objective
+        word_scores, word_objective = report.solution, report.objective
 
         iterations.append((adverb_objective, word_objective))
         combined = adverb_objective + word_objective
@@ -225,4 +221,8 @@ def train_iterative(
             break
         prev_combined = combined
 
+    lexicon = seed_lexicon.replace_scores(
+        word_scores=dict(zip(index.words, word_scores)),
+        adverb_scores=dict(zip(index.adverbs, adverb_scores)),
+    )
     return LearningTrace(iterations=iterations, lexicon=lexicon, converged=converged)

@@ -3,10 +3,10 @@
 A lexicon holds two disjoint term maps: sentiment words carry a signed
 score (positive words strictly above zero, negative words strictly
 below), and modifiers ("adverbs") carry a non-negative multiplicative
-score. A mention is a tokenized, labeled piece of text with its
-(modifier, word) occurrences extracted; its lexicon score is the sum of
-``modifier_score * word_score`` over those occurrences, with a modifier
-score of 1 for unmodified words.
+score. A mention is a labeled text tokenized once, with its token spans
+and the token indices of its (modifier, word) occurrences; its lexicon
+score is the sum of ``modifier_score * word_score`` over those
+occurrences, with a modifier score of 1 for unmodified words.
 """
 from __future__ import annotations
 
@@ -54,10 +54,11 @@ def tokenize_with_spans(text: str) -> list[tuple[str, int, int]]:
     characters (a token ending inside those spans the whole ``"İ"``).
     """
     lowered = text.lower()
-    raw = range(len(text))
+    spans = [(m[0], m.start(), m.end()) for m in _TOKEN_RE.finditer(lowered)]
     if len(lowered) != len(text):
         raw = [i for i, ch in enumerate(text) for _ in ch.lower()]
-    return [(m.group(0), raw[m.start()], raw[m.end() - 1] + 1) for m in _TOKEN_RE.finditer(lowered)]
+        spans = [(token, raw[start], raw[end - 1] + 1) for token, start, end in spans]
+    return spans
 
 
 def is_token(term: str) -> bool:
@@ -174,27 +175,15 @@ class Lexicon:
         return f"Lexicon(words={len(self._words)}, adverbs={len(self._adverbs)})"
 
 
-def extract_pairs(tokens: Sequence[str], lexicon: Lexicon) -> list[tuple[str | None, str]]:
-    """Extract (modifier, word) occurrences from a token sequence.
-
-    Every token present in the lexicon's word map yields one pair, in
-    token order. The modifier slot is filled iff the immediately
-    preceding token is in the modifier map; each modifier token attaches
-    to at most the one word it directly precedes.
-    """
-    return [
-        (None if adv_i is None else tokens[adv_i], tokens[word_i])
-        for adv_i, word_i in extract_pair_indices(tokens, lexicon)
-    ]
-
-
 def extract_pair_indices(
     tokens: Sequence[str], lexicon: Lexicon
 ) -> list[tuple[int | None, int]]:
-    """Like :func:`extract_pairs` but returns token indices.
+    """Token indices ``(modifier or None, word)`` of each occurrence.
 
-    Used by the augmenter, which needs occurrence positions to splice
-    replacements into the raw text.
+    Every token present in the lexicon's word map yields one occurrence,
+    in token order. The modifier slot is filled iff the immediately
+    preceding token is in the modifier map; each modifier token attaches
+    to at most the one word it directly precedes.
     """
     words, adverbs = lexicon.words, lexicon.adverbs
     pairs: list[tuple[int | None, int]] = []
@@ -223,21 +212,33 @@ def score_mention(pairs: Iterable[tuple[str | None, str]], lexicon: Lexicon) -> 
 
 @dataclass(frozen=True)
 class Mention:
-    """A tokenized, labeled text with its sentiment occurrences extracted.
+    """A labeled text, tokenized once, with its sentiment occurrences.
 
-    ``target_score`` is the supervision value used when learning scores;
-    it defaults to +1 / 0 / -1 for positive / neutral / negative labels
-    when no explicit score is available.
+    ``spans`` holds every token's ``(token, start, end)``, as from
+    :func:`tokenize_with_spans`; ``pair_indices`` holds each occurrence's
+    ``(modifier or None, word)`` token indices, as from
+    :func:`extract_pair_indices`. ``target_score`` is the supervision
+    value for score learning: +1 / 0 / -1 by label unless one is given.
     """
 
     raw_text: str
-    pairs: tuple[tuple[str | None, str], ...]
+    spans: tuple[tuple[str, int, int], ...]
+    pair_indices: tuple[tuple[int | None, int], ...]
     label: str
     target_score: float
 
     def __post_init__(self) -> None:
         if self.label not in LABELS:
             raise LexiconError(f"unknown label: {self.label!r}")
+
+    @property
+    def pairs(self) -> tuple[tuple[str | None, str], ...]:
+        """The ``(modifier or None, word)`` terms of each occurrence, in order."""
+        spans = self.spans
+        return tuple(
+            (None if adverb is None else spans[adverb][0], spans[word][0])
+            for adverb, word in self.pair_indices
+        )
 
     def score(self, lexicon: Lexicon) -> float:
         return score_mention(self.pairs, lexicon)
@@ -250,18 +251,17 @@ def make_mention(
     target_score: float | None = None,
     entity: str | None = None,
 ) -> Mention:
-    """Build a :class:`Mention`: mask, tokenize, and extract pairs.
+    """Build a :class:`Mention`: mask, tokenize with spans, and find occurrences.
 
     When ``entity`` is given the text is target-masked first, so
     downstream consumers always see the masked form.
     """
-    if label not in LABELS:
-        raise LexiconError(f"unknown label: {label!r}")
     text = masked_text(text, entity)
-    pairs = tuple(extract_pairs(tokenize(text), lexicon))
+    spans = tuple(tokenize_with_spans(text))
+    pair_indices = tuple(extract_pair_indices([token for token, _, _ in spans], lexicon))
     if target_score is None:
-        target_score = LABEL_SCORES[label]
-    return Mention(text, pairs, label, float(target_score))
+        target_score = LABEL_SCORES.get(label, 0.0)  # Mention rejects an unknown label
+    return Mention(text, spans, pair_indices, label, float(target_score))
 
 
 # ----------------------------------------------------------------------

@@ -21,9 +21,7 @@ from sentiscore.lexicon import (
     POSITIVE,
     Lexicon,
     MentionRecord,
-    extract_pairs,
     score_mention,
-    tokenize,
 )
 
 
@@ -269,11 +267,10 @@ def generate_corpus(config: CorpusConfig) -> tuple[list[MentionRecord], Lexicon]
     records: list[MentionRecord] = []
     for label in (POSITIVE, NEGATIVE):
         for parts in sentiment_jobs[label]:
-            text = _realize(rng, parts)
-            tokens = tokenize(text)
-            pairs = extract_pairs(tokens, lexicon)
-            score = score_mention(pairs, lexicon)
-            records.append(MentionRecord(text, label, score, None))
+            # Templates and fillers hold no lexicon term, so the text's
+            # occurrences are exactly ``parts``, in this order.
+            score = score_mention(parts, lexicon)
+            records.append(MentionRecord(_realize(rng, parts), label, score, None))
     for _ in range(quotas[NEUTRAL]):
         records.append(MentionRecord(_neutral_sentence(rng), NEUTRAL, 0.0, None))
 

@@ -1,13 +1,14 @@
 """Shared test oracles, independent of the library's own solvers, batched
-CNN and sample-before-splice augmenter."""
+CNN, sample-before-splice augmenter and vectorized learner problems."""
 from __future__ import annotations
 
 import random
+from types import SimpleNamespace
 
 import numpy as np
 
 from sentiscore.augment import AugmentedSample, derive_seed, flip_label
-from sentiscore.lexicon import NEUTRAL, extract_pair_indices, tokenize_with_spans
+from sentiscore.lexicon import NEUTRAL, extract_pair_indices, tokenize, tokenize_with_spans
 
 from sentiscore.boxlsq import ConstrainedLsqProblem, SolverReport, kkt_residual, objective
 
@@ -284,3 +285,39 @@ def reference_augment_corpus(mentions, lexicon, config):
         for index, mention in enumerate(mentions)
         for sample in reference_variants(mention, lexicon, config, index)
     ]
+
+
+def explicit_learner_problems(mentions, lexicon):
+    """The learner's designs, bias and targets, added up one pair at a time.
+
+    Each mention's text is tokenized again here, and a word takes the
+    token just before it as its modifier when that token is one. Every
+    occurrence then adds its term's score, in token order, to one cell.
+    """
+    occurrences = []
+    for row, mention in enumerate(mentions):
+        tokens = tokenize(mention.raw_text)
+        for i, token in enumerate(tokens):
+            if token in lexicon.words:
+                before = tokens[i - 1] if i > 0 else None
+                occurrences.append((row, before if before in lexicon.adverbs else None, token))
+    adverbs = sorted({adverb for _, adverb, _ in occurrences if adverb is not None})
+    words = sorted({word for _, _, word in occurrences})
+    adverb_design = np.zeros((len(mentions), len(adverbs)))
+    word_design = np.zeros((len(mentions), len(words)))
+    bias = np.zeros(len(mentions))
+    for row, adverb, word in occurrences:
+        if adverb is None:
+            bias[row] += lexicon.word_score(word)
+            word_design[row, words.index(word)] += 1.0
+        else:
+            adverb_design[row, adverbs.index(adverb)] += lexicon.word_score(word)
+            word_design[row, words.index(word)] += lexicon.adverb_score(adverb)
+    return SimpleNamespace(
+        adverbs=adverbs,
+        words=words,
+        adverb_design=adverb_design,
+        word_design=word_design,
+        bias=bias,
+        targets=np.array([mention.target_score for mention in mentions]),
+    )

@@ -26,12 +26,10 @@ from sentiscore.lexicon import (
     NEUTRAL,
     POSITIVE,
     Lexicon,
-    extract_pairs,
     make_mention,
     mask_target,
     prepare_mentions,
     score_mention,
-    tokenize,
 )
 from sentiscore.losses import (
     PenaltyMatrix,
@@ -77,8 +75,7 @@ def test_1_loss_worked_example_goldens(capsys):
 def test_2_mention_scoring_golden(capsys):
     t0 = time.perf_counter()
     lexicon = Lexicon({"beautiful": 0.75}, {"very": 1.5})
-    pairs = extract_pairs(tokenize("S5 is very beautiful"), lexicon)
-    score = score_mention(pairs, lexicon)
+    score = make_mention("S5 is very beautiful", POSITIVE, lexicon).score(lexicon)
     elapsed = time.perf_counter() - t0
     announce(capsys, 2, "mention scoring golden", score == 1.125, elapsed)
     assert score == 1.125

@@ -15,7 +15,7 @@ from sentiscore.augment import (
     derive_seed,
     flip_label,
 )
-from sentiscore.lexicon import LABELS, Lexicon, make_mention
+from sentiscore.lexicon import LABELS, Lexicon, LexiconError, make_mention
 
 
 @pytest.fixture
@@ -171,6 +171,31 @@ class TestFlipLabel:
 
 
 class TestAugmentCorpus:
+    def test_reads_occurrences_from_the_mentions(self, lexicon, monkeypatch):
+        mentions = [
+            make("TARGET is very horrible, not better", "negative", lexicon),
+            make("Great! TARGET is amazing", "positive", lexicon),
+        ]
+        config = AugmentConfig(max_variants_per_sample=10)
+        expected = augment_corpus(mentions, lexicon, config)
+        assert any(sample.label == "positive" for sample in expected)
+
+        def tokenized_again(*args, **kwargs):
+            raise AssertionError("augment_corpus tokenized or extracted again")
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "sentiscore":
+                for attr in ("tokenize", "tokenize_with_spans", "extract_pair_indices"):
+                    if hasattr(module, attr):
+                        monkeypatch.setattr(module, attr, tokenized_again)
+        assert augment_corpus(mentions, lexicon, config) == expected
+
+    def test_lexicon_without_a_mention_word_raises(self, lexicon):
+        mentions = [make("TARGET is nice", "positive", lexicon)]
+        smaller = Lexicon({t: s for t, s in lexicon.words.items() if t != "nice"})
+        with pytest.raises(LexiconError, match="nice"):
+            augment_corpus(mentions, smaller, AugmentConfig())
+
     def test_provenance_carries_source_index(self, lexicon):
         mentions = [
             make("TARGET is horrible", "negative", lexicon),

@@ -12,7 +12,7 @@ from sentiscore.boxlsq import (
     objective,
     solve,
 )
-from sentiscore.learner import LearningConfig, build_word_problem
+from sentiscore.learner import LearningConfig, build_word_problem, index_occurrences
 from sentiscore.lexicon import prepare_mentions
 from sentiscore.synthetic import CorpusConfig, coarse_seed_lexicon, generate_corpus
 
@@ -176,7 +176,8 @@ def word_problem(seed: int, size: int = 400, words: int = 30) -> ConstrainedLsqP
         CorpusConfig(size=size, word_count=words, adverb_count=4, rng_seed=seed)
     )
     lexicon = coarse_seed_lexicon(truth)
-    return build_word_problem(prepare_mentions(records, lexicon), lexicon, LearningConfig(lam=0.01))
+    index = index_occurrences(prepare_mentions(records, lexicon))
+    return build_word_problem(index, *index.scores(lexicon), LearningConfig(lam=0.01))
 
 
 class TestGramForm:

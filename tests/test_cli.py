@@ -46,6 +46,11 @@ def gen_corpus(tmp_path, name="corpus.tsv", **flags):
     return corpus, lexicon
 
 
+def bytes_stdin(data: bytes) -> io.TextIOWrapper:
+    """A stand-in for ``sys.stdin`` whose ``buffer`` holds ``data``."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="latin-1")
+
+
 def write_seed_lexicon(tmp_path, truth_path):
     seed_path = tmp_path / "seed.lexicon"
     save_lexicon(coarse_seed_lexicon(load_lexicon(truth_path)), seed_path)
@@ -440,12 +445,26 @@ class TestTrainPredict:
         corpus, _ = gen_corpus(tmp_path, size=60, words=6, seed=4)
         checkpoint = self.train(tmp_path, corpus)
         text = load_mention_records(corpus)[0].text
-        monkeypatch.setattr("sys.stdin", io.StringIO(text + "\n\n"))
+        monkeypatch.setattr("sys.stdin", bytes_stdin((text + "\n\n").encode("utf-8")))
         code = main(["predict", "--checkpoint", str(checkpoint)])
         assert code == 0
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 1
         assert lines[0].split("\t")[0] in (POSITIVE, NEGATIVE, NEUTRAL)
+
+    def test_predict_reads_stdin_as_it_reads_input(self, tmp_path, capsys, monkeypatch):
+        corpus, _ = gen_corpus(tmp_path, size=60, words=6, seed=4)
+        checkpoint = self.train(tmp_path, corpus)
+        texts = [r.text for r in load_mention_records(corpus)[:4]]
+        data = f"{texts[0]}\r\n{texts[1]}\r{texts[2]}\n\r\n{texts[3]} caf\u00e9".encode("utf-8")
+        inputs = tmp_path / "inputs.txt"
+        inputs.write_bytes(data)
+        assert main(["predict", "--checkpoint", str(checkpoint), "--input", str(inputs)]) == 0
+        from_file = capsys.readouterr().out
+        monkeypatch.setattr("sys.stdin", bytes_stdin(data))
+        assert main(["predict", "--checkpoint", str(checkpoint)]) == 0
+        assert capsys.readouterr().out == from_file
+        assert len(from_file.splitlines()) == 4
 
     def test_weighted_ce_and_static_embeddings_flags(self, tmp_path):
         corpus, _ = gen_corpus(tmp_path, size=60, words=6, seed=4)
@@ -634,6 +653,19 @@ class TestEvaluate:
         assert "unknown key 'epoch'" in capsys.readouterr().err
         assert not report_path.exists()
 
+    def test_default_section_exits_1_naming_it(self, tmp_path, capsys):
+        corpus, _ = gen_corpus(tmp_path, size=60, words=6, seed=4)
+        config_path = tmp_path / "experiment.ini"
+        config_path.write_text("[DEFAULT]\nepochs = 1\n[cnn]\n", encoding="utf-8")
+        report_path = tmp_path / "r.txt"
+        code = main(
+            ["evaluate", "--corpus", str(corpus), "--config", str(config_path),
+             "--out", str(report_path)]
+        )
+        assert code == 1
+        assert "unknown experiment config section [DEFAULT]" in capsys.readouterr().err
+        assert not report_path.exists()
+
     def test_percent_in_config_exits_1_naming_field(self, tmp_path, capsys):
         corpus, _ = gen_corpus(tmp_path, size=60, words=6, seed=4)
         config_path = tmp_path / "experiment.ini"
@@ -710,9 +742,10 @@ class TestUndecodableInput:
             ("train", "--corpus"),
             ("evaluate", "--config"),
             ("predict", "--input"),
+            ("predict", "<stdin>"),
         ],
     )
-    def test_non_utf8_file_exits_1_naming_it(self, tmp_path, capsys, command, flag):
+    def test_non_utf8_file_exits_1_naming_it(self, tmp_path, capsys, monkeypatch, command, flag):
         corpus, truth = gen_corpus(tmp_path, size=40, words=6)
         checkpoint = tmp_path / "model.ckpt"
         if command == "predict":
@@ -725,7 +758,12 @@ class TestUndecodableInput:
         }[command]
         bad = tmp_path / "bad.bin"
         bad.write_bytes(b"fine\tline\n\xff\xfe\n")
-        inputs[flag] = bad
+        if flag == "<stdin>":
+            del inputs["--input"]
+            monkeypatch.setattr("sys.stdin", bytes_stdin(bad.read_bytes()))
+            bad = flag
+        else:
+            inputs[flag] = bad
         code = main([command, *(str(x) for item in inputs.items() for x in item)])
         assert code == 1
-        assert capsys.readouterr().err == f"error: {bad}: not UTF-8 text\n"
+        assert capsys.readouterr() == ("", f"error: {bad}: not UTF-8 text\n")

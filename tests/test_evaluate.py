@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -272,8 +271,22 @@ class TestConfigRoundTrip:
             ("[experiment]\nk = 3\nfolds = 4\n", r"'folds' in .* section \[experiment\]"),
             ("[penalty]\nmixed = 1 1 1\n", r"'mixed' in experiment config section \[penalty\]"),
             ("[cnnn]\nepochs = 3\n", r"unknown experiment config section \[cnnn\]"),
+            ("[DEFAULT]\nepochs = 1\n", r"unknown experiment config section \[DEFAULT\]"),
+            ("[DEFAULT]\nepochs = 1\n[cnn]\n", r"unknown experiment config section \[DEFAULT\]"),
+            (
+                "[DEFAULT]\nepochs = 1\n[experiment]\n",
+                r"unknown experiment config section \[DEFAULT\]",
+            ),
         ],
-        ids=["cnn-key", "experiment-key", "penalty-key", "section"],
+        ids=[
+            "cnn-key",
+            "experiment-key",
+            "penalty-key",
+            "section",
+            "default-alone",
+            "default-with-a-section-that-has-the-key",
+            "default-with-a-section-that-lacks-the-key",
+        ],
     )
     def test_unknown_keys_and_sections_rejected(self, text, message):
         with pytest.raises(EvalError, match=message):

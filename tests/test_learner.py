@@ -2,23 +2,36 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import explicit_learner_problems
 from sentiscore.learner import (
     LearnerError,
     LearningConfig,
     build_adverb_problem,
     build_word_problem,
-    observed_adverbs,
-    observed_words,
+    index_occurrences,
     train_iterative,
 )
-from sentiscore.lexicon import Lexicon, make_mention
+from sentiscore.lexicon import LABELS, Lexicon, make_mention
 from sentiscore.synthetic import CorpusConfig, coarse_seed_lexicon, generate_corpus
 from sentiscore.lexicon import prepare_mentions
 
 
 def mention(text, label, lexicon, target):
     return make_mention(text, label, lexicon, target_score=target)
+
+
+def adverb_problem(mentions, lexicon, config=LearningConfig()):
+    index = index_occurrences(mentions)
+    _, word_scores = index.scores(lexicon)
+    return index, build_adverb_problem(index, word_scores, config)
+
+
+def word_problem(mentions, lexicon, config=LearningConfig()):
+    index = index_occurrences(mentions)
+    return index, build_word_problem(index, *index.scores(lexicon), config)
 
 
 @pytest.fixture
@@ -31,7 +44,7 @@ class TestProblemBuilders:
         mentions = [
             mention("good and very good", "positive", tiny_lexicon, 2.5),
         ]
-        problem = build_adverb_problem(mentions, tiny_lexicon, LearningConfig())
+        _, problem = adverb_problem(mentions, tiny_lexicon)
         # one column for "very": coefficient is the paired word's score,
         # bias collects the unpaired occurrence.
         assert problem.design.shape == (1, 1)
@@ -44,9 +57,8 @@ class TestProblemBuilders:
     def test_word_problem_scales_by_adverb_score(self, tiny_lexicon):
         lex = tiny_lexicon.replace_scores(adverb_scores={"very": 1.5})
         mentions = [mention("very good", "positive", lex, 1.5)]
-        problem = build_word_problem(mentions, lex, LearningConfig())
-        words = observed_words(mentions)
-        assert words == ["good"]
+        index, problem = word_problem(mentions, lex)
+        assert index.words == ["good"]
         assert problem.design[0, 0] == 1.5
         assert problem.bias[0] == 0.0
 
@@ -55,10 +67,9 @@ class TestProblemBuilders:
         mentions = [
             mention("good and awful", "neutral", tiny_lexicon, 0.0),
         ]
-        problem = build_word_problem(mentions, tiny_lexicon, config)
-        words = observed_words(mentions)
-        lower = dict(zip(words, problem.lower))
-        upper = dict(zip(words, problem.upper))
+        index, problem = word_problem(mentions, tiny_lexicon, config)
+        lower = dict(zip(index.words, problem.lower))
+        upper = dict(zip(index.words, problem.upper))
         assert lower["good"] == config.epsilon_margin
         assert upper["good"] == np.inf
         assert lower["awful"] == -np.inf
@@ -67,7 +78,7 @@ class TestProblemBuilders:
     def test_adverb_problem_requires_modifier_occurrences(self, tiny_lexicon):
         mentions = [mention("good", "positive", tiny_lexicon, 1.0)]
         with pytest.raises(LearnerError):
-            build_adverb_problem(mentions, tiny_lexicon, LearningConfig())
+            adverb_problem(mentions, tiny_lexicon)
 
 
 class TestTrainIterative:
@@ -157,7 +168,8 @@ class TestTrainIterative:
         records, truth = generate_corpus(config)
         seed = coarse_seed_lexicon(truth)
         mentions = prepare_mentions(records, seed)
-        adverbs, words = observed_adverbs(mentions), observed_words(mentions)
+        index = index_occurrences(mentions)
+        adverbs, words = index.adverbs, index.words
         lam = 0.01
 
         def joint(lexicon):
@@ -221,8 +233,69 @@ class TestObserved:
             mention("very good and very good", "positive", tiny_lexicon, 2.0),
             mention("awful", "negative", tiny_lexicon, -1.0),
         ]
-        assert observed_adverbs(mentions) == ["very"]
-        assert observed_words(mentions) == ["awful", "good"]
+        index = index_occurrences(mentions)
+        assert index.adverbs == ["very"]
+        assert index.words == ["awful", "good"]
+        assert index.rows.tolist() == [0, 0, 1]
+        assert index.adverb_cols.tolist() == [0, 0, -1]
+        assert index.word_cols.tolist() == [1, 1, 0]
+
+
+# Random corpora over a small vocabulary, checked against the one
+# pair at a time construction kept in tests/helpers.py.
+TOKENS = ("good", "fine", "bad", "awful", "very", "quite", "the", "TARGET", "not")
+SCORES = st.floats(0.05, 3.0) | st.sampled_from([0.1, 0.2, 0.1 + 0.2, 1.0, 1e-300, 1e300])
+
+
+@st.composite
+def scored_corpora(draw):
+    words = {
+        term: draw(SCORES) * sign
+        for term, sign in (("good", 1.0), ("fine", 1.0), ("bad", -1.0), ("awful", -1.0))
+    }
+    adverbs = {term: draw(SCORES | st.just(0.0)) for term in ("very", "quite")}
+    lexicon = Lexicon(words, adverbs)
+    mentions = [
+        make_mention(
+            " ".join(draw(st.lists(st.sampled_from(TOKENS), max_size=7))),
+            draw(st.sampled_from(LABELS)),
+            lexicon,
+            target_score=draw(st.floats(-3.0, 3.0)),
+        )
+        for _ in range(draw(st.integers(1, 6)))
+    ]
+    return mentions, lexicon
+
+
+class TestAgainstExplicitConstruction:
+    @settings(max_examples=200, deadline=None)
+    @given(corpus=scored_corpora(), lam=st.sampled_from([0.0, 0.01, 0.1]))
+    def test_designs_bias_and_targets_equal_pair_by_pair_sums(self, corpus, lam):
+        mentions, lexicon = corpus
+        config = LearningConfig(lam=lam)
+        expected = explicit_learner_problems(mentions, lexicon)
+        if not expected.words:
+            with pytest.raises(LearnerError):
+                index_occurrences(mentions)
+            return
+        index = index_occurrences(mentions)
+        adverb_scores, word_scores = index.scores(lexicon)
+        assert (index.adverbs, index.words) == (expected.adverbs, expected.words)
+        assert np.array_equal(index.targets, expected.targets)
+        if expected.adverbs:
+            problem = build_adverb_problem(index, word_scores, config)
+            assert np.array_equal(problem.design, expected.adverb_design)
+            assert np.array_equal(problem.bias, expected.bias)
+            assert np.array_equal(problem.targets, expected.targets)
+        else:
+            with pytest.raises(LearnerError):
+                build_adverb_problem(index, word_scores, config)
+        problem = build_word_problem(index, adverb_scores, word_scores, config)
+        assert np.array_equal(problem.design, expected.word_design)
+        assert np.array_equal(problem.bias, np.zeros(len(mentions)))
+        assert np.array_equal(problem.targets, expected.targets)
+        assert np.array_equal(problem.lower > 0, word_scores > 0)
+        assert np.array_equal(problem.upper < 0, word_scores < 0)
 
 
 class TestConfigValidation:

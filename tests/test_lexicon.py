@@ -11,7 +11,7 @@ from sentiscore.lexicon import (
     Lexicon,
     LexiconError,
     MentionRecord,
-    extract_pairs,
+    extract_pair_indices,
     load_lexicon,
     load_mention_records,
     make_mention,
@@ -175,40 +175,37 @@ class TestLexiconInvariants:
             lexicon.adverb_score("hardly")
 
 
+def pairs(text: str, lexicon: Lexicon) -> tuple:
+    return make_mention(text, "neutral", lexicon).pairs
+
+
 class TestExtractPairs:
     def test_adverb_attaches_only_when_adjacent(self, lexicon):
-        tokens = tokenize("the screen is very beautiful")
-        assert extract_pairs(tokens, lexicon) == [("very", "beautiful")]
+        assert pairs("the screen is very beautiful", lexicon) == (("very", "beautiful"),)
 
     def test_non_adjacent_adverb_ignored(self, lexicon):
-        tokens = tokenize("very shiny and beautiful")
-        assert extract_pairs(tokens, lexicon) == [(None, "beautiful")]
+        assert pairs("very shiny and beautiful", lexicon) == ((None, "beautiful"),)
 
     def test_word_at_sentence_start(self, lexicon):
-        assert extract_pairs(tokenize("beautiful indeed"), lexicon) == [
-            (None, "beautiful")
-        ]
+        assert pairs("beautiful indeed", lexicon) == ((None, "beautiful"),)
 
     def test_multiple_occurrences_in_order(self, lexicon):
-        tokens = tokenize("bad camera but very great sound, quite bad strap")
-        assert extract_pairs(tokens, lexicon) == [
+        assert pairs("bad camera but very great sound, quite bad strap", lexicon) == (
             (None, "bad"),
             ("very", "great"),
             ("quite", "bad"),
-        ]
+        )
 
     def test_stacked_adverbs_only_nearest_attaches(self, lexicon):
-        tokens = tokenize("extremely very beautiful")
-        assert extract_pairs(tokens, lexicon) == [("very", "beautiful")]
+        assert pairs("extremely very beautiful", lexicon) == (("very", "beautiful"),)
 
     def test_adverb_without_word_contributes_nothing(self, lexicon):
-        assert extract_pairs(tokenize("very much so"), lexicon) == []
+        assert pairs("very much so", lexicon) == ()
 
 
 class TestScoreMention:
     def test_modified_word_golden(self, lexicon):
-        pairs = extract_pairs(tokenize("TARGET is very beautiful"), lexicon)
-        assert score_mention(pairs, lexicon) == 1.125
+        assert score_mention(pairs("TARGET is very beautiful", lexicon), lexicon) == 1.125
 
     def test_unmodified_word_uses_raw_score(self, lexicon):
         assert score_mention([(None, "ugly")], lexicon) == -1.2
@@ -251,6 +248,13 @@ class TestMention:
         assert "TARGET" in m.raw_text
         assert m.pairs == (("very", "beautiful"),)
         assert m.label == "positive"
+
+    def test_mention_keeps_its_spans_and_occurrence_indices(self, lexicon):
+        m = make_mention("Ünïcode: very  beautiful, BAD!", "neutral", lexicon)
+        assert m.spans == tuple(tokenize_with_spans(m.raw_text))
+        tokens = [token for token, _, _ in m.spans]
+        assert m.pair_indices == tuple(extract_pair_indices(tokens, lexicon)) == ((2, 3), (None, 4))
+        assert m.pairs == (("very", "beautiful"), (None, "bad"))
 
     def test_default_target_scores_follow_labels(self, lexicon):
         for label in LABELS:

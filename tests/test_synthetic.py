@@ -11,8 +11,7 @@ from sentiscore.lexicon import (
     NEGATIVE,
     NEUTRAL,
     POSITIVE,
-    extract_pairs,
-    score_mention,
+    make_mention,
     tokenize,
 )
 from sentiscore.synthetic import (
@@ -95,6 +94,11 @@ class TestQuotas:
         assert all(33 <= c <= 34 for c in counts.values())
 
 
+
+def lexicon_score(record, lexicon) -> float:
+    return make_mention(record.text, record.label, lexicon).score(lexicon)
+
+
 class TestCoverage:
     def test_every_term_reaches_minimum(self):
         config = small_config(size=200, min_occurrences=4)
@@ -105,7 +109,7 @@ class TestCoverage:
             tokens = tokenize(rec.text)
             for w in set(tokens) & set(word_counts):
                 word_counts[w] += 1
-            for adverb, _ in extract_pairs(tokens, lexicon):
+            for adverb, _ in make_mention(rec.text, rec.label, lexicon).pairs:
                 if adverb is not None:
                     pair_counts[adverb] += 1
         assert all(c >= 4 for c in word_counts.values()), word_counts
@@ -130,8 +134,7 @@ class TestLabels:
     def test_target_scores_recomputable_from_lexicon(self):
         records, lexicon = generate_corpus(small_config(size=200))
         for rec in records:
-            pairs = extract_pairs(tokenize(rec.text), lexicon)
-            assert score_mention(pairs, lexicon) == pytest.approx(rec.target_score)
+            assert lexicon_score(rec, lexicon) == pytest.approx(rec.target_score)
 
     def test_texts_carry_the_target_token(self):
         records, _ = generate_corpus(small_config(size=120))
@@ -176,8 +179,7 @@ class TestNoise:
         records, lexicon = generate_corpus(config)
         flipped = 0
         for rec in records:
-            pairs = extract_pairs(tokenize(rec.text), lexicon)
-            score = score_mention(pairs, lexicon)
+            score = lexicon_score(rec, lexicon)
             derived = POSITIVE if score > 0 else NEGATIVE if score < 0 else NEUTRAL
             assert rec.target_score == pytest.approx(score)
             if rec.label != derived:
@@ -187,7 +189,7 @@ class TestNoise:
     def test_zero_noise_flips_nothing(self):
         records, lexicon = generate_corpus(small_config(size=200, noise_rate=0.0))
         for rec in records:
-            score = score_mention(extract_pairs(tokenize(rec.text), lexicon), lexicon)
+            score = lexicon_score(rec, lexicon)
             derived = POSITIVE if score > 0 else NEGATIVE if score < 0 else NEUTRAL
             assert rec.label == derived
 

@@ -69,13 +69,16 @@ def run_all(work: Path) -> dict[str, str]:
 
     out: dict[str, str] = {}
 
-    def run(name: str, argv: list[str], files: list[str] = ()) -> None:
+    def run(name: str, argv: list[str], files: list[str] = (), stdin: bytes = b"") -> None:
         stdout = io.StringIO()
+        saved_stdin, sys.stdin = sys.stdin, io.TextIOWrapper(io.BytesIO(stdin), encoding="utf-8")
         with contextlib.redirect_stdout(stdout):
             try:
                 code = main(argv)
             except SystemExit as exc:  # --help
                 code = exc.code
+            finally:
+                sys.stdin = saved_stdin
         out[f"{name}: exit"] = str(code)
         if stdout.getvalue():
             out[f"{name}: stdout"] = _sha256(stdout.getvalue().encode("utf-8"))
@@ -105,6 +108,11 @@ def run_all(work: Path) -> dict[str, str]:
         "train", "--corpus", path("augmented.tsv"), "--out", path("weighted.ckpt"),
         *SMALL_CNN, "--weighted-ce",
     ], ["weighted.ckpt"])
+    run("train --weighted-ce --penalty --static-embeddings", [
+        "train", "--corpus", path("corpus.tsv"), "--out", path("static.ckpt"),
+        *SMALL_CNN, "--weighted-ce", "--penalty", "1,5,3;5,1,3;2,2,1", "--static-embeddings",
+        "--pooling", "max_over_time", "--activation", "tanh",
+    ], ["static.ckpt"])
     texts = (work / "corpus.tsv").read_text(encoding="utf-8").splitlines()[:20]
     (work / "texts.txt").write_text(
         "".join(line.split("\t")[0] + "\n" for line in texts) + "\nthe camera is good\n",
@@ -114,6 +122,9 @@ def run_all(work: Path) -> dict[str, str]:
         "predict", "--checkpoint", path("plain.ckpt"), "--input", path("texts.txt"),
         "--entity", "camera",
     ])
+    run("predict <stdin>", [
+        "predict", "--checkpoint", path("weighted.ckpt"), "--entity", "camera",
+    ], stdin=(work / "texts.txt").read_bytes())
     (work / "experiment.ini").write_text(EXPERIMENT_INI, encoding="utf-8")
     evaluate = ["evaluate", "--corpus", path("corpus.tsv"), "--config", path("experiment.ini")]
     run("evaluate cnn", [*evaluate, "--out", path("report_cnn.txt"), "--variant", "cnn"],
@@ -122,6 +133,22 @@ def run_all(work: Path) -> dict[str, str]:
         *evaluate, "--lexicon", path("seed.lexicon"), "--out", path("report_total.txt"),
         "--variant", "cnn-total",
     ], ["report_total.txt"])
+    for variant in ("cnn-cross", "cnn-quad"):
+        run(f"evaluate {variant}", [
+            *evaluate, "--lexicon", path("seed.lexicon"), "--out", path(f"report_{variant}.txt"),
+            "--variant", variant,
+        ], [f"report_{variant}.txt"])
+    run("gen-corpus --adverbs 0", [
+        "gen-corpus", "--out", path("bare.tsv"), "--lexicon-out", path("bare_truth.lexicon"),
+        "--size", "120", "--words", "8", "--adverbs", "0", "--noise", "0.1", "--seed", "7",
+    ], ["bare.tsv", "bare_truth.lexicon"])
+    save_lexicon(
+        coarse_seed_lexicon(load_lexicon(work / "bare_truth.lexicon")), work / "bare_seed.lexicon"
+    )
+    run("learn-scores --adverbs 0", [
+        "learn-scores", "--mentions", path("bare.tsv"), "--lexicon", path("bare_seed.lexicon"),
+        "--out", path("bare_learned.lexicon"), "--lambda", "0.01",
+    ], ["bare_learned.lexicon", "bare_learned.lexicon.trace"])
     for command in ("", "gen-corpus", "learn-scores", "augment", "train", "predict", "evaluate"):
         argv = [command, "--help"] if command else ["--help"]
         run(" ".join(argv), argv)

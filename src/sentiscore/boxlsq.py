@@ -59,8 +59,8 @@ class ConstrainedLsqProblem:
             raise BoxLsqError("bias and targets must match the design row count")
         if lower.shape != (d,) or upper.shape != (d,):
             raise BoxLsqError("bounds must match the design column count")
-        if not self.lam >= 0:
-            raise BoxLsqError("lam must be >= 0")
+        if not 0 <= self.lam < np.inf:
+            raise BoxLsqError("lam must be finite and >= 0")
         if np.any(lower > upper):
             raise BoxLsqError("every lower bound must be <= its upper bound")
         object.__setattr__(self, "design", design)

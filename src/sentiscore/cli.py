@@ -131,17 +131,23 @@ def _config(cls, args: argparse.Namespace, **overrides):
 
 
 def _parse_penalty(text: str) -> PenaltyMatrix:
-    rows = []
-    for chunk in text.split(";"):
-        rows.append([float(x) for x in chunk.split(",")])
-    return PenaltyMatrix(np.array(rows))
+    try:
+        rows = [[float(x) for x in row.split(",")] for row in text.split(";")]
+        if {len(row) for row in rows} != {3}:
+            raise ValueError("each row must hold three comma-separated weights")
+        return PenaltyMatrix(np.array(rows))
+    except ValueError as exc:
+        raise ValueError(f"--penalty: {exc}") from None
 
 
 def _parse_mix(text: str) -> dict[str, float]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ValueError("class mix must be three comma-separated fractions")
-    return dict(zip(LABELS, map(float, parts)))
+    try:
+        parts = [float(x) for x in text.split(",")]
+        if len(parts) != 3:
+            raise ValueError("class mix must be three comma-separated fractions")
+    except ValueError as exc:
+        raise ValueError(f"--mix: {exc}") from None
+    return dict(zip(LABELS, parts))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -190,12 +196,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="train with penalty-weighted cross entropy (default: plain)",
     )
     p.add_argument("--penalty", type=str, default=None, help=_PENALTY_HELP)
-    p.add_argument(
-        "--static-embeddings",
-        dest="finetune_embeddings",
-        action="store_false",
-        help="freeze embedding rows during training (default: fine-tune)",
-    )
+    _add_config_flags(p, CnnConfig(), {"finetune_embeddings": (
+        "--static-embeddings", "freeze embedding rows during training (default: fine-tune)"
+    )})
 
     p = sub.add_parser(
         "evaluate",
@@ -283,11 +286,13 @@ def _cmd_augment(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    records = load_mention_records(args.corpus)
-    config = _config(CnnConfig, args)
+    if args.penalty is not None and not args.weighted_ce:
+        raise ValueError("--penalty applies only with --weighted-ce")
     penalty = None
     if args.weighted_ce:
-        penalty = _parse_penalty(args.penalty) if args.penalty else PenaltyMatrix.default()
+        penalty = PenaltyMatrix.default() if args.penalty is None else _parse_penalty(args.penalty)
+    records = load_mention_records(args.corpus)
+    config = _config(CnnConfig, args)
     model, vocab, _ = train_classifier(
         [tokenize(masked_text(r.text, r.entity)) for r in records],
         [r.label for r in records],

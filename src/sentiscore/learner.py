@@ -42,10 +42,14 @@ class LearningConfig:
     def __post_init__(self) -> None:
         if self.max_outer_iterations < 1:
             raise LearnerError("max_outer_iterations must be >= 1")
-        if not self.lam >= 0:
-            raise LearnerError("lam must be >= 0")
-        if not self.epsilon_margin > 0:
-            raise LearnerError("epsilon_margin must be > 0")
+        if not 0 <= self.lam < np.inf:
+            raise LearnerError("lam must be finite and >= 0")
+        if not 0 < self.epsilon_margin < np.inf:
+            raise LearnerError("epsilon_margin must be finite and > 0")
+        if not 0 < self.solver_tol < np.inf:
+            raise LearnerError("solver_tol must be finite and > 0")
+        if self.solver_max_iter < 1:
+            raise LearnerError("solver_max_iter must be >= 1")
 
 
 @dataclass
@@ -107,14 +111,6 @@ def index_occurrences(mentions: Sequence[Mention]) -> OccurrenceIndex:
     return OccurrenceIndex(rows, adverb_cols, word_cols, adverbs, words, targets)
 
 
-def _no_modifier_bias(index: OccurrenceIndex, word_scores: np.ndarray) -> np.ndarray:
-    """Per mention, the sum of its unmodified words' scores, in occurrence order."""
-    bare = index.adverb_cols < 0
-    return np.bincount(
-        index.rows[bare], weights=word_scores[index.word_cols[bare]], minlength=len(index.targets)
-    )
-
-
 def build_adverb_problem(
     index: OccurrenceIndex, word_scores: np.ndarray, config: LearningConfig
 ) -> ConstrainedLsqProblem:
@@ -126,18 +122,19 @@ def build_adverb_problem(
     score to the row's bias. All coordinates are bounded below by zero.
     Columns cover the observed modifiers in sorted order; modifiers
     never seen in the corpus are excluded so regularization cannot drag
-    their scores.
+    their scores. A corpus with no modifiers gives an (M, 0) problem.
     """
-    if not index.adverbs:
-        raise LearnerError("no modifier occurrences in the corpus")
     m_count, d = len(index.targets), len(index.adverbs)
-    modified = index.adverb_cols >= 0
+    modified, bare = index.adverb_cols >= 0, index.adverb_cols < 0
     cells = index.rows[modified] * d + index.adverb_cols[modified]
     values = word_scores[index.word_cols[modified]]
     design = np.bincount(cells, weights=values, minlength=m_count * d).reshape(m_count, d)
+    bias = np.bincount(
+        index.rows[bare], weights=word_scores[index.word_cols[bare]], minlength=m_count
+    )
     return ConstrainedLsqProblem(
         design=design,
-        bias=_no_modifier_bias(index, word_scores),
+        bias=bias,
         targets=index.targets,
         lam=config.lam,
         lower=np.zeros(d),
@@ -197,17 +194,11 @@ def train_iterative(
     for _ in range(config.max_outer_iterations):
         # Each problem is built inside the solve call, so its dense
         # design is freed before the next one is allocated.
-        if index.adverbs:
-            report = solve(
-                build_adverb_problem(index, word_scores, config), tol, max_iter, adverb_scores
-            )
-            converged = converged and report.converged
-            adverb_scores, adverb_objective = report.solution, report.objective
-        else:
-            # No modifiers observed: the modifier half-step is a no-op
-            # and its objective is the plain residual of the bias terms.
-            residual = _no_modifier_bias(index, word_scores) - index.targets
-            adverb_objective = float(np.sum(residual**2))
+        report = solve(
+            build_adverb_problem(index, word_scores, config), tol, max_iter, adverb_scores
+        )
+        converged = converged and report.converged
+        adverb_scores, adverb_objective = report.solution, report.objective
 
         report = solve(
             build_word_problem(index, adverb_scores, word_scores, config), tol, max_iter, word_scores

@@ -6,15 +6,15 @@ weighted loss multiplies plain cross entropy by a penalty taken from a
 argmax of the model's probability vector. Misclassifying across the
 positive/negative divide can thereby cost more than drifting into
 neutral. Gradients treat the selected penalty as a constant of the
-forward pass, since the argmax selection is discrete.
+forward pass, since the argmax selection is discrete. Both losses are
+``loss_and_logit_grad`` over a batch of rows; one example is a batch of
+one.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-
-from sentiscore.lexicon import LABELS
 
 #: Default penalty weights, rows = predicted label, columns = expected label,
 #: both in (positive, negative, neutral) order.
@@ -29,7 +29,7 @@ PROB_FLOOR = 1e-12
 
 
 class LossError(ValueError):
-    """Raised on malformed labels, distributions, or penalty matrices."""
+    """Raised on a malformed penalty matrix."""
 
 
 @dataclass(frozen=True)
@@ -42,6 +42,8 @@ class PenaltyMatrix:
         weights = np.asarray(self.weights, dtype=float)
         if weights.shape != (3, 3):
             raise LossError("penalty matrix must be 3x3")
+        if not np.all(np.isfinite(weights)):
+            raise LossError("penalty weights must be finite")
         if np.any(weights < 1.0):
             raise LossError("penalty weights must all be >= 1")
         if not np.all(np.diag(weights) == 1.0):
@@ -64,22 +66,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - np.max(logits, axis=-1, keepdims=True)
     exp = np.exp(shifted)
     return exp / np.sum(exp, axis=-1, keepdims=True)
-
-
-def _one_hot_index(y: np.ndarray) -> int:
-    y = np.asarray(y, dtype=float)
-    if y.shape != (3,) or not np.all((y == 0.0) | (y == 1.0)) or y.sum() != 1.0:
-        raise LossError(f"y must be a one-hot 3-vector, got {y!r}")
-    return int(np.argmax(y))
-
-
-def _check_distribution(probs: np.ndarray) -> np.ndarray:
-    probs = np.asarray(probs, dtype=float)
-    if probs.shape != (3,):
-        raise LossError("probability vector must have 3 entries")
-    if np.any(probs < 0.0) or np.any(probs > 1.0) or abs(probs.sum() - 1.0) > 1e-9:
-        raise LossError(f"not a probability distribution: {probs!r}")
-    return probs
 
 
 def loss_and_logit_grad(
@@ -105,30 +91,3 @@ def loss_and_logit_grad(
         return loss, grad
     weight = penalty.weights[probs.argmax(axis=1), labels]
     return weight * loss, weight[:, None] * grad
-
-
-def _single_loss(y: np.ndarray, y_hat: np.ndarray, penalty: PenaltyMatrix | None) -> float:
-    probs = _check_distribution(y_hat)
-    loss, _ = loss_and_logit_grad(np.array([_one_hot_index(y)]), probs[None], penalty)
-    return float(loss[0])
-
-
-def cross_entropy(y: np.ndarray, y_hat: np.ndarray) -> float:
-    """Negative log probability of the true label, floored like the batch loss."""
-    return _single_loss(y, y_hat, None)
-
-
-def weighted_cross_entropy(
-    y: np.ndarray, y_hat: np.ndarray, penalty: PenaltyMatrix
-) -> float:
-    """Cross entropy scaled by the penalty for this (predicted, expected) pair."""
-    return _single_loss(y, y_hat, penalty)
-
-
-def one_hot(index: int) -> np.ndarray:
-    """One-hot vector over the global label order."""
-    if not 0 <= index < len(LABELS):
-        raise LossError(f"label index out of range: {index}")
-    vec = np.zeros(len(LABELS))
-    vec[index] = 1.0
-    return vec

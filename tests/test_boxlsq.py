@@ -353,6 +353,18 @@ class TestValidation:
                 upper=np.ones(1),
             )
 
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf")])
+    def test_non_finite_lam_rejected(self, lam):
+        with pytest.raises(BoxLsqError, match="lam must be finite"):
+            ConstrainedLsqProblem(
+                design=np.zeros((1, 1)),
+                bias=np.zeros(1),
+                targets=np.zeros(1),
+                lam=lam,
+                lower=np.zeros(1),
+                upper=np.ones(1),
+            )
+
     def test_objective_on_wrong_shape_rejected(self):
         problem = ConstrainedLsqProblem(
             design=np.eye(2),

@@ -101,6 +101,21 @@ class TestGenCorpus:
         assert code == 1
         assert capsys.readouterr().err == "error: class_mix fractions must sum to 1\n"
 
+    @pytest.mark.parametrize(
+        "mix, message",
+        [
+            ("a,b,c", "could not convert string to float: 'a'"),
+            ("0.5,0.5", "class mix must be three comma-separated fractions"),
+        ],
+    )
+    def test_malformed_mix_exits_1_naming_flag(self, tmp_path, capsys, mix, message):
+        code = main(
+            ["gen-corpus", "--out", str(tmp_path / "x.tsv"), "--lexicon-out",
+             str(tmp_path / "x.lex"), "--mix", mix]
+        )
+        assert (code, capsys.readouterr().err) == (1, f"error: --mix: {message}\n")
+        assert not (tmp_path / "x.tsv").exists()
+
     def test_negative_seed_exits_1_naming_field(self, tmp_path, capsys):
         code = main(
             ["gen-corpus", "--out", str(tmp_path / "x.tsv"), "--lexicon-out",
@@ -171,6 +186,27 @@ class TestLearnScores:
             assert int(index) >= 1
             assert float(adverb_obj) >= 0
             assert float(word_obj) >= 0
+
+    @pytest.mark.parametrize(
+        "flag, message",
+        [
+            (["--lambda", "inf"], "lam must be finite and >= 0"),
+            (["--lambda", "nan"], "lam must be finite and >= 0"),
+            (["--tol", "0"], "solver_tol must be finite and > 0"),
+            (["--tol", "nan"], "solver_tol must be finite and > 0"),
+            (["--tol", "inf"], "solver_tol must be finite and > 0"),
+        ],
+    )
+    def test_bad_solver_flag_exits_1_naming_field(self, tmp_path, capsys, flag, message):
+        corpus, truth_path = gen_corpus(tmp_path)
+        seed_path = write_seed_lexicon(tmp_path, truth_path)
+        out = tmp_path / "learned.lexicon"
+        code = main(
+            ["learn-scores", "--mentions", str(corpus), "--lexicon", str(seed_path),
+             "--out", str(out), *flag]
+        )
+        assert (code, capsys.readouterr().err) == (1, f"error: {message}\n")
+        assert not out.exists()
 
     def test_nonconvergence_exits_2_but_writes(self, tmp_path, capsys):
         corpus, truth_path = gen_corpus(tmp_path, size=150, words=8)
@@ -475,6 +511,38 @@ class TestTrainPredict:
         )
         assert checkpoint.exists()
 
+    @pytest.mark.parametrize(
+        "penalty, message",
+        [
+            ("1,nan,3;4,1,3;2,2,1", "penalty weights must be finite"),
+            ("1,inf,3;4,1,3;2,2,1", "penalty weights must be finite"),
+            ("1,4,3;4,1;2,2,1", "each row must hold three comma-separated weights"),
+            ("1,4,3;4,x,3;2,2,1", "could not convert string to float: 'x'"),
+        ],
+        ids=["nan", "inf", "ragged", "not-a-number"],
+    )
+    def test_bad_penalty_exits_1_naming_flag(self, tmp_path, capsys, penalty, message):
+        corpus, _ = gen_corpus(tmp_path, size=30, words=6, seed=4)
+        checkpoint = tmp_path / "model.ckpt"
+        code = main(
+            ["train", "--corpus", str(corpus), "--out", str(checkpoint), "--weighted-ce",
+             "--penalty", penalty]
+        )
+        assert (code, capsys.readouterr().err) == (1, f"error: --penalty: {message}\n")
+        assert not checkpoint.exists()
+
+    def test_penalty_without_weighted_ce_exits_1(self, tmp_path, capsys):
+        corpus, _ = gen_corpus(tmp_path, size=30, words=6, seed=4)
+        checkpoint = tmp_path / "model.ckpt"
+        code = main(
+            ["train", "--corpus", str(corpus), "--out", str(checkpoint),
+             "--penalty", "1,4,3;4,1,3;2,2,1"]
+        )
+        assert (code, capsys.readouterr().err) == (
+            1, "error: --penalty applies only with --weighted-ce\n"
+        )
+        assert not checkpoint.exists()
+
     def test_train_byte_identical_reruns(self, tmp_path):
         corpus, _ = gen_corpus(tmp_path, size=60, words=6, seed=4)
         a = self.train(tmp_path, corpus)
@@ -542,6 +610,34 @@ class TestTrainPredict:
 
 
 class TestEvaluate:
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[penalty]\npositive = 1 nan 3\nnegative = 4 1 3\nneutral = 2 2 1\n",
+             "penalty weights must be finite"),
+            ("[penalty]\npositive = 1 4 3\nnegative = 4 1 3\nneutral = 2 inf 1\n",
+             "penalty weights must be finite"),
+            ("[learning]\nsolver_max_iter = 0\n", "solver_max_iter must be >= 1"),
+            ("[learning]\nsolver_max_iter = -5\n", "solver_max_iter must be >= 1"),
+            ("[learning]\nlam = inf\n", "lam must be finite and >= 0"),
+        ],
+        ids=["penalty-nan", "penalty-inf", "max-iter-0", "max-iter-negative", "lam-inf"],
+    )
+    def test_bad_config_value_exits_1_naming_it(self, tmp_path, capsys, text, message):
+        corpus, truth_path = gen_corpus(tmp_path, size=30, words=6, seed=4)
+        seed_path = write_seed_lexicon(tmp_path, truth_path)
+        config_path = tmp_path / "experiment.ini"
+        config_path.write_text(text, encoding="utf-8")
+        report_path = tmp_path / "report.txt"
+        code = main(
+            ["evaluate", "--corpus", str(corpus), "--config", str(config_path), "--lexicon",
+             str(seed_path), "--variant", "cnn-total", "--out", str(report_path)]
+        )
+        assert (code, capsys.readouterr().err) == (
+            1, f"error: malformed experiment config: {message}\n"
+        )
+        assert not report_path.exists()
+
     def test_config_run_writes_report(self, tmp_path):
         corpus, truth_path = gen_corpus(tmp_path, size=90, words=6, seed=4)
         seed_path = write_seed_lexicon(tmp_path, truth_path)

@@ -26,14 +26,7 @@ from sentiscore.cnn import (
     train_step,
 )
 from sentiscore.lexicon import LABEL_INDEX, LABELS
-from sentiscore.losses import (
-    PenaltyMatrix,
-    cross_entropy,
-    loss_and_logit_grad,
-    one_hot,
-    softmax,
-    weighted_cross_entropy,
-)
+from sentiscore.losses import PROB_FLOOR, PenaltyMatrix, loss_and_logit_grad, softmax
 from sentiscore.vocab import PAD, UNK, Vocab, build_vocab, sequence_indices
 
 
@@ -190,7 +183,9 @@ def finite_difference_check(config: CnnConfig, seed: int, penalty=None) -> float
     Runs on a batch of three sequences: the loss is the sum of the
     per-example losses, whose gradient ``backward`` returns. The analytic
     side is the training loss ``loss_and_logit_grad``; the numeric side
-    differences the paper's per-example formulas.
+    differences the paper's per-example formula, written out here:
+    ``w * -ln max(p_y, PROB_FLOOR)``, where ``w`` is 1 without a penalty
+    and the weight for the (argmax, expected) pair with one.
     """
     seeded = replace(config, rng_seed=seed)
     model = init_model(vocab_size=8, config=seeded)
@@ -203,9 +198,9 @@ def finite_difference_check(config: CnnConfig, seed: int, penalty=None) -> float
     grads = backward(model, config, cache, dlogits)
 
     def example_loss(y: int, row: np.ndarray) -> float:
-        if penalty is None:
-            return cross_entropy(one_hot(y), softmax(row))
-        return weighted_cross_entropy(one_hot(y), softmax(row), penalty)
+        probs = softmax(row)
+        weight = 1.0 if penalty is None else penalty.weights[int(np.argmax(probs)), y]
+        return weight * -np.log(max(probs[y], PROB_FLOOR))
 
     def loss_at(candidate, x) -> float:
         out, _ = forward(candidate, x, config)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import explicit_learner_problems
+from sentiscore.boxlsq import solve
 from sentiscore.learner import (
     LearnerError,
     LearningConfig,
@@ -75,10 +76,14 @@ class TestProblemBuilders:
         assert lower["awful"] == -np.inf
         assert upper["awful"] == -config.epsilon_margin
 
-    def test_adverb_problem_requires_modifier_occurrences(self, tiny_lexicon):
-        mentions = [mention("good", "positive", tiny_lexicon, 1.0)]
-        with pytest.raises(LearnerError):
-            adverb_problem(mentions, tiny_lexicon)
+    def test_adverb_problem_without_modifiers_has_no_columns(self, tiny_lexicon):
+        # Its solve leaves nothing to move: the objective is ||b - t||^2.
+        mentions = [mention("good", "positive", tiny_lexicon, 1.5)]
+        _, problem = adverb_problem(mentions, tiny_lexicon)
+        assert problem.design.shape == (1, 0)
+        assert problem.bias.tolist() == [1.0]
+        report = solve(problem)
+        assert (report.stop_reason, report.iterations, report.objective) == ("kkt", 1, 0.25)
 
 
 class TestTrainIterative:
@@ -282,14 +287,10 @@ class TestAgainstExplicitConstruction:
         adverb_scores, word_scores = index.scores(lexicon)
         assert (index.adverbs, index.words) == (expected.adverbs, expected.words)
         assert np.array_equal(index.targets, expected.targets)
-        if expected.adverbs:
-            problem = build_adverb_problem(index, word_scores, config)
-            assert np.array_equal(problem.design, expected.adverb_design)
-            assert np.array_equal(problem.bias, expected.bias)
-            assert np.array_equal(problem.targets, expected.targets)
-        else:
-            with pytest.raises(LearnerError):
-                build_adverb_problem(index, word_scores, config)
+        problem = build_adverb_problem(index, word_scores, config)
+        assert np.array_equal(problem.design, expected.adverb_design)
+        assert np.array_equal(problem.bias, expected.bias)
+        assert np.array_equal(problem.targets, expected.targets)
         problem = build_word_problem(index, adverb_scores, word_scores, config)
         assert np.array_equal(problem.design, expected.word_design)
         assert np.array_equal(problem.bias, np.zeros(len(mentions)))
@@ -310,3 +311,21 @@ class TestConfigValidation:
     def test_bad_margin(self):
         with pytest.raises(LearnerError):
             LearningConfig(epsilon_margin=0.0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("lam", float("nan")),
+            ("lam", float("inf")),
+            ("solver_tol", 0.0),
+            ("solver_tol", -1e-8),
+            ("solver_tol", float("nan")),
+            ("solver_tol", float("inf")),
+            ("epsilon_margin", float("inf")),
+            ("solver_max_iter", 0),
+            ("solver_max_iter", -5),
+        ],
+    )
+    def test_bad_fields_named(self, field, value):
+        with pytest.raises(LearnerError, match=f"^{field} must be"):
+            LearningConfig(**{field: value})

@@ -9,17 +9,22 @@ from sentiscore.losses import (
     PROB_FLOOR,
     LossError,
     PenaltyMatrix,
-    cross_entropy,
     loss_and_logit_grad,
-    one_hot,
     softmax,
-    weighted_cross_entropy,
 )
 
+TARGETS = np.eye(3)
 
-def loss_and_grad(y: np.ndarray, logits: np.ndarray, penalty):
+
+def loss_of(label: int, probs: np.ndarray, penalty=None) -> float:
+    """One example's loss through the batched training loss, as a batch of one."""
+    loss, _ = loss_and_logit_grad(np.array([label]), np.asarray(probs)[None], penalty)
+    return float(loss[0])
+
+
+def loss_and_grad(label: int, logits: np.ndarray, penalty):
     """One example's loss and logit gradient through the batched training loss."""
-    loss, grad = loss_and_logit_grad(np.array([int(np.argmax(y))]), softmax(logits)[None], penalty)
+    loss, grad = loss_and_logit_grad(np.array([label]), softmax(logits)[None], penalty)
     return float(loss[0]), grad[0]
 
 
@@ -43,6 +48,13 @@ class TestPenaltyMatrix:
     def test_shape_enforced(self):
         with pytest.raises(LossError):
             PenaltyMatrix(np.ones((2, 2)))
+
+    @pytest.mark.parametrize("weight", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weights_rejected(self, weight):
+        bad = np.array(DEFAULT_PENALTIES)
+        bad[0, 1] = weight
+        with pytest.raises(LossError, match="must be finite"):
+            PenaltyMatrix(bad)
 
     def test_weight_lookup_is_predicted_then_expected(self):
         # The rows predict 0, 2, 1 against expected 1, 0, 1, so their losses
@@ -77,27 +89,14 @@ class TestSoftmax:
 class TestCrossEntropy:
     def test_uniformish_golden(self):
         # -ln(0.3) and -ln(0.2): the reference values 1.204 and 1.609.
-        assert cross_entropy(one_hot(0), np.array([0.3, 0.3, 0.4])) == pytest.approx(
-            1.204, abs=1e-3
-        )
-        assert cross_entropy(one_hot(1), np.array([0.4, 0.2, 0.4])) == pytest.approx(
-            1.609, abs=1e-3
-        )
+        assert loss_of(0, [0.3, 0.3, 0.4]) == pytest.approx(1.204, abs=1e-3)
+        assert loss_of(1, [0.4, 0.2, 0.4]) == pytest.approx(1.609, abs=1e-3)
 
     def test_perfect_prediction_is_zero(self):
-        assert cross_entropy(one_hot(2), np.array([0.0, 0.0, 1.0])) == pytest.approx(0.0)
+        assert loss_of(2, [0.0, 0.0, 1.0]) == pytest.approx(0.0)
 
     def test_zero_probability_clamped(self):
-        loss = cross_entropy(one_hot(0), np.array([0.0, 0.5, 0.5]))
-        assert loss == pytest.approx(-np.log(PROB_FLOOR))
-
-    def test_rejects_non_distribution(self):
-        with pytest.raises(LossError):
-            cross_entropy(one_hot(0), np.array([0.5, 0.5, 0.5]))
-
-    def test_rejects_bad_one_hot(self):
-        with pytest.raises(LossError):
-            cross_entropy(np.array([0.5, 0.5, 0.0]), np.array([0.3, 0.3, 0.4]))
+        assert loss_of(0, [0.0, 0.5, 0.5]) == pytest.approx(-np.log(PROB_FLOOR))
 
 
 class TestWeightedCrossEntropy:
@@ -105,52 +104,45 @@ class TestWeightedCrossEntropy:
         penalty = PenaltyMatrix.default()
         y_hat = np.array([0.3, 0.3, 0.4])
         # predicted neutral, expected positive: weight 2.
-        base = cross_entropy(one_hot(0), y_hat)
-        assert weighted_cross_entropy(one_hot(0), y_hat, penalty) == pytest.approx(
-            2.0 * base
-        )
+        assert loss_of(0, y_hat, penalty) == pytest.approx(2.0 * loss_of(0, y_hat))
 
     def test_correct_prediction_weight_is_one(self):
         penalty = PenaltyMatrix.default()
         y_hat = np.array([0.7, 0.1, 0.2])
-        assert weighted_cross_entropy(one_hot(0), y_hat, penalty) == pytest.approx(
-            cross_entropy(one_hot(0), y_hat)
-        )
+        assert loss_of(0, y_hat, penalty) == pytest.approx(loss_of(0, y_hat))
 
     def test_argmax_tie_resolves_to_lowest_index(self):
         penalty = PenaltyMatrix.default()
         y_hat = np.array([0.4, 0.4, 0.2])
         # tie between positive and negative resolves to positive, so the
         # weight against an expected negative is 4.
-        assert weighted_cross_entropy(one_hot(1), y_hat, penalty) == pytest.approx(
-            4.0 * cross_entropy(one_hot(1), y_hat)
-        )
+        assert loss_of(1, y_hat, penalty) == pytest.approx(4.0 * loss_of(1, y_hat))
 
 
 class TestGradients:
     def test_plain_gradient_is_softmax_minus_target(self):
         logits = np.array([0.5, -0.2, 1.0])
-        _, grad = loss_and_grad(one_hot(1), logits, None)
-        npt.assert_allclose(grad, softmax(logits) - one_hot(1), atol=1e-12)
+        _, grad = loss_and_grad(1, logits, None)
+        npt.assert_allclose(grad, softmax(logits) - TARGETS[1], atol=1e-12)
 
     def test_weighted_gradient_scales_plain_gradient(self):
         penalty = PenaltyMatrix.default()
         rng = np.random.default_rng(1)
         for _ in range(30):
             logits = rng.normal(scale=2.0, size=3)
-            y = one_hot(int(rng.integers(3)))
-            weight = penalty.weights[int(np.argmax(softmax(logits))), int(np.argmax(y))]
+            y = int(rng.integers(3))
+            weight = penalty.weights[int(np.argmax(softmax(logits))), y]
             npt.assert_allclose(
                 loss_and_grad(y, logits, penalty)[1],
-                weight * (softmax(logits) - y),
+                weight * (softmax(logits) - TARGETS[y]),
                 atol=1e-12,
             )
 
     def test_none_penalty_recovers_plain_gradient(self):
         logits = np.array([0.1, 0.2, 0.3])
         npt.assert_array_equal(
-            loss_and_grad(one_hot(2), logits, None)[1],
-            softmax(logits) - one_hot(2),
+            loss_and_grad(2, logits, None)[1],
+            softmax(logits) - TARGETS[2],
         )
 
     def test_matches_finite_differences_where_argmax_stable(self):
@@ -163,17 +155,14 @@ class TestGradients:
             probs = np.sort(softmax(logits))
             if probs[-1] - probs[-2] < 1e-3:
                 continue  # keep away from argmax switches
-            y = one_hot(int(rng.integers(3)))
+            y = int(rng.integers(3))
             _, grad = loss_and_grad(y, logits, penalty)
             for j in range(3):
                 up = logits.copy()
                 up[j] += h
                 down = logits.copy()
                 down[j] -= h
-                fd = (
-                    weighted_cross_entropy(y, softmax(up), penalty)
-                    - weighted_cross_entropy(y, softmax(down), penalty)
-                ) / (2 * h)
+                fd = (loss_of(y, softmax(up), penalty) - loss_of(y, softmax(down), penalty)) / (2 * h)
                 assert grad[j] == pytest.approx(fd, abs=1e-6)
             checked += 1
         assert checked >= 30
@@ -182,28 +171,18 @@ class TestGradients:
         # The batched loss does not validate: a non-finite logit yields a
         # non-finite loss, which train_step rejects as TrainingDiverged.
         for penalty in (None, PenaltyMatrix.default()):
-            loss, grad = loss_and_grad(one_hot(0), np.array([np.nan, 0.0, 0.0]), penalty)
+            loss, grad = loss_and_grad(0, np.array([np.nan, 0.0, 0.0]), penalty)
             assert not np.isfinite(loss)
             assert not np.all(np.isfinite(grad))
 
 
 class TestLossAndLogitGrad:
     def test_dispatches_on_penalty(self):
+        # Against the formula written out: w * -ln(p_y), with w = 1 unpenalized
+        # and weights[argmax, y] = weights[1, 0] = 4 penalized.
         y_hat = np.array([0.2, 0.5, 0.3])
         plain, _ = loss_and_logit_grad(np.array([0]), y_hat[None], None)
-        assert plain[0] == pytest.approx(cross_entropy(one_hot(0), y_hat))
+        assert plain[0] == pytest.approx(-np.log(0.2))
         penalty = PenaltyMatrix.default()
         weighted, _ = loss_and_logit_grad(np.array([0]), y_hat[None], penalty)
-        assert weighted[0] == pytest.approx(weighted_cross_entropy(one_hot(0), y_hat, penalty))
-
-
-class TestOneHot:
-    def test_valid_indices(self):
-        for i in range(3):
-            vec = one_hot(i)
-            assert vec[i] == 1.0
-            assert vec.sum() == 1.0
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(LossError):
-            one_hot(3)
+        assert weighted[0] == pytest.approx(4.0 * -np.log(0.2))

@@ -28,6 +28,7 @@ import json  # noqa: E402
 import runpy  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
+from dataclasses import replace  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -64,7 +65,12 @@ def _sha256(data: bytes) -> str:
 def run_all(work: Path) -> dict[str, str]:
     """Every command's outputs under ``work``, as ``{"<command>: <output>": digest}``."""
     from sentiscore.cli import main
-    from sentiscore.lexicon import load_lexicon, save_lexicon
+    from sentiscore.lexicon import (
+        load_lexicon,
+        load_mention_records,
+        save_lexicon,
+        save_mention_records,
+    )
     from sentiscore.synthetic import coarse_seed_lexicon
 
     out: dict[str, str] = {}
@@ -138,6 +144,22 @@ def run_all(work: Path) -> dict[str, str]:
             *evaluate, "--lexicon", path("seed.lexicon"), "--out", path(f"report_{variant}.txt"),
             "--variant", variant,
         ], [f"report_{variant}.txt"])
+    save_mention_records(
+        [
+            replace(r, text=r.text.replace("TARGET", "Acme Phone"), entity="acme phone")
+            for r in load_mention_records(work / "corpus.tsv")
+        ],
+        work / "entity.tsv",
+    )
+    (work / "no_rebalance.ini").write_text(
+        EXPERIMENT_INI.replace("k = 3\n", "k = 3\nrebalance = false\n"), encoding="utf-8"
+    )
+    for name, ini in (("entity", "experiment.ini"), ("entity no-rebalance", "no_rebalance.ini")):
+        report = f"report_{name.replace(' ', '_')}.txt"
+        run(f"evaluate cnn-total {name}", [
+            "evaluate", "--corpus", path("entity.tsv"), "--config", path(ini),
+            "--lexicon", path("seed.lexicon"), "--out", path(report), "--variant", "cnn-total",
+        ], [report])
     run("gen-corpus --adverbs 0", [
         "gen-corpus", "--out", path("bare.tsv"), "--lexicon-out", path("bare_truth.lexicon"),
         "--size", "120", "--words", "8", "--adverbs", "0", "--noise", "0.1", "--seed", "7",

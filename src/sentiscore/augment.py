@@ -73,11 +73,13 @@ class AugmentConfig:
 def _similarity_lookup(lexicon: Lexicon, delta: float) -> Callable:
     """A word's sorted peers within ``delta``, ``(same_sign, opposite_sign)``.
 
-    Same-sign peers are compared by score, opposite-sign ones by |score|.
-    Words are sorted by |score| once; the rounded differences ``s - a``
-    and ``a - s`` are monotone in ``a``, so two bisections bound a window
-    holding every peer of a word with ``|score| = s``, which the exact
-    predicates then filter. Results are memoised per word.
+    Peers are compared by |score|; for a same-sign peer that is the
+    score difference itself, rounding included, as ``a - s`` and
+    ``s - a`` round to each other's negation. Words are sorted by
+    |score| once; those rounded differences are monotone in ``a``, so two
+    bisections bound the window of exactly the peers of a word with
+    ``|score| = s``, which is then split by sign. Results are memoised
+    per word.
     """
     words = lexicon.words
     by_magnitude = sorted(words, key=lambda term: abs(words[term]))
@@ -91,12 +93,10 @@ def _similarity_lookup(lexicon: Lexicon, delta: float) -> Callable:
         hi = bisect_left(magnitudes, True, lo=lo, key=lambda a: a - magnitude > delta)
         same_sign, opposite_sign = [], []
         for term in by_magnitude[lo:hi]:
-            other = words[term]
-            if (other > 0) == (score > 0):
-                if term != word and abs(other - score) <= delta:
-                    same_sign.append(term)
-            elif abs(abs(other) - magnitude) <= delta:
+            if (words[term] > 0) != (score > 0):
                 opposite_sign.append(term)
+            elif term != word:
+                same_sign.append(term)
         return sorted(same_sign), sorted(opposite_sign)
 
     return lookup

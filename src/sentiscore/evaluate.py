@@ -59,31 +59,9 @@ class ConfusionMatrix:
 
     counts: np.ndarray
 
-    def __post_init__(self) -> None:
-        counts = np.asarray(self.counts)
-        if counts.shape != (3, 3):
-            raise EvalError("confusion matrix must be 3x3")
-        if not np.issubdtype(counts.dtype, np.integer):
-            raise EvalError("confusion counts must be integers")
-        if np.any(counts < 0):
-            raise EvalError("confusion counts must be non-negative")
-        self.counts = counts.astype(np.int64)
-
-    @classmethod
-    def empty(cls) -> "ConfusionMatrix":
-        return cls(np.zeros((3, 3), dtype=np.int64))
-
-    def add(self, predicted: str, expected: str, count: int = 1) -> None:
-        if predicted not in LABEL_INDEX or expected not in LABEL_INDEX:
-            raise EvalError(f"unknown label pair: {predicted!r}/{expected!r}")
-        self.counts[LABEL_INDEX[predicted], LABEL_INDEX[expected]] += count
-
     @property
     def total(self) -> int:
         return int(self.counts.sum())
-
-    def merged(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
-        return ConfusionMatrix(self.counts + other.counts)
 
 
 @dataclass(frozen=True)
@@ -132,17 +110,8 @@ def metrics(cm: ConfusionMatrix) -> MetricsReport:
 # Fold assignment and class rebalancing.
 
 
-def _label_of(item) -> str:
-    label = getattr(item, "label", None)
-    if label is None:
-        label = item[1]
-    if label not in LABELS:
-        raise EvalError(f"unknown label {label!r}")
-    return label
-
-
-def kfold_split(examples: Sequence, k: int, seed: int) -> list[int]:
-    """Stratified fold ids, one per example, deterministic in ``seed``.
+def kfold_split(labels: Sequence[str], k: int, seed: int) -> list[int]:
+    """Stratified fold ids, one per example label, deterministic in ``seed``.
 
     Each label's examples are shuffled and dealt round-robin, so
     per-label fold sizes differ by at most one. Labels start the deal at
@@ -150,34 +119,36 @@ def kfold_split(examples: Sequence, k: int, seed: int) -> list[int]:
     """
     if k < 1:
         raise EvalError("k must be >= 1")
-    if k > len(examples):
-        raise EvalError(f"k={k} exceeds the {len(examples)} available examples")
+    if k > len(labels):
+        raise EvalError(f"k={k} exceeds the {len(labels)} available examples")
+    for label in labels:
+        if label not in LABEL_INDEX:
+            raise EvalError(f"unknown label {label!r}")
     rng = np.random.default_rng(seed)
-    assignment = [0] * len(examples)
+    assignment = [0] * len(labels)
     for offset, label in enumerate(LABELS):
-        indices = [i for i, ex in enumerate(examples) if _label_of(ex) == label]
+        indices = [i for i, other in enumerate(labels) if other == label]
         order = rng.permutation(len(indices))
         for position, where in enumerate(order):
             assignment[indices[int(where)]] = (position + offset) % k
     return assignment
 
 
-def rebalance(examples: Sequence, seed: int) -> list:
-    """Oversample minority classes to the majority count, seeded.
+def rebalance(labels: Sequence[str], seed: int) -> list[int]:
+    """Indices that oversample minority classes to the majority count, seeded.
 
-    Originals keep their order; duplicates are drawn uniformly with
-    replacement per class and appended in label order.
+    Every original index comes first, in order; duplicates are drawn
+    uniformly with replacement per class and appended in label order.
     """
-    if not examples:
+    if not labels:
         raise EvalError("cannot rebalance an empty training set")
     rng = np.random.default_rng(seed)
-    by_label: dict[str, list] = {label: [] for label in LABELS}
-    for ex in examples:
-        by_label[_label_of(ex)].append(ex)
+    by_label: dict[str, list[int]] = {label: [] for label in LABELS}
+    for i, label in enumerate(labels):
+        by_label[label].append(i)
     majority = max(len(group) for group in by_label.values())
-    out = list(examples)
-    for label in LABELS:
-        group = by_label[label]
+    out = list(range(len(labels)))
+    for group in by_label.values():
         if not group:
             continue
         for _ in range(majority - len(group)):
@@ -241,6 +212,8 @@ def _read(cp: configparser.ConfigParser, section: str, name: str, default):
             if ":" not in pair:
                 raise EvalError(f"bad antonym pair {pair!r}, expected a:b")
             a, b = pair.split(":", 1)
+            if a in antonyms:
+                raise EvalError(f"antonym term {a!r} is mapped twice")
             antonyms[a] = b
         return antonyms
     if name == "comparatives":
@@ -326,12 +299,15 @@ def parse_experiment_config(text: str) -> ExperimentConfig:
 
 
 def load_experiment_config(path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    """Read and parse a config file; every error it raises names the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-        except UnicodeDecodeError:
-            raise EvalError(f"{path}: not UTF-8 text") from None
-    return parse_experiment_config(text)
+        return parse_experiment_config(text)
+    except UnicodeDecodeError:
+        raise EvalError(f"{path}: not UTF-8 text") from None
+    except EvalError as exc:
+        raise EvalError(f"{path}: {exc}") from None
 
 
 # ----------------------------------------------------------------------
@@ -360,10 +336,7 @@ class ExperimentReport:
 
     @property
     def pooled_confusion(self) -> ConfusionMatrix:
-        pooled = ConfusionMatrix.empty()
-        for fold in self.folds:
-            pooled = pooled.merged(fold.confusion)
-        return pooled
+        return ConfusionMatrix(sum(fold.confusion.counts for fold in self.folds))
 
 
 def _fold_seed(base: int, fold: int) -> int:
@@ -378,52 +351,54 @@ def run_experiment(
 ) -> ExperimentReport:
     """Run the k-fold pipeline for one variant and aggregate the folds.
 
-    Per fold: optionally learn lexicon scores on the training split and
-    augment it with score-similar substitutions, optionally rebalance,
-    build the vocabulary from training texts only, train the classifier
-    with the variant's loss, and score the held-out split. Augmentation
-    and score learning never see test examples. ``on_fold`` is invoked
-    with each finished fold, for progress reporting.
+    Each record is labeled, masked, tokenized and (for the learner
+    variants) made a mention once; folds take these by index. Per fold:
+    optionally learn lexicon scores on the training split and augment it
+    with score-similar substitutions, optionally rebalance, build the
+    vocabulary from training texts only, train the classifier with the
+    variant's loss, and score the held-out split. Augmentation and score
+    learning never see test examples. ``on_fold`` is invoked with each
+    finished fold, for progress reporting.
     """
     if not records:
         raise EvalError("corpus is empty")
-    if variant_uses_learner(config.variant) and seed_lexicon is None:
+    learns = variant_uses_learner(config.variant)
+    if learns and seed_lexicon is None:
         raise EvalError(f"variant {config.variant} requires a seed lexicon")
-    assignment = kfold_split(records, config.k, config.rng_seed)
+    labels = [r.label for r in records]
+    assignment = np.array(kfold_split(labels, config.k, config.rng_seed))
+    expected = np.array([LABEL_INDEX[label] for label in labels])
+    tokens = [tokenize(masked_text(r.text, r.entity)) for r in records]
+    mentions = prepare_mentions(records, seed_lexicon) if learns else []
     penalty = config.penalty if variant_uses_weighted_loss(config.variant) else None
 
     fold_results: list[FoldResult] = []
     for fold in range(config.k):
-        train_records = [r for r, f in zip(records, assignment) if f != fold]
-        test_records = [r for r, f in zip(records, assignment) if f == fold]
+        train, test = np.flatnonzero(assignment != fold), np.flatnonzero(assignment == fold)
         seed = _fold_seed(config.rng_seed, fold)
 
-        samples: list[tuple[str, str]] = [
-            (masked_text(r.text, r.entity), r.label) for r in train_records
-        ]
-        if variant_uses_learner(config.variant):
-            mentions = prepare_mentions(train_records, seed_lexicon)
-            trace = train_iterative(mentions, seed_lexicon, config.learning)
+        train_tokens = [tokens[i] for i in train]
+        train_labels = [labels[i] for i in train]
+        if learns:
+            train_mentions = [mentions[i] for i in train]
+            trace = train_iterative(train_mentions, seed_lexicon, config.learning)
             augment_cfg = replace(config.augment, rng_seed=seed)
-            for sample in augment_corpus(mentions, trace.lexicon, augment_cfg):
-                samples.append((sample.text, sample.label))
+            for sample in augment_corpus(train_mentions, trace.lexicon, augment_cfg):
+                train_tokens.append(tokenize(sample.text))
+                train_labels.append(sample.label)
         if config.rebalance:
-            samples = rebalance(samples, seed)
+            order = rebalance(train_labels, seed)
+            train_tokens = [train_tokens[i] for i in order]
+            train_labels = [train_labels[i] for i in order]
 
         cnn_cfg = replace(config.cnn, rng_seed=seed)
         model, vocab, _ = train_classifier(
-            [tokenize(text) for text, _ in samples],
-            [label for _, label in samples],
-            cnn_cfg,
-            config.vocab_size,
-            penalty,
+            train_tokens, train_labels, cnn_cfg, config.vocab_size, penalty
         )
-
-        cm = ConfusionMatrix.empty()
-        tokens = [tokenize(masked_text(r.text, r.entity)) for r in test_records]
-        for predicted, record in zip(predict(model, tokens, vocab, cnn_cfg)[0], test_records):
-            cm.add(predicted, record.label)
-        result = FoldResult(fold, cm, metrics(cm), len(samples), len(test_records))
+        _, probs = predict(model, [tokens[i] for i in test], vocab, cnn_cfg)
+        counts = np.bincount(3 * probs.argmax(axis=1) + expected[test], minlength=9)
+        cm = ConfusionMatrix(counts.reshape(3, 3))
+        result = FoldResult(fold, cm, metrics(cm), len(train_labels), len(test))
         fold_results.append(result)
         if on_fold is not None:
             on_fold(result)

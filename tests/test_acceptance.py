@@ -272,10 +272,11 @@ def test_8_invariant_spot_checks(capsys):
         failures.append("modifier non-negativity")
 
     # Fold disjointness: every example lands in exactly one fold.
-    assignments = kfold_split(records, k=5, seed=3)
+    labels = [r.label for r in records]
+    assignments = kfold_split(labels, k=5, seed=3)
     if sorted(set(assignments)) != [0, 1, 2, 3, 4] or len(assignments) != len(records):
         failures.append("fold partition")
-    if assignments != kfold_split(records, k=5, seed=3):
+    if assignments != kfold_split(labels, k=5, seed=3):
         failures.append("fold determinism")
 
     # Determinism: regeneration reproduces the corpus byte for byte.

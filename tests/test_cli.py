@@ -634,7 +634,7 @@ class TestEvaluate:
              str(seed_path), "--variant", "cnn-total", "--out", str(report_path)]
         )
         assert (code, capsys.readouterr().err) == (
-            1, f"error: malformed experiment config: {message}\n"
+            1, f"error: {config_path}: malformed experiment config: {message}\n"
         )
         assert not report_path.exists()
 
@@ -773,7 +773,7 @@ class TestEvaluate:
         assert code == 1
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
-        assert err.startswith("error: variant must be one of")
+        assert err.startswith(f"error: {config_path}: variant must be one of")
 
     def test_negative_seed_exits_1_naming_field(self, tmp_path, capsys):
         corpus, _ = gen_corpus(tmp_path, size=60, words=6, seed=4)

@@ -2,10 +2,12 @@
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from sentiscore import evaluate, lexicon
 from sentiscore.augment import AugmentConfig
 from sentiscore.cnn import CnnConfig
 from sentiscore.evaluate import (
@@ -26,6 +28,7 @@ from sentiscore.evaluate import (
 )
 from sentiscore.learner import LearningConfig
 from sentiscore.lexicon import (
+    LABEL_INDEX,
     LABELS,
     NEGATIVE,
     NEUTRAL,
@@ -50,40 +53,19 @@ class TestVariantFlags:
         assert variant_uses_weighted_loss("cnn-total")
 
 
-class TestConfusionMatrix:
-    def test_add_indexes_predicted_then_expected(self):
-        cm = ConfusionMatrix.empty()
-        cm.add(POSITIVE, NEGATIVE)
-        cm.add(POSITIVE, NEGATIVE)
-        cm.add(NEUTRAL, NEUTRAL)
-        assert cm.counts[0, 1] == 2
-        assert cm.counts[2, 2] == 1
-        assert cm.total == 3
-
-    def test_merged_sums_counts(self):
-        a = ConfusionMatrix.empty()
-        a.add(POSITIVE, POSITIVE)
-        b = ConfusionMatrix.empty()
-        b.add(NEGATIVE, POSITIVE)
-        merged = a.merged(b)
-        assert merged.counts[0, 0] == 1
-        assert merged.counts[1, 0] == 1
-        assert merged.total == 2
-
-    def test_unknown_label_rejected(self):
-        cm = ConfusionMatrix.empty()
-        with pytest.raises(EvalError):
-            cm.add("mixed", POSITIVE)
+def confusion(*pairs: tuple[str, str]) -> ConfusionMatrix:
+    """Counts of ``(predicted, expected)`` label pairs."""
+    counts = np.zeros((3, 3), dtype=np.int64)
+    for predicted, expected in pairs:
+        counts[LABEL_INDEX[predicted], LABEL_INDEX[expected]] += 1
+    return ConfusionMatrix(counts)
 
 
 class TestMetrics:
     def test_hand_computed_case(self):
         # Two predicted positive, one of them actually positive, and the
         # real positives both found: precision 1/2, recall 1, F 2/3.
-        cm = ConfusionMatrix.empty()
-        cm.add(POSITIVE, POSITIVE)
-        cm.add(POSITIVE, NEGATIVE)
-        cm.add(NEUTRAL, NEUTRAL)
+        cm = confusion((POSITIVE, POSITIVE), (POSITIVE, NEGATIVE), (NEUTRAL, NEUTRAL))
         report = metrics(cm)
         pos = report.per_class[POSITIVE]
         assert pos.precision == pytest.approx(0.5)
@@ -91,30 +73,24 @@ class TestMetrics:
         assert pos.f_measure == pytest.approx(2 / 3)
 
     def test_perfect_diagonal(self):
-        cm = ConfusionMatrix.empty()
-        for label in LABELS:
-            cm.add(label, label)
-        report = metrics(cm)
+        report = metrics(confusion(*((label, label) for label in LABELS)))
         assert report.macro_f == pytest.approx(1.0)
         assert report.macro_precision == pytest.approx(1.0)
         assert report.macro_recall == pytest.approx(1.0)
 
     def test_zero_denominators_become_zero(self):
-        cm = ConfusionMatrix.empty()
-        cm.add(POSITIVE, NEGATIVE)  # nothing neutral anywhere
-        report = metrics(cm)
+        report = metrics(confusion((POSITIVE, NEGATIVE)))  # nothing neutral anywhere
         neu = report.per_class[NEUTRAL]
         assert neu.precision == 0.0
         assert neu.recall == 0.0
         assert neu.f_measure == 0.0
 
     def test_macro_is_unweighted_mean(self):
-        cm = ConfusionMatrix.empty()
-        cm.add(POSITIVE, POSITIVE)
-        cm.add(NEGATIVE, POSITIVE)
-        cm.add(NEGATIVE, NEGATIVE)
-        cm.add(NEUTRAL, NEUTRAL)
-        report = metrics(cm)
+        report = metrics(
+            confusion(
+                (POSITIVE, POSITIVE), (NEGATIVE, POSITIVE), (NEGATIVE, NEGATIVE), (NEUTRAL, NEUTRAL)
+            )
+        )
         assert report.macro_precision == pytest.approx(
             np.mean([report.per_class[label].precision for label in LABELS])
         )
@@ -123,78 +99,77 @@ class TestMetrics:
         rng = np.random.default_rng(0)
         macro_fs = []
         for _ in range(100):
-            cm = ConfusionMatrix.empty()
+            counts = np.zeros((3, 3), dtype=np.int64)
             for _ in range(300):
-                cm.add(LABELS[rng.integers(3)], LABELS[rng.integers(3)])
-            macro_fs.append(metrics(cm).macro_f)
+                counts[rng.integers(3), rng.integers(3)] += 1
+            macro_fs.append(metrics(ConfusionMatrix(counts)).macro_f)
         assert abs(float(np.mean(macro_fs)) - 1 / 3) < 0.05
 
 
+def label_list(per_label: dict[str, int]) -> list[str]:
+    return [label for label, count in per_label.items() for _ in range(count)]
+
+
 def labeled_records(per_label: dict[str, int]) -> list[MentionRecord]:
-    out = []
-    for label, count in per_label.items():
-        for i in range(count):
-            out.append(MentionRecord(f"TARGET sample {label} {i}", label))
-    return out
+    return [
+        MentionRecord(f"TARGET sample {i}", label) for i, label in enumerate(label_list(per_label))
+    ]
 
 
 class TestKfold:
     def test_balanced_corpus_splits_evenly(self):
-        examples = labeled_records({POSITIVE: 10, NEGATIVE: 10, NEUTRAL: 10})
-        folds = kfold_split(examples, k=5, seed=0)
+        labels = label_list({POSITIVE: 10, NEGATIVE: 10, NEUTRAL: 10})
+        folds = kfold_split(labels, k=5, seed=0)
         assert len(folds) == 30
         for fold in range(5):
-            members = [e for e, f in zip(examples, folds) if f == fold]
-            counts = Counter(r.label for r in members)
+            counts = Counter(label for label, f in zip(labels, folds) if f == fold)
             assert counts == {POSITIVE: 2, NEGATIVE: 2, NEUTRAL: 2}
 
     def test_per_label_sizes_differ_by_at_most_one(self):
-        examples = labeled_records({POSITIVE: 7, NEGATIVE: 13, NEUTRAL: 29})
-        folds = kfold_split(examples, k=4, seed=3)
+        labels = label_list({POSITIVE: 7, NEGATIVE: 13, NEUTRAL: 29})
+        folds = kfold_split(labels, k=4, seed=3)
         for label in LABELS:
-            sizes = Counter(
-                f for e, f in zip(examples, folds) if e.label == label
-            )
+            sizes = Counter(f for other, f in zip(labels, folds) if other == label)
             present = [sizes.get(i, 0) for i in range(4)]
             assert max(present) - min(present) <= 1
 
     def test_fold_ids_cover_range_and_partition(self):
-        examples = labeled_records({POSITIVE: 9, NEGATIVE: 5, NEUTRAL: 12})
-        folds = kfold_split(examples, k=3, seed=1)
+        labels = label_list({POSITIVE: 9, NEGATIVE: 5, NEUTRAL: 12})
+        folds = kfold_split(labels, k=3, seed=1)
         assert set(folds) == {0, 1, 2}
-        assert len(folds) == len(examples)
+        assert len(folds) == len(labels)
 
     def test_seed_changes_assignment_deterministically(self):
-        examples = labeled_records({POSITIVE: 20, NEGATIVE: 20, NEUTRAL: 20})
-        a = kfold_split(examples, k=5, seed=4)
-        b = kfold_split(examples, k=5, seed=4)
-        c = kfold_split(examples, k=5, seed=5)
+        labels = label_list({POSITIVE: 20, NEGATIVE: 20, NEUTRAL: 20})
+        a = kfold_split(labels, k=5, seed=4)
+        b = kfold_split(labels, k=5, seed=4)
+        c = kfold_split(labels, k=5, seed=5)
         assert a == b
         assert a != c
 
     def test_bad_k_rejected(self):
         with pytest.raises(EvalError):
-            kfold_split(labeled_records({POSITIVE: 3}), k=0, seed=0)
+            kfold_split(label_list({POSITIVE: 3}), k=0, seed=0)
 
 
 class TestRebalance:
     def test_counts_equalize_to_majority(self):
-        examples = labeled_records({POSITIVE: 3, NEGATIVE: 8, NEUTRAL: 5})
-        balanced = rebalance(examples, seed=0)
-        counts = Counter(r.label for r in balanced)
+        labels = label_list({POSITIVE: 3, NEGATIVE: 8, NEUTRAL: 5})
+        balanced = rebalance(labels, seed=0)
+        counts = Counter(labels[i] for i in balanced)
         assert counts == {POSITIVE: 8, NEGATIVE: 8, NEUTRAL: 8}
 
     def test_originals_lead_duplicates_follow(self):
-        examples = labeled_records({POSITIVE: 2, NEGATIVE: 4})
-        balanced = rebalance(examples, seed=1)
-        assert balanced[: len(examples)] == examples
-        for extra in balanced[len(examples) :]:
-            assert extra.label == POSITIVE
-            assert extra in examples
+        labels = label_list({POSITIVE: 2, NEGATIVE: 4})
+        balanced = rebalance(labels, seed=1)
+        assert balanced[: len(labels)] == list(range(len(labels)))
+        for extra in balanced[len(labels) :]:
+            assert extra in range(len(labels))
+            assert labels[extra] == POSITIVE
 
     def test_seeded_determinism(self):
-        examples = labeled_records({POSITIVE: 2, NEGATIVE: 9, NEUTRAL: 4})
-        assert rebalance(examples, seed=7) == rebalance(examples, seed=7)
+        labels = label_list({POSITIVE: 2, NEGATIVE: 9, NEUTRAL: 4})
+        assert rebalance(labels, seed=7) == rebalance(labels, seed=7)
 
     def test_empty_input_rejected(self):
         with pytest.raises(EvalError):
@@ -296,6 +271,11 @@ class TestConfigRoundTrip:
         # "a:b:c" would otherwise read back as {"a": "b:c"}.
         with pytest.raises(EvalError, match="antonym"):
             parse_experiment_config("[augment]\nantonyms = a:b:c\n")
+
+    def test_repeated_antonym_term_rejected(self):
+        # The second pair would otherwise replace the first unseen.
+        with pytest.raises(EvalError, match="antonym term 'better' is mapped twice"):
+            parse_experiment_config("[augment]\nantonyms = better:worse better:best\n")
 
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "experiment.ini"
@@ -434,6 +414,10 @@ def tiny_experiment(variant: str = "cnn", **overrides) -> ExperimentConfig:
     return ExperimentConfig(**base)
 
 
+def quick_cnn() -> CnnConfig:
+    return CnnConfig(window=2, filter_count=4, sequence_length=10, embedding_dim=8, epochs=2)
+
+
 class TestRunExperiment:
     def test_separable_corpus_scores_high(self):
         records, _ = tiny_corpus()
@@ -470,6 +454,41 @@ class TestRunExperiment:
         assert [fold.index for fold in seen] == [0, 1, 2]
         assert all(fold.test_size > 0 for fold in seen)
 
+    def test_each_record_is_prepared_once(self, monkeypatch):
+        plain, true_lex = tiny_corpus(size=60)
+        records = [
+            replace(r, text=r.text.replace("TARGET", "Acme Phone"), entity="acme phone")
+            for r in plain
+        ]
+        made, masked, tokenized, augmented = Counter(), Counter(), Counter(), Counter()
+
+        def spy(module, name, note) -> None:
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                result = original(*args, **kwargs)
+                note(args, result)
+                return result
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        spy(lexicon, "make_mention", lambda args, _: made.update([args[0]]))
+        spy(lexicon, "mask_target", lambda args, _: masked.update([args[0]]))
+        spy(evaluate, "tokenize", lambda args, _: tokenized.update([args[0]]))
+        spy(evaluate, "augment_corpus", lambda _, out: augmented.update(s.text for s in out))
+        run_experiment(
+            tiny_experiment("cnn-total", cnn=quick_cnn()),
+            records,
+            seed_lexicon=coarse_seed_lexicon(true_lex),
+        )
+        texts = Counter(r.text for r in records)
+        assert made == texts
+        assert sum(augmented.values()) > 0
+        # Masking "Acme Phone" gives back the plain corpus text.
+        assert tokenized == Counter(r.text for r in plain) + augmented
+        assert masked.keys() <= texts.keys()
+        assert all(masked[text] <= 2 * count for text, count in texts.items())
+
     def test_too_few_examples_rejected(self):
         records = labeled_records({POSITIVE: 1, NEGATIVE: 1})
         with pytest.raises(EvalError):
@@ -480,6 +499,38 @@ class TestRunExperiment:
         assert len(run_experiment(tiny_experiment(vocab_size=2), records).folds) == 3
         with pytest.raises(ValueError, match="vocab_size must be >= 1, got 0"):
             run_experiment(tiny_experiment(vocab_size=0), records)
+
+
+class TestFoldConfusion:
+    def test_rows_are_the_predicted_label(self, monkeypatch):
+        def always_neutral(model, token_lists, vocab, config):
+            probs = np.zeros((len(token_lists), 3))
+            probs[:, LABEL_INDEX[NEUTRAL]] = 1.0
+            return [NEUTRAL] * len(token_lists), probs
+
+        monkeypatch.setattr(evaluate, "predict", always_neutral)
+        records, _ = tiny_corpus(size=60)
+        labels = [r.label for r in records]
+        folds = kfold_split(labels, k=3, seed=0)
+        report = run_experiment(tiny_experiment(cnn=quick_cnn()), records)
+        for result in report.folds:
+            test_labels = Counter(label for label, f in zip(labels, folds) if f == result.index)
+            assert result.confusion.counts[LABEL_INDEX[NEUTRAL]].tolist() == [
+                test_labels[label] for label in LABELS
+            ]
+            assert result.confusion.total == result.test_size
+
+    def test_pooled_confusion_sums_the_folds(self):
+        records, _ = tiny_corpus(size=60)
+        report = run_experiment(tiny_experiment(cnn=quick_cnn()), records)
+        summed = np.sum([result.confusion.counts for result in report.folds], axis=0)
+        assert np.array_equal(report.pooled_confusion.counts, summed)
+        assert report.pooled_confusion.total == len(records)
+
+    def test_unknown_record_label_names_it(self):
+        records = [*labeled_records({POSITIVE: 3, NEGATIVE: 3}), MentionRecord("TARGET", "mixed")]
+        with pytest.raises(EvalError, match="unknown label 'mixed'"):
+            run_experiment(tiny_experiment(), records)
 
 
 class TestReportText:

@@ -60,6 +60,8 @@ class AugmentConfig:
             raise ValueError("max_variants_per_sample must be >= 0")
         if not self.score_tolerance >= 0:
             raise ValueError("score_tolerance must be >= 0")
+        if not 0 <= self.rng_seed < 2**32:  # derive_seed folds seeds modulo 2**32
+            raise ValueError("rng_seed must be in [0, 2**32)")
         for term in (*self.antonyms, *self.antonyms.values()):
             if not is_token(term):
                 raise ValueError(f"antonym terms must be single lowercase tokens: {term!r}")

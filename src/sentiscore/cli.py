@@ -318,6 +318,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
+    if args.entity is not None and not args.entity.strip():
+        raise ValueError("--entity must hold a non-space character")
     model, vocab, config = load_checkpoint(args.checkpoint)
     # Standard input is read as the file is: strict UTF-8, universal newlines.
     binary = open(args.input, "rb") if args.input else io.BytesIO(sys.stdin.buffer.read())

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from itertools import islice
 from typing import Iterable, Sequence
 
@@ -77,8 +77,8 @@ class CnnConfig:
             raise CnnError(f"activation must be one of {ACTIVATIONS}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise CnnError("dropout_rate must be in [0, 1)")
-        if not self.learning_rate > 0:
-            raise CnnError("learning_rate must be > 0")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise CnnError("learning_rate must be finite and > 0")
         if self.rng_seed < 0:
             raise CnnError("rng_seed must be >= 0")
 
@@ -148,6 +148,7 @@ def init_model(vocab_size: int, config: CnnConfig) -> CnnModel:
 class ForwardCache:
     """Intermediates retained by the forward pass for backpropagation."""
 
+    indices: np.ndarray  # (B, N) token indices
     windows: np.ndarray  # (B * P, d * K) im2col rows of the input
     pre: np.ndarray  # (B, P, f) pre-activation features
     pool_rows: np.ndarray  # (B, q, f) row index feeding each pooled value
@@ -170,25 +171,26 @@ def _activation_grad(pre: np.ndarray, activation: str) -> np.ndarray:
 
 def forward(
     model: CnnModel,
-    embedded: np.ndarray,
+    indices: np.ndarray,
     config: CnnConfig,
     dropout_active: bool = False,
     rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, ForwardCache]:
-    """Logits (B, 3) for B embedded N x K sequences, plus the backward cache.
+    """Logits (B, 3) for B sequences of N token indices, plus the backward cache.
 
     Convolution covers the P = N - d + 1 valid window positions of every
-    sequence as one ``(B*P, d*K) @ (d*K, f)`` product. The feature
-    columns are zero-padded back to N rows, and chunked pooling pads
-    them on to whole chunks with -inf rows that never win a max. Dropout
+    embedded sequence as one ``(B*P, d*K) @ (d*K, f)`` product. The
+    feature columns are zero-padded back to N rows, and chunked pooling
+    pads them on to whole chunks with -inf rows that never win a max. Dropout
     uses inverted scaling and only fires, drawing from ``rng``, when
     ``dropout_active`` and the configured rate is nonzero; its one
     ``(B, q*f)`` draw takes the same numbers as B draws of ``q*f``.
     """
-    embedded = np.asarray(embedded, dtype=float)
+    indices = np.asarray(indices)
     n, k = config.sequence_length, model.embedding.shape[1]
-    if embedded.ndim != 3 or embedded.shape[1:] != (n, k):
-        raise CnnError(f"embedded input must be (B, {n}, {k}), got {embedded.shape}")
+    if indices.ndim != 2 or indices.shape[1] != n:
+        raise CnnError(f"token indices must be (B, {n}), got {indices.shape}")
+    embedded = model.embedding[indices]
     b, d, f, q = embedded.shape[0], config.window, config.filter_count, config.pooled_rows
     positions = n - d + 1
 
@@ -208,18 +210,7 @@ def forward(
         kept = pooled * mask / (1.0 - config.dropout_rate)
 
     logits = kept @ model.dense_w + model.dense_b
-    return logits, ForwardCache(windows, pre, pool_rows, pooled, mask, kept)
-
-
-@dataclass
-class Gradients:
-    """Parameter gradients summed over a batch, and per-sequence input gradients."""
-
-    filters: np.ndarray
-    filter_bias: np.ndarray
-    dense_w: np.ndarray
-    dense_b: np.ndarray
-    embedded: np.ndarray  # (B, N, K) gradient of the embedded input
+    return logits, ForwardCache(indices, windows, pre, pool_rows, pooled, mask, kept)
 
 
 def backward(
@@ -227,13 +218,15 @@ def backward(
     config: CnnConfig,
     cache: ForwardCache,
     dlogits: np.ndarray,
-) -> Gradients:
-    """Backpropagate a (B, 3) logit gradient through the cached forward pass.
+) -> CnnModel:
+    """Gradients of every parameter tensor, summed over the batch, as a :class:`CnnModel`.
 
-    Pooling routes each pooled gradient to the row that won the max; a
-    pooled cell has one winner and chunks do not overlap, so no two
-    cells write the same row. Zero-padded rows carry no parameters, so
-    gradient landing there is dropped with them.
+    Backpropagates a (B, 3) logit gradient through the cached forward
+    pass. Pooling routes each pooled gradient to the row that won the
+    max; a pooled cell has one winner and chunks do not overlap, so no
+    two cells write the same row. Zero-padded rows carry no parameters,
+    so gradient landing there is dropped with them. Each embedding row
+    sums the gradient of every position that indexes it, PAD included.
     """
     n, f = config.sequence_length, config.filter_count
     b, positions, _ = cache.pre.shape
@@ -252,17 +245,25 @@ def backward(
     d_filters = (d_pre.T @ cache.windows).reshape(model.filters.shape)
     d_filter_bias = d_pre.sum(axis=0)
 
-    d_embedded = np.zeros((b, n, model.embedding.shape[1]))
+    rows, k = model.embedding.shape
+    d_embedded = np.zeros((b, n, k))
     for offset in range(config.window):
         d_rows = d_pre @ model.filters[:, offset]
         d_embedded[:, offset : offset + positions] += d_rows.reshape(b, positions, -1)
-
-    return Gradients(d_filters, d_filter_bias, d_dense_w, d_dense_b, d_embedded)
+    # Freed before the scatter allocates: with them live, the higher peak
+    # made glibc grow and trim the heap, faulting its pages in, each step.
+    del d_column, d_pre, d_rows
+    # A scatter-add over (row, column) cells: bincount adds in the
+    # same order as np.add.at, several times faster.
+    cells = (cache.indices[..., None] * k + np.arange(k)).reshape(-1)
+    d_embedding = np.bincount(cells, d_embedded.reshape(-1), rows * k).reshape(rows, k)
+    return CnnModel(d_embedding, d_filters, d_filter_bias, d_dense_w, d_dense_b)
 
 
 def train_step(
     model: CnnModel,
-    batch: Sequence[tuple[np.ndarray, int]],
+    indices: np.ndarray,
+    labels: np.ndarray,
     config: CnnConfig,
     penalty: PenaltyMatrix | None = None,
     *,
@@ -270,48 +271,35 @@ def train_step(
 ) -> tuple[CnnModel, float]:
     """One mini-batch gradient-descent update of all parameters.
 
-    ``batch`` holds ``(token_indices, label_index)`` items, run through
-    one batched forward and backward pass. Sequences are embedded from
-    the model's current matrix so embedding rows can receive gradients
-    when fine-tuning is enabled. Dropout draws from ``rng``. Uses
-    weighted cross entropy when a penalty matrix is given, plain cross
-    entropy otherwise. A non-finite batch loss raises
-    :class:`TrainingDiverged`.
+    The batch is a (B, N) token-index matrix and its B label indices,
+    run through one batched forward and backward pass. Every tensor
+    steps by the batch-mean gradient; the PAD embedding row never
+    moves, and the embedding only moves when fine-tuning is enabled.
+    Dropout draws from ``rng``. Uses weighted cross entropy when a
+    penalty matrix is given, plain cross entropy otherwise. A
+    non-finite batch loss raises :class:`TrainingDiverged`.
     """
-    if not batch:
+    count = len(labels)
+    if count == 0:
         raise CnnError("batch must be non-empty")
-    indices = np.stack([np.asarray(ix, dtype=np.int64) for ix, _ in batch])
-    labels = np.array([label for _, label in batch], dtype=np.int64)
     if labels.min() < 0 or labels.max() >= len(LABELS):
         raise CnnError(f"label indices must lie in [0, {len(LABELS)})")
-    logits, cache = forward(model, model.embedding[indices], config, dropout_active=True, rng=rng)
+    logits, cache = forward(model, indices, config, dropout_active=True, rng=rng)
     if not np.all(np.isfinite(logits)):
         raise TrainingDiverged("non-finite logits; lower the learning rate")
     losses, dlogits = loss_and_logit_grad(labels, softmax(logits), penalty)
-    count = len(batch)
     mean_loss = float(losses.sum()) / count
     if not np.isfinite(mean_loss):
         raise TrainingDiverged(f"non-finite training loss: {mean_loss}")
     grads = backward(model, config, cache, dlogits)
-
+    grads.embedding[PAD_INDEX] = 0.0
     lr = config.learning_rate
-    embedding = model.embedding
-    if config.finetune_embeddings:
-        # A scatter-add over (row, column) cells: bincount adds in the
-        # same order as np.add.at, several times faster.
-        rows, k = model.embedding.shape
-        cells = (indices[..., None] * k + np.arange(k)).reshape(-1)
-        d_embedding = np.bincount(cells, grads.embedded.reshape(-1), rows * k).reshape(rows, k)
-        d_embedding[PAD_INDEX] = 0.0
-        embedding = model.embedding - lr * (d_embedding / count)
-    updated = CnnModel(
-        embedding=embedding,
-        filters=model.filters - lr * (grads.filters / count),
-        filter_bias=model.filter_bias - lr * (grads.filter_bias / count),
-        dense_w=model.dense_w - lr * (grads.dense_w / count),
-        dense_b=model.dense_b - lr * (grads.dense_b / count),
-    )
-    return updated, mean_loss
+    updated = {
+        name: getattr(model, name) - lr * (getattr(grads, name) / count)
+        for name in _TENSORS
+        if name != "embedding" or config.finetune_embeddings
+    }
+    return replace(model, **updated), mean_loss
 
 
 def fit(
@@ -323,6 +311,8 @@ def fit(
     """Epochs of shuffled mini-batch updates; returns per-epoch mean loss."""
     if not dataset:
         raise CnnError("dataset must be non-empty")
+    indices = np.stack([np.asarray(ix, dtype=np.int64) for ix, _ in dataset])
+    labels = np.array([label for _, label in dataset], dtype=np.int64)
     rng = np.random.default_rng(config.rng_seed)
     history: list[float] = []
     for _ in range(config.epochs):
@@ -331,8 +321,7 @@ def fit(
         batches = 0
         for start in range(0, len(dataset), config.batch_size):
             chosen = order[start : start + config.batch_size]
-            batch = [dataset[i] for i in chosen]
-            model, loss = train_step(model, batch, config, penalty, rng=rng)
+            model, loss = train_step(model, indices[chosen], labels[chosen], config, penalty, rng=rng)
             epoch_loss += loss
             batches += 1
         history.append(epoch_loss / batches)
@@ -379,7 +368,7 @@ def predict(
     sequences = iter(token_lists)
     while chunk := list(islice(sequences, config.batch_size)):
         indices = np.stack([sequence_indices(t, vocab, config.sequence_length) for t in chunk])
-        logits, _ = forward(model, model.embedding[indices], config)
+        logits, _ = forward(model, indices, config)
         rows.append(softmax(logits))
         labels += [LABELS[i] for i in rows[-1].argmax(axis=1)]
     return labels, np.concatenate(rows)

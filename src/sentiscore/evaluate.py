@@ -368,8 +368,11 @@ def run_experiment(
     labels = [r.label for r in records]
     assignment = np.array(kfold_split(labels, config.k, config.rng_seed))
     expected = np.array([LABEL_INDEX[label] for label in labels])
-    tokens = [tokenize(masked_text(r.text, r.entity)) for r in records]
-    mentions = prepare_mentions(records, seed_lexicon) if learns else []
+    if learns:  # each mention has masked and tokenized its record
+        mentions = prepare_mentions(records, seed_lexicon)
+        tokens = [[token for token, _, _ in m.spans] for m in mentions]
+    else:
+        tokens = [tokenize(masked_text(r.text, r.entity)) for r in records]
     penalty = config.penalty if variant_uses_weighted_loss(config.variant) else None
 
     fold_results: list[FoldResult] = []

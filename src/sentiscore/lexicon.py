@@ -74,8 +74,8 @@ def mask_target(text: str, entity: str) -> str:
     alone, which makes the operation idempotent even when ``entity`` is
     a substring of the mask token itself.
     """
-    if not entity:
-        raise LexiconError("entity must be non-empty")
+    if not entity.strip():
+        raise LexiconError("entity must hold a non-space character")
     pattern = re.compile(re.escape(entity), re.IGNORECASE)
     segments = text.split(TARGET_TOKEN)
     return TARGET_TOKEN.join(pattern.sub(TARGET_TOKEN, seg) for seg in segments)
@@ -382,6 +382,8 @@ def load_mention_records(path) -> list[MentionRecord]:
             if not math.isfinite(score):
                 raise LexiconError(f"{path}:{lineno}: non-finite target score {fields[2]!r}")
         entity = fields[3] if len(fields) > 3 and fields[3] else None
+        if entity is not None and not entity.strip():
+            raise LexiconError(f"{path}:{lineno}: blank entity {entity!r}")
         records.append(MentionRecord(text, label, score, entity))
     return records
 

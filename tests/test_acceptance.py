@@ -309,8 +309,8 @@ def test_8_invariant_spot_checks(capsys):
     # Shape chain: pooling yields ceil(N / p) rows per filter.
     config = tiny_config(sequence_length=7, pool_window=3)
     model = init_model(9, config)
-    embedded = rng.normal(size=(1, 7, config.embedding_dim))
-    _, cache = forward(model, embedded, config)
+    indices = rng.integers(0, 9, size=(1, 7))
+    _, cache = forward(model, indices, config)
     if cache.pool_rows.shape != (1, 3, config.filter_count) or config.pooled_rows != 3:
         failures.append("pooling shape chain")
 

@@ -405,6 +405,18 @@ class TestAugment:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**32)])
+    def test_seed_outside_32_bits_exits_1_naming_field(self, tmp_path, capsys, seed):
+        # Seeds are folded modulo 2**32, so -1 would write 2**32 - 1's bytes.
+        corpus, lexicon_path = self.corpus_with_lexicon(tmp_path)
+        out = tmp_path / "out.tsv"
+        code = main(
+            ["augment", "--corpus", str(corpus), "--lexicon", str(lexicon_path),
+             "--out", str(out), "--seed", seed]
+        )
+        assert (code, capsys.readouterr().err) == (1, "error: rng_seed must be in [0, 2**32)\n")
+        assert not out.exists()
+
     def test_multi_token_lexicon_term_exits_1_naming_file(self, tmp_path, capsys):
         corpus, _ = self.corpus_with_lexicon(tmp_path)
         bad = tmp_path / "bad.lex"
@@ -502,6 +514,14 @@ class TestTrainPredict:
         assert capsys.readouterr().out == from_file
         assert len(from_file.splitlines()) == 4
 
+    @pytest.mark.parametrize("entity", ["", " "])
+    def test_blank_entity_exits_1_before_reading_input(self, tmp_path, capsys, entity):
+        missing = tmp_path / "missing.ckpt"
+        code = main(["predict", "--checkpoint", str(missing), "--entity", entity])
+        assert (code, capsys.readouterr().err) == (
+            1, "error: --entity must hold a non-space character\n"
+        )
+
     def test_weighted_ce_and_static_embeddings_flags(self, tmp_path):
         corpus, _ = gen_corpus(tmp_path, size=60, words=6, seed=4)
         checkpoint = self.train(
@@ -574,6 +594,7 @@ class TestTrainPredict:
             (["--vocab-size", "-1"], "vocab_size"),
             (["--vocab-size", "0"], "vocab_size"),
             (["--seed", "-2"], "rng_seed"),
+            (["--learning-rate", "inf"], "learning_rate"),
         ],
     )
     def test_bad_vocab_size_or_seed_exits_1_naming_field(self, tmp_path, capsys, flag, field):
@@ -620,8 +641,12 @@ class TestEvaluate:
             ("[learning]\nsolver_max_iter = 0\n", "solver_max_iter must be >= 1"),
             ("[learning]\nsolver_max_iter = -5\n", "solver_max_iter must be >= 1"),
             ("[learning]\nlam = inf\n", "lam must be finite and >= 0"),
+            ("[cnn]\nlearning_rate = inf\n", "learning_rate must be finite and > 0"),
         ],
-        ids=["penalty-nan", "penalty-inf", "max-iter-0", "max-iter-negative", "lam-inf"],
+        ids=[
+            "penalty-nan", "penalty-inf", "max-iter-0", "max-iter-negative", "lam-inf",
+            "learning-rate-inf",
+        ],
     )
     def test_bad_config_value_exits_1_naming_it(self, tmp_path, capsys, text, message):
         corpus, truth_path = gen_corpus(tmp_path, size=30, words=6, seed=4)

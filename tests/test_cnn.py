@@ -88,18 +88,25 @@ class TestConfig:
             tiny_config(rng_seed=-2)
 
 
-def random_batch(config: CnnConfig, seed: int, size: int = 3) -> np.ndarray:
+def random_embedding(model, seed: int):
+    """``model`` with its embedding, PAD row included, drawn N(0, 0.7^2) from ``seed``."""
     rng = np.random.default_rng(seed)
-    return rng.normal(scale=0.7, size=(size, config.sequence_length, config.embedding_dim))
+    return replace(model, embedding=rng.normal(scale=0.7, size=model.embedding.shape))
+
+
+def random_indices(config: CnnConfig, seed: int, size: int = 3, vocab_size: int = 9):
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, vocab_size, size=(size, config.sequence_length))
 
 
 class TestForward:
     def test_logit_and_cache_shapes(self):
         config = tiny_config()
         model = init_model(vocab_size=9, config=config)
-        embedded = model.embedding[np.array([[2, 3, 4, 5, 0, 0], [6, 7, 8, 0, 0, 0]])]
-        logits, cache = forward(model, embedded, config)
+        indices = np.array([[2, 3, 4, 5, 0, 0], [6, 7, 8, 0, 0, 0]])
+        logits, cache = forward(model, indices, config)
         assert logits.shape == (2, 3)
+        assert cache.indices.shape == (2, config.sequence_length)
         assert cache.pre.shape == (2, config.sequence_length - config.window + 1, 3)
         assert cache.pool_rows.shape == (2, 3, 3)
         assert cache.kept.shape == (2, 9)
@@ -112,12 +119,13 @@ class TestForward:
             self.check_loop_reference(config)
 
     def check_loop_reference(self, config):
-        model = init_model(vocab_size=9, config=replace(config, rng_seed=5))
-        embedded = random_batch(config, seed=11)
-        logits, _ = forward(model, embedded, config)
+        model = random_embedding(init_model(vocab_size=9, config=replace(config, rng_seed=5)), 11)
+        indices = random_indices(config, seed=11)
+        logits, _ = forward(model, indices, config)
 
         n, d, f, p = config.sequence_length, config.window, config.filter_count, config.pool_window
-        for x, row_logits in zip(embedded, logits):
+        for row, row_logits in zip(indices, logits):
+            x = model.embedding[row]
             features = np.zeros((n, f))
             for pos in range(n - d + 1):
                 window = x[pos : pos + d]
@@ -126,16 +134,15 @@ class TestForward:
                         float((window * model.filters[j]).sum()) + model.filter_bias[j]
                     )
             pooled = np.zeros((n // p if n % p == 0 else n // p + 1, f))
-            for row in range(pooled.shape[0]):
-                pooled[row] = features[row * p : (row + 1) * p].max(axis=0)
+            for chunk in range(pooled.shape[0]):
+                pooled[chunk] = features[chunk * p : (chunk + 1) * p].max(axis=0)
             expected = pooled.reshape(-1) @ model.dense_w + model.dense_b
             npt.assert_allclose(row_logits, expected, atol=1e-12)
 
     def test_max_over_time_pools_whole_columns(self):
         config = tiny_config(pooling="max_over_time")
-        model = init_model(vocab_size=9, config=replace(config, rng_seed=2))
-        embedded = random_batch(config, seed=3)
-        _, cache = forward(model, embedded, config)
+        model = random_embedding(init_model(vocab_size=9, config=replace(config, rng_seed=2)), 3)
+        _, cache = forward(model, random_indices(config, seed=3), config)
         assert cache.pooled.shape == (3, 3)
         column = np.zeros((3, config.sequence_length, 3))
         column[:, : cache.pre.shape[1]] = np.maximum(cache.pre, 0.0)
@@ -144,56 +151,69 @@ class TestForward:
     def test_dropout_repeatable_with_seeded_rng(self):
         config = tiny_config(dropout_rate=0.5)
         model = init_model(vocab_size=9, config=config)
-        embedded = model.embedding[np.array([[2, 3, 4, 5, 6, 7]])]
-        a, _ = forward(model, embedded, config, dropout_active=True, rng=default_rng(42))
-        b, _ = forward(model, embedded, config, dropout_active=True, rng=default_rng(42))
+        indices = np.array([[2, 3, 4, 5, 6, 7]])
+        a, _ = forward(model, indices, config, dropout_active=True, rng=default_rng(42))
+        b, _ = forward(model, indices, config, dropout_active=True, rng=default_rng(42))
         npt.assert_array_equal(a, b)
 
     def test_batch_dropout_draw_equals_sequential_draws(self):
         # One (B, q*f) draw consumes the generator exactly like B draws
         # of q*f, so batching leaves every example's mask unchanged.
         config = tiny_config(dropout_rate=0.5, sequence_length=7)
-        model = init_model(vocab_size=9, config=config)
-        embedded = random_batch(config, seed=4, size=5)
-        _, batched = forward(model, embedded, config, dropout_active=True, rng=default_rng(9))
+        model = random_embedding(init_model(vocab_size=9, config=config), 4)
+        indices = random_indices(config, seed=4, size=5)
+        _, batched = forward(model, indices, config, dropout_active=True, rng=default_rng(9))
         gen = default_rng(9)
-        for x, mask in zip(embedded, batched.mask):
-            _, single = forward(model, x[None], config, dropout_active=True, rng=gen)
+        for row, mask in zip(indices, batched.mask):
+            _, single = forward(model, row[None], config, dropout_active=True, rng=gen)
             npt.assert_array_equal(single.mask[0], mask)
 
     def test_dropout_off_at_evaluation(self):
         config = tiny_config(dropout_rate=0.9)
         model = init_model(vocab_size=9, config=config)
-        embedded = model.embedding[np.array([[2, 3, 4, 5, 6, 7]])]
-        logits, cache = forward(model, embedded, config, dropout_active=False)
+        indices = np.array([[2, 3, 4, 5, 6, 7]])
+        logits, cache = forward(model, indices, config, dropout_active=False)
         assert cache.mask is None
         npt.assert_array_equal(cache.kept, cache.pooled)
 
     def test_wrong_input_shape_rejected(self):
         config = tiny_config()
         model = init_model(vocab_size=9, config=config)
-        for shape in [(4, 4), (6, 4), (1, 4, 4), (1, 6, 5)]:
-            with pytest.raises(CnnError):
-                forward(model, np.zeros(shape), config)
+        for shape in [(6,), (4, 4), (6, 4), (1, 4, 4), (1, 6, 5), (1, 6, 4)]:
+            with pytest.raises(CnnError, match="token indices"):
+                forward(model, np.zeros(shape, dtype=np.int64), config)
+
+
+#: Three index sequences for the gradient check: rows repeat within a
+#: sequence (2, 6) and across sequences (2, 3, 5, ...), and PAD (0) occurs;
+#: the first N columns are used.
+FD_INDICES = np.array([
+    [2, 5, 2, 7, 0, 3, 0],
+    [5, 1, 6, 6, 4, 0, 0],
+    [3, 7, 4, 2, 5, 1, 6],
+])
 
 
 def finite_difference_check(config: CnnConfig, seed: int, penalty=None) -> float:
     """Worst relative error between analytic and central-difference grads.
 
-    Runs on a batch of three sequences: the loss is the sum of the
-    per-example losses, whose gradient ``backward`` returns. The analytic
-    side is the training loss ``loss_and_logit_grad``; the numeric side
-    differences the paper's per-example formula, written out here:
+    Differences all five parameter tensors, the embedding included, over
+    a batch of three index sequences (:data:`FD_INDICES`): the loss is
+    the sum of the per-example losses, whose gradient ``backward``
+    returns. The embedding, PAD row included, is drawn at random so
+    every row the batch touches moves the loss. The analytic side is the
+    training loss ``loss_and_logit_grad``; the numeric side differences
+    the paper's per-example formula, written out here:
     ``w * -ln max(p_y, PROB_FLOOR)``, where ``w`` is 1 without a penalty
     and the weight for the (argmax, expected) pair with one.
     """
-    seeded = replace(config, rng_seed=seed)
-    model = init_model(vocab_size=8, config=seeded)
-    embedded = random_batch(config, seed=seed + 100)
-    labels = [(seed + i) % 3 for i in range(len(embedded))]
+    model = init_model(vocab_size=8, config=replace(config, rng_seed=seed))
+    model = random_embedding(model, seed + 100)
+    indices = FD_INDICES[:, : config.sequence_length]
+    labels = [(seed + i) % 3 for i in range(len(indices))]
     h = 1e-5
 
-    logits, cache = forward(model, embedded, config)
+    logits, cache = forward(model, indices, config)
     _, dlogits = loss_and_logit_grad(np.array(labels), softmax(logits), penalty)
     grads = backward(model, config, cache, dlogits)
 
@@ -202,48 +222,24 @@ def finite_difference_check(config: CnnConfig, seed: int, penalty=None) -> float
         weight = 1.0 if penalty is None else penalty.weights[int(np.argmax(probs)), y]
         return weight * -np.log(max(probs[y], PROB_FLOOR))
 
-    def loss_at(candidate, x) -> float:
-        out, _ = forward(candidate, x, config)
+    def loss() -> float:
+        out, _ = forward(model, indices, config)
         return sum(example_loss(y, row) for y, row in zip(labels, out))
 
     worst = 0.0
-
-    def compare(array, grad, rebuild):
-        nonlocal worst
-        flat = array.reshape(-1)
+    for name in ("embedding", "filters", "filter_bias", "dense_w", "dense_b"):
+        # A view: writing a cell perturbs the model's own tensor.
+        flat = getattr(model, name).reshape(-1)
+        grad = getattr(grads, name).reshape(-1)
         for idx in range(flat.size):
             original = flat[idx]
             flat[idx] = original + h
-            up = loss_at(*rebuild())
+            up = loss()
             flat[idx] = original - h
-            down = loss_at(*rebuild())
+            down = loss()
             flat[idx] = original
             fd = (up - down) / (2 * h)
-            an = grad.reshape(-1)[idx]
-            worst = max(worst, abs(fd - an) / max(abs(fd), abs(an), 1e-8))
-
-    filters = model.filters.copy()
-    fb = model.filter_bias.copy()
-    dw = model.dense_w.copy()
-    db = model.dense_b.copy()
-    x = embedded.copy()
-
-    def rebuild():
-        candidate = init_model(vocab_size=8, config=seeded)
-        candidate = type(candidate)(
-            embedding=candidate.embedding,
-            filters=filters,
-            filter_bias=fb,
-            dense_w=dw,
-            dense_b=db,
-        )
-        return candidate, x
-
-    compare(filters, grads.filters, rebuild)
-    compare(fb, grads.filter_bias, rebuild)
-    compare(dw, grads.dense_w, rebuild)
-    compare(db, grads.dense_b, rebuild)
-    compare(x, grads.embedded, rebuild)
+            worst = max(worst, abs(fd - grad[idx]) / max(abs(fd), abs(grad[idx]), 1e-8))
     return worst
 
 
@@ -277,20 +273,17 @@ class TestGradients:
 
 
 class TestTrainStep:
-    def dataset(self, config):
+    def batch(self):
         # Two separable classes over a 9-term vocabulary.
-        pos = (np.array([2, 3, 4, 0, 0, 0]), 0)
-        neg = (np.array([5, 6, 7, 0, 0, 0]), 1)
-        return [pos, neg]
+        return np.array([[2, 3, 4, 0, 0, 0], [5, 6, 7, 0, 0, 0]]), np.array([0, 1])
 
     def test_loss_decreases(self):
         config = tiny_config()
         model = init_model(vocab_size=9, config=config)
-        batch = self.dataset(config)
         first = None
         loss = None
         for _ in range(40):
-            model, loss = train_step(model, batch, config, rng=default_rng(0))
+            model, loss = train_step(model, *self.batch(), config, rng=default_rng(0))
             if first is None:
                 first = loss
         assert loss < first
@@ -299,7 +292,7 @@ class TestTrainStep:
         config = tiny_config()
         model = init_model(vocab_size=9, config=config)
         for _ in range(10):
-            model, _ = train_step(model, self.dataset(config), config, rng=default_rng(0))
+            model, _ = train_step(model, *self.batch(), config, rng=default_rng(0))
         npt.assert_array_equal(model.embedding[0], np.zeros(config.embedding_dim))
 
     def test_static_embeddings_do_not_move(self):
@@ -307,17 +300,19 @@ class TestTrainStep:
         model = init_model(vocab_size=9, config=config)
         before = model.embedding.copy()
         for _ in range(5):
-            model, _ = train_step(model, self.dataset(config), config, rng=default_rng(0))
+            model, _ = train_step(model, *self.batch(), config, rng=default_rng(0))
         npt.assert_array_equal(model.embedding, before)
 
     def test_duplicated_example_matches_single(self):
         # Averaging over identical items must equal the single-item step.
         config = tiny_config()
-        example = (np.array([2, 3, 4, 0, 0, 0]), 0)
+        example = np.array([[2, 3, 4, 0, 0, 0]])
         a = init_model(vocab_size=9, config=config)
         b = init_model(vocab_size=9, config=config)
-        a, _ = train_step(a, [example], config, rng=default_rng(0))
-        b, _ = train_step(b, [example, example], config, rng=default_rng(0))
+        a, _ = train_step(a, example, np.array([0]), config, rng=default_rng(0))
+        b, _ = train_step(
+            b, example.repeat(2, axis=0), np.array([0, 0]), config, rng=default_rng(0)
+        )
         npt.assert_allclose(a.filters, b.filters, atol=1e-12)
         npt.assert_allclose(a.dense_w, b.dense_w, atol=1e-12)
 
@@ -325,22 +320,25 @@ class TestTrainStep:
         config = tiny_config()
         model = init_model(vocab_size=9, config=config)
         with pytest.raises(CnnError):
-            train_step(model, [], config, rng=default_rng(0))
+            train_step(
+                model, np.zeros((0, 6), dtype=np.int64), np.zeros(0, dtype=np.int64), config,
+                rng=default_rng(0),
+            )
 
     @pytest.mark.parametrize("label", [-1, 3])
     def test_out_of_range_label_rejected(self, label):
         config = tiny_config()
         model = init_model(vocab_size=9, config=config)
         with pytest.raises(CnnError, match="label"):
-            batch = [(np.array([2, 3, 4, 0, 0, 0]), label)]
-            train_step(model, batch, config, rng=default_rng(0))
+            train_step(model, np.array([[2, 3, 4, 0, 0, 0]]), np.array([label]), config,
+                       rng=default_rng(0))
 
     def test_divergence_raises(self):
         config = tiny_config(learning_rate=1e9)
         model = init_model(vocab_size=9, config=config)
         with np.errstate(all="ignore"), pytest.raises(TrainingDiverged):
             for _ in range(30):
-                model, _ = train_step(model, self.dataset(config), config, rng=default_rng(0))
+                model, _ = train_step(model, *self.batch(), config, rng=default_rng(0))
 
 
 class TestFit:

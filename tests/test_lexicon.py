@@ -93,6 +93,12 @@ class TestMaskTarget:
         with pytest.raises(LexiconError):
             mask_target("some text", "")
 
+    @pytest.mark.parametrize("entity", [" ", " \t "])
+    def test_blank_entity_rejected(self, entity):
+        # A space entity would turn every space into TARGET.
+        with pytest.raises(LexiconError, match="non-space"):
+            mask_target("Nimbus is great", entity)
+
 
 def write_lexicon(tmp_path, text: str):
     path = tmp_path / "lex.tsv"
@@ -396,6 +402,12 @@ class TestMentionRecords:
         with pytest.raises(
             LexiconError, match=f"corpus.tsv:2: non-finite target score '{score}'"
         ):
+            load_mention_records(path)
+
+    def test_blank_entity_reports_location(self, tmp_path):
+        path = tmp_path / "corpus.tsv"
+        path.write_text("fine\tpositive\t\t\nNimbus is great\tpositive\t\t \n", encoding="utf-8")
+        with pytest.raises(LexiconError, match="corpus.tsv:2: blank entity ' '"):
             load_mention_records(path)
 
     def test_prepare_mentions_masks_entities(self, lexicon):

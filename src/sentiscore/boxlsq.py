@@ -13,13 +13,14 @@ clipped to the interval converges to the global minimum.
 The descent runs in Gram (covariance-update) form, as in glmnet
 (Friedman, Hastie & Tibshirani 2010): the objective equals
 ``v^T (X^T X + lam I) v - 2 c^T v + ||t - b||^2`` with ``c = X^T (t - b)``,
-so once ``X^T X`` and ``c`` are formed a coordinate update costs O(D)
-rather than O(M). Optimality is certified through the first-order (KKT)
-residual for box constraints, evaluated in residual form at the
-returned point.
+so once ``X^T X`` and ``c`` are formed a coordinate update costs one
+pass over a row of the sparse Gram rather than O(M). Optimality is
+certified through the first-order (KKT) residual for box constraints,
+evaluated in residual form at the returned point.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,17 +30,38 @@ class BoxLsqError(ValueError):
     """Raised on dimension mismatches or invalid problem data."""
 
 
+def coalesce(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]):
+    """The distinct cells of entries ``(rows, cols)`` in row-major order, as
+    ``(cell_rows, cell_cols, cell)`` with entry ``k`` in cell ``cell[k]``.
+    An entry outside ``shape`` raises :class:`BoxLsqError`."""
+    m, d = shape
+    if rows.size and (min(rows.min(), cols.min()) < 0 or rows.max() >= m or cols.max() >= d):
+        raise BoxLsqError(f"design entries must lie within the shape {shape}")
+    keys = rows * d + cols
+    if np.all(keys[1:] > keys[:-1]):
+        return rows, cols, np.arange(keys.size)
+    ordered = np.sort(keys)
+    distinct = ordered[np.diff(ordered, prepend=-1) != 0]
+    return distinct // d, distinct % d, np.searchsorted(distinct, keys)
+
+
 @dataclass(frozen=True)
 class ConstrainedLsqProblem:
     """Problem data for the box-constrained least-squares objective.
 
-    ``design`` has one row per observation and one column per unknown;
-    ``bias`` and ``targets`` are per-observation vectors; ``lower`` and
-    ``upper`` are per-coordinate interval endpoints (may be ``-inf`` /
-    ``inf``).
+    The design ``X`` of ``shape`` (a row per observation, a column per
+    unknown) is held as COO triplets, entry ``k`` adding ``values[k]`` to
+    cell ``(rows[k], cols[k])``; construction leaves one entry per cell in
+    row-major order, summing repeated cells in input order and dropping
+    exact zeros. ``bias`` and ``targets`` are per-observation vectors;
+    ``lower`` and ``upper`` are per-coordinate interval endpoints (may be
+    ``-inf`` / ``inf``).
     """
 
-    design: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+    shape: tuple[int, int]
     bias: np.ndarray
     targets: np.ndarray
     lam: float
@@ -47,31 +69,47 @@ class ConstrainedLsqProblem:
     upper: np.ndarray
 
     def __post_init__(self) -> None:
-        design = np.asarray(self.design, dtype=float)
-        bias = np.asarray(self.bias, dtype=float)
-        targets = np.asarray(self.targets, dtype=float)
-        lower = np.asarray(self.lower, dtype=float)
-        upper = np.asarray(self.upper, dtype=float)
-        if design.ndim != 2:
-            raise BoxLsqError("design must be a 2-D matrix")
-        m, d = design.shape
-        if bias.shape != (m,) or targets.shape != (m,):
+        for name in ("values", "bias", "targets", "lower", "upper"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        rows, cols = np.asarray(self.rows, dtype=np.intp), np.asarray(self.cols, dtype=np.intp)
+        m, d = self.shape
+        if rows.ndim != 1 or not rows.shape == cols.shape == self.values.shape:
+            raise BoxLsqError("rows, cols and values must be 1-D and of one length")
+        if self.bias.shape != (m,) or self.targets.shape != (m,):
             raise BoxLsqError("bias and targets must match the design row count")
-        if lower.shape != (d,) or upper.shape != (d,):
+        if self.lower.shape != (d,) or self.upper.shape != (d,):
             raise BoxLsqError("bounds must match the design column count")
         if not 0 <= self.lam < np.inf:
             raise BoxLsqError("lam must be finite and >= 0")
-        if np.any(lower > upper):
+        if np.any(self.lower > self.upper):
             raise BoxLsqError("every lower bound must be <= its upper bound")
-        object.__setattr__(self, "design", design)
-        object.__setattr__(self, "bias", bias)
-        object.__setattr__(self, "targets", targets)
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
+        rows, cols, cell = coalesce(rows, cols, (m, d))
+        values = np.bincount(cell, self.values, rows.size).astype(float)
+        kept = values != 0
+        object.__setattr__(self, "rows", rows[kept])
+        object.__setattr__(self, "cols", cols[kept])
+        object.__setattr__(self, "values", values[kept])
+        object.__setattr__(self, "shape", (m, d))
+
+    @classmethod
+    def from_dense(cls, design, bias, targets, lam, lower, upper) -> ConstrainedLsqProblem:
+        """The problem whose design is the dense matrix ``design``."""
+        design = np.asarray(design, dtype=float)
+        if design.ndim != 2:
+            raise BoxLsqError("design must be a 2-D matrix")
+        rows, cols = np.nonzero(design)
+        return cls(rows, cols, design[rows, cols], design.shape, bias, targets, lam, lower, upper)
+
+    @property
+    def design(self) -> np.ndarray:
+        """The dense design matrix, for inspection; the solver never forms it."""
+        dense = np.zeros(self.shape)
+        dense[self.rows, self.cols] = self.values
+        return dense
 
     @property
     def n_coords(self) -> int:
-        return self.design.shape[1]
+        return self.shape[1]
 
 
 @dataclass
@@ -92,26 +130,27 @@ class SolverReport:
     objective_trace: list[float] = field(default_factory=list)
 
 
+def _residual(problem: ConstrainedLsqProblem, v: np.ndarray) -> np.ndarray:
+    """``X v + b - t``, one pass over the design's entries."""
+    if v.shape != (problem.n_coords,):
+        raise BoxLsqError(f"v must have shape ({problem.n_coords},), got {v.shape}")
+    xv = np.bincount(problem.rows, problem.values * v[problem.cols], problem.shape[0])
+    return xv + problem.bias - problem.targets
+
+
 def objective(problem: ConstrainedLsqProblem, v: np.ndarray) -> float:
     """Exact objective value ``||Xv + b - t||^2 + lam ||v||^2``."""
     v = np.asarray(v, dtype=float)
-    if v.shape != (problem.n_coords,):
-        raise BoxLsqError(f"v must have shape ({problem.n_coords},), got {v.shape}")
-    residual = problem.design @ v + problem.bias - problem.targets
+    residual = _residual(problem, v)
     return float(residual @ residual + problem.lam * (v @ v))
 
 
 def _kkt_from_gradient(problem: ConstrainedLsqProblem, v: np.ndarray, grad: np.ndarray) -> float:
-    at_lower = v <= problem.lower
-    at_upper = v >= problem.upper
-    per_coord = np.abs(grad)
-    per_coord = np.where(at_lower, np.maximum(0.0, -grad), per_coord)
-    per_coord = np.where(at_upper, np.maximum(0.0, grad), per_coord)
-    # A coordinate pinned on both sides is trivially optimal.
-    per_coord = np.where(at_lower & at_upper, 0.0, per_coord)
-    if per_coord.size == 0:
-        return 0.0
-    return float(np.max(per_coord))
+    # A positive gradient asks v_j down, which its lower bound may block, and
+    # a negative one up; so a coordinate pinned on both sides is optimal.
+    down = np.where(v <= problem.lower, 0.0, grad)
+    up = np.where(v >= problem.upper, 0.0, -grad)
+    return float(np.maximum(down, up).max(initial=0.0))
 
 
 def kkt_residual(problem: ConstrainedLsqProblem, v: np.ndarray) -> float:
@@ -123,46 +162,35 @@ def kkt_residual(problem: ConstrainedLsqProblem, v: np.ndarray) -> float:
     The gradient is taken in residual form, ``2 X^T (Xv + b - t) + 2 lam v``.
     """
     v = np.asarray(v, dtype=float)
-    if v.shape != (problem.n_coords,):
-        raise BoxLsqError(f"v must have shape ({problem.n_coords},), got {v.shape}")
-    feas_tol = 1e-12
-    if np.any(v < problem.lower - feas_tol) or np.any(v > problem.upper + feas_tol):
+    residual = _residual(problem, v)
+    if np.any(v < problem.lower - 1e-12) or np.any(v > problem.upper + 1e-12):
         raise BoxLsqError("v is infeasible for the box constraints")
-    residual = problem.design @ v + problem.bias - problem.targets
-    grad = 2.0 * (problem.design.T @ residual) + 2.0 * problem.lam * v
-    return _kkt_from_gradient(problem, v, grad)
+    xt_r = np.bincount(problem.cols, problem.values * residual[problem.rows], problem.n_coords)
+    return _kkt_from_gradient(problem, v, 2.0 * xt_r + 2.0 * problem.lam * v)
 
 
-def _gram(X: np.ndarray) -> np.ndarray:
-    """``X^T X``, summed over each row's pairs of nonzeros.
+def _gram(problem: ConstrainedLsqProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``X^T X`` as row-major triplets, summed over each row's pairs of entries.
 
-    The learner's designs hold a few nonzeros per row, so the pair sum
-    costs about one pass over ``X``, where a dense product costs
-    ``M D^2 / 2`` multiplies. Its work and memory grow with the sum of
-    squared per-row nonzero counts, ``M D^2`` for a fully dense design.
+    The learner's designs hold a few entries per row, so this costs about
+    one pass over them (``M D^2`` for a fully dense design). Each Gram
+    cell sums its pairs in design row order.
     """
-    m, d = X.shape
-    flat = np.flatnonzero(X != 0)
-    rows, cols = np.divmod(flat, d)
+    rows, cols, values = problem.rows, problem.cols, problem.values
+    m, d = problem.shape
     counts = np.bincount(rows, minlength=m)
-    values = X[rows, cols]
     # Entries are in row-major order, so each row's entries are adjacent:
     # pair every entry with each entry of its own row, itself included.
     per_entry = counts[rows]
-    left = np.repeat(np.arange(flat.size), per_entry)
+    left = np.repeat(np.arange(rows.size), per_entry)
     within = np.arange(left.size) - np.repeat(np.cumsum(per_entry) - per_entry, per_entry)
     right = (np.cumsum(counts) - counts)[rows[left]] + within
-    return np.bincount(
-        cols[left] * d + cols[right], weights=values[left] * values[right], minlength=d * d
-    ).reshape(d, d)
+    gram_rows, gram_cols, cell = coalesce(cols[left], cols[right], (d, d))
+    return gram_rows, gram_cols, np.bincount(cell, values[left] * values[right], gram_rows.size)
 
 
 # Relative size of the dead zone of h_j within which a coordinate does not move.
 _ROUNDING = 4.0 * np.finfo(float).eps
-
-
-def _project(v: np.ndarray, problem: ConstrainedLsqProblem) -> np.ndarray:
-    return np.clip(v, problem.lower, problem.upper)
 
 
 def solve(
@@ -173,12 +201,14 @@ def solve(
 ) -> SolverReport:
     """Minimize the objective over the box with cyclic coordinate descent.
 
-    ``G = X^T X`` and ``c = X^T (t - b)`` are formed once. Coordinate
-    ``j`` then takes ``h_j = G_j . v - c_j + lam v_j`` (half the partial
-    derivative) and steps to ``clip(v_j - h_j / (G_jj + lam))``, its exact
-    minimizer within its interval. That step lowers the objective by
-    exactly ``-(2 step h_j + step^2 (G_jj + lam))``; ``objective_trace``
-    is the starting objective less these decreases, sweep by sweep.
+    ``G = X^T X`` and ``c = X^T (t - b)`` are formed once from the
+    design's entries, ``G`` as triplets. Coordinate ``j`` then takes
+    ``h_j = G_j . v - c_j + lam v_j`` (half the partial derivative) over
+    the nonzeros of row ``j`` of ``G`` and steps to
+    ``clip(v_j - h_j / (G_jj + lam))``, its exact minimizer within its
+    interval. That step lowers the objective by exactly
+    ``-(2 step h_j + step^2 (G_jj + lam))``; ``objective_trace`` is the
+    starting objective less these decreases, sweep by sweep.
     A coordinate whose ``|h_j|`` is within the dead zone
     ``4 eps ((||G_j|| + lam) ||v|| + |c_j|)`` stays put: near the
     optimum such an ``h_j`` is rounding noise, and following it would
@@ -202,43 +232,47 @@ def solve(
     """
     if not tol > 0:
         raise BoxLsqError("tol must be > 0")
-    X = problem.design
-    lam = problem.lam
-    if start is None:
-        v = _project(np.zeros(problem.n_coords), problem)
-    else:
-        v = _project(np.asarray(start, dtype=float).copy(), problem)
-    gram = _gram(X)
-    c = X.T @ (problem.targets - problem.bias)
-    denom = np.diagonal(gram) + lam
-    row_norms = np.linalg.norm(gram, axis=1) + lam
+    lam, d = problem.lam, problem.n_coords
+    v = np.zeros(d) if start is None else np.asarray(start, dtype=float)
+    v = np.clip(v, problem.lower, problem.upper)
+    gram_rows, gram_cols, gram_values = _gram(problem)
+    gap = problem.targets - problem.bias
+    c = np.bincount(problem.cols, problem.values * gap[problem.rows], d)
+    denom = np.bincount(gram_rows, np.where(gram_rows == gram_cols, gram_values, 0.0), d) + lam
+    row_norms = np.sqrt(np.bincount(gram_rows, gram_values * gram_values, d)) + lam
     # A coordinate with denom == 0 (zero column, lam == 0) cannot move
     # the objective; it stays where projection put it.
     active = np.flatnonzero(denom > 0.0).tolist()
-    rows = list(gram)
+    coupled: list[list[tuple[int, float]]] = [[] for _ in range(d)]
+    for j, k, g in zip(gram_rows.tolist(), gram_cols.tolist(), gram_values.tolist()):
+        coupled[j].append((k, g))
     lower, upper = problem.lower.tolist(), problem.upper.tolist()
-    c_list, denom_list = c.tolist(), denom.tolist()
+    c_list, denom_list, abs_c = c.tolist(), denom.tolist(), np.abs(c)
 
     obj = objective(problem, v)
     trace = [obj]
     stop_reason = "max_iter"
     sweeps = 0
+    x = v.tolist()
     for sweeps in range(1, max_iter + 1):
         decrease = 0.0
-        noise = (_ROUNDING * (row_norms * np.linalg.norm(v) + np.abs(c))).tolist()
+        noise = (_ROUNDING * (row_norms * math.sqrt(v @ v) + abs_c)).tolist()
         for j in active:
-            v_j = v.item(j)
-            h = float(rows[j] @ v) - c_list[j] + lam * v_j
+            x_j = x[j]
+            h = lam * x_j - c_list[j]
+            for k, g in coupled[j]:
+                h += g * x[k]
             if abs(h) <= noise[j]:
                 continue
-            v_new = min(max(v_j - h / denom_list[j], lower[j]), upper[j])
-            if v_new != v_j:
-                v[j] = v_new
-                step = v_new - v_j
+            x_new = min(max(x_j - h / denom_list[j], lower[j]), upper[j])
+            if x_new != x_j:
+                x[j] = x_new
+                step = x_new - x_j
                 decrease -= step * (2.0 * h + step * denom_list[j])
+        v = np.array(x)
         obj -= decrease
         trace.append(obj)
-        grad = 2.0 * (gram @ v + lam * v - c)
+        grad = 2.0 * (np.bincount(gram_rows, gram_values * v[gram_cols], d) + lam * v - c)
         if _kkt_from_gradient(problem, v, grad) <= tol and (kkt := kkt_residual(problem, v)) <= tol:
             stop_reason = "kkt"
             break
@@ -247,12 +281,4 @@ def solve(
             break
     if stop_reason != "kkt":
         kkt = kkt_residual(problem, v)
-    return SolverReport(
-        solution=v,
-        objective=objective(problem, v),
-        iterations=sweeps,
-        kkt_residual=kkt,
-        converged=kkt <= tol,
-        stop_reason=stop_reason,
-        objective_trace=trace,
-    )
+    return SolverReport(v, objective(problem, v), sweeps, kkt, kkt <= tol, stop_reason, trace)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import os
 import sys
 from dataclasses import fields, replace
 
@@ -358,6 +359,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        # Output paths are checked before any work, so a bad one costs no run.
+        for flag in ("--out", "--trace", "--lexicon-out"):
+            path = getattr(args, flag[2:].replace("-", "_"), None)
+            if path and (os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or ".")):
+                raise ValueError(f"{flag} {path}: not a file in an existing directory")
         return _COMMANDS[args.command](args)
     except TrainingDiverged as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from sentiscore.boxlsq import ConstrainedLsqProblem, solve
+from sentiscore.boxlsq import ConstrainedLsqProblem, coalesce, solve
 from sentiscore.lexicon import Lexicon, Mention
 
 
@@ -75,7 +75,8 @@ class OccurrenceIndex:
     ``words[word_cols[k]]`` and its modifier ``adverbs[adverb_cols[k]]``,
     or none when ``adverb_cols[k]`` is -1. Occurrences run in mention
     order, then token order. ``adverbs`` and ``words`` are the observed
-    terms, sorted: the columns of the modifier and word problems.
+    terms, sorted: the columns of the modifier and word problems, whose
+    fixed sparsity patterns ``adverb_cells`` and ``word_cells`` hold.
     """
 
     rows: np.ndarray
@@ -84,6 +85,8 @@ class OccurrenceIndex:
     adverbs: list[str]
     words: list[str]
     targets: np.ndarray
+    adverb_cells: tuple[np.ndarray, np.ndarray, np.ndarray]
+    word_cells: tuple[np.ndarray, np.ndarray, np.ndarray]
 
     def scores(self, lexicon: Lexicon) -> tuple[np.ndarray, np.ndarray]:
         """The lexicon's scores of the observed modifiers and words, by column."""
@@ -108,7 +111,12 @@ def index_occurrences(mentions: Sequence[Mention]) -> OccurrenceIndex:
         [(row, adverb_col[adverb], word_col[word]) for row, adverb, word in pairs], dtype=np.intp
     ).T
     targets = np.array([m.target_score for m in mentions], dtype=float)
-    return OccurrenceIndex(rows, adverb_cols, word_cols, adverbs, words, targets)
+    modified = adverb_cols >= 0
+    return OccurrenceIndex(
+        rows, adverb_cols, word_cols, adverbs, words, targets,
+        coalesce(rows[modified], adverb_cols[modified], (len(mentions), len(adverbs))),
+        coalesce(rows, word_cols, (len(mentions), len(words))),
+    )
 
 
 def build_adverb_problem(
@@ -126,19 +134,12 @@ def build_adverb_problem(
     """
     m_count, d = len(index.targets), len(index.adverbs)
     modified, bare = index.adverb_cols >= 0, index.adverb_cols < 0
-    cells = index.rows[modified] * d + index.adverb_cols[modified]
-    values = word_scores[index.word_cols[modified]]
-    design = np.bincount(cells, weights=values, minlength=m_count * d).reshape(m_count, d)
-    bias = np.bincount(
-        index.rows[bare], weights=word_scores[index.word_cols[bare]], minlength=m_count
-    )
+    rows, cols, cell = index.adverb_cells
+    values = np.bincount(cell, word_scores[index.word_cols[modified]], rows.size)
+    bias = np.bincount(index.rows[bare], word_scores[index.word_cols[bare]], m_count)
     return ConstrainedLsqProblem(
-        design=design,
-        bias=bias,
-        targets=index.targets,
-        lam=config.lam,
-        lower=np.zeros(d),
-        upper=np.full(d, np.inf),
+        rows, cols, values, (m_count, d), bias, index.targets, config.lam,
+        np.zeros(d), np.full(d, np.inf),
     )
 
 
@@ -158,16 +159,12 @@ def build_word_problem(
     m_count, d = len(index.targets), len(index.words)
     # Column -1 of the extended scores is the 1 that scales an unmodified word.
     scales = np.append(adverb_scores, 1.0)[index.adverb_cols]
-    cells = index.rows * d + index.word_cols
-    design = np.bincount(cells, weights=scales, minlength=m_count * d).reshape(m_count, d)
+    rows, cols, cell = index.word_cells
+    values = np.bincount(cell, scales, rows.size)
     positive, eps = word_scores > 0, config.epsilon_margin
+    lower, upper = np.where(positive, eps, -np.inf), np.where(positive, np.inf, -eps)
     return ConstrainedLsqProblem(
-        design=design,
-        bias=np.zeros(m_count),
-        targets=index.targets,
-        lam=config.lam,
-        lower=np.where(positive, eps, -np.inf),
-        upper=np.where(positive, np.inf, -eps),
+        rows, cols, values, (m_count, d), np.zeros(m_count), index.targets, config.lam, lower, upper
     )
 
 
@@ -180,20 +177,20 @@ def train_iterative(
 
     The corpus is indexed once. Each outer iteration solves the modifier
     problem against the current word scores, then the word problem
-    against the new modifier scores. The loop runs for at most
-    ``max_outer_iterations`` and stops early once the combined objective
-    decrease per iteration falls below the solver tolerance. Terms never
-    observed in the corpus keep their seed scores.
+    against the new modifier scores. Each half-step minimizes the joint
+    objective ``||r||^2 + lam (||a||^2 + ||w||^2)`` over its block, and
+    after the word half-step that is the word problem's objective plus
+    ``lam ||a||^2``. The loop runs for at most ``max_outer_iterations``
+    and stops early once an iteration lowers the joint objective by less
+    than the solver tolerance. Unobserved terms keep their seed scores.
     """
     index = index_occurrences(mentions)
     adverb_scores, word_scores = index.scores(seed_lexicon)
     iterations: list[tuple[float, float]] = []
     converged = True
-    prev_combined: float | None = None
+    prev_joint = np.inf
     tol, max_iter = config.solver_tol, config.solver_max_iter
     for _ in range(config.max_outer_iterations):
-        # Each problem is built inside the solve call, so its dense
-        # design is freed before the next one is allocated.
         report = solve(
             build_adverb_problem(index, word_scores, config), tol, max_iter, adverb_scores
         )
@@ -207,10 +204,10 @@ def train_iterative(
         word_scores, word_objective = report.solution, report.objective
 
         iterations.append((adverb_objective, word_objective))
-        combined = adverb_objective + word_objective
-        if prev_combined is not None and (prev_combined - combined) < config.solver_tol:
+        joint = word_objective + config.lam * float(adverb_scores @ adverb_scores)
+        if prev_joint - joint < tol:
             break
-        prev_combined = combined
+        prev_joint = joint
 
     lexicon = seed_lexicon.replace_scores(
         word_scores=dict(zip(index.words, word_scores)),

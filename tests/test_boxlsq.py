@@ -8,6 +8,7 @@ from helpers import grid_oracle, ls_center, residual_form_solve
 from sentiscore.boxlsq import (
     BoxLsqError,
     ConstrainedLsqProblem,
+    _gram,
     kkt_residual,
     objective,
     solve,
@@ -35,7 +36,24 @@ def random_problem(rng: np.random.Generator, d: int | None = None) -> Constraine
         elif kind == 3:
             lo = float(rng.normal())
             lower[j], upper[j] = lo, lo + float(rng.uniform(0.1, 2.0))
-    return ConstrainedLsqProblem(design, bias, targets, lam, lower, upper)
+    return ConstrainedLsqProblem.from_dense(design, bias, targets, lam, lower, upper)
+
+
+def random_sparse_problem(rng: np.random.Generator) -> ConstrainedLsqProblem:
+    """COO triplets in no particular order, with repeated cells and some
+    columns that no entry reaches; bounds and lam as in random_problem."""
+    d = int(rng.integers(2, 7))
+    m = int(rng.integers(d, 3 * d))
+    dense = random_problem(rng, d)
+    count = int(rng.integers(1, 4 * m))
+    reached = rng.choice(d, size=max(1, d - int(rng.integers(0, 3))), replace=False)
+    rows = rng.integers(0, m, size=count)
+    cols = rng.choice(reached, size=count)
+    values = rng.normal(size=count)
+    return ConstrainedLsqProblem(
+        rows, cols, values, (m, d), rng.normal(size=m), rng.normal(size=m, scale=2.0),
+        dense.lam, dense.lower, dense.upper,
+    )
 
 
 class TestGolden:
@@ -43,7 +61,7 @@ class TestGolden:
         # minimize (v1-1)^2 + (v2+1)^2 + 0.5 ||v||^2 over v >= 0:
         # the first coordinate settles at 2/3, the second pins at 0,
         # for an objective of 4/3.
-        problem = ConstrainedLsqProblem(
+        problem = ConstrainedLsqProblem.from_dense(
             design=np.eye(2),
             bias=np.zeros(2),
             targets=np.array([1.0, -1.0]),
@@ -61,7 +79,7 @@ class TestGolden:
         for _ in range(25):
             d = int(rng.integers(1, 5))
             m = d + int(rng.integers(1, 6))
-            problem = ConstrainedLsqProblem(
+            problem = ConstrainedLsqProblem.from_dense(
                 design=rng.normal(size=(m, d)),
                 bias=rng.normal(size=m),
                 targets=rng.normal(size=m),
@@ -118,7 +136,7 @@ class TestSolveProperties:
         assert again.objective == pytest.approx(first.objective, rel=1e-9)
 
     def test_infeasible_start_is_projected(self):
-        problem = ConstrainedLsqProblem(
+        problem = ConstrainedLsqProblem.from_dense(
             design=np.array([[1.0]]),
             bias=np.zeros(1),
             targets=np.array([5.0]),
@@ -131,7 +149,7 @@ class TestSolveProperties:
 
     def test_binding_upper_bound(self):
         # Unconstrained optimum is 5; the box caps it at 1.
-        problem = ConstrainedLsqProblem(
+        problem = ConstrainedLsqProblem.from_dense(
             design=np.array([[1.0]]),
             bias=np.zeros(1),
             targets=np.array([5.0]),
@@ -144,7 +162,7 @@ class TestSolveProperties:
         assert report.kkt_residual <= 1e-8
 
     def test_zero_column_with_ridge_goes_to_nearest_feasible_zero(self):
-        problem = ConstrainedLsqProblem(
+        problem = ConstrainedLsqProblem.from_dense(
             design=np.array([[1.0, 0.0], [0.0, 0.0]]),
             bias=np.zeros(2),
             targets=np.array([2.0, 0.0]),
@@ -156,7 +174,7 @@ class TestSolveProperties:
         assert report.solution[1] == pytest.approx(0.5)
 
     def test_both_bounds_equal_pins_coordinate(self):
-        problem = ConstrainedLsqProblem(
+        problem = ConstrainedLsqProblem.from_dense(
             design=np.array([[1.0, 1.0]]),
             bias=np.zeros(1),
             targets=np.array([3.0]),
@@ -213,6 +231,13 @@ class TestGramForm:
             self.check_sweeps_match(problem)
             self.check_report(problem, tol=1e-8)
 
+    def test_random_sparse_problems_match_oracle(self):
+        rng = np.random.default_rng(9)
+        for _ in range(40):
+            problem = random_sparse_problem(rng)
+            self.check_sweeps_match(problem)
+            self.check_report(problem, tol=1e-8)
+
     def test_word_problem_matches_oracle(self):
         problem = word_problem(seed=0)
         self.check_sweeps_match(problem)
@@ -250,18 +275,90 @@ class TestGramForm:
         # check the rounding dead zone still lets a 6,000 x 1,000 word
         # problem stall rather than run out its sweep budget.
         problem = word_problem(seed=5, size=6000, words=1000)
-        assert problem.design.shape == (6000, 1000)
+        assert problem.shape == (6000, 1000)
         report = solve(problem, tol=1e-300)
         assert report.stop_reason == "stalled"
         assert report.iterations < 100
         assert report.kkt_residual < 1e-10
 
 
+class TestSparseDesign:
+    def test_repeated_cells_are_summed_in_input_order(self):
+        # 0.1 + 0.2 + 0.3 is 0.6000000000000001 in this order and 0.6 in
+        # the reverse one; 1.0, 1e16, -1e16 sum to an exact zero in order.
+        rows = np.array([2, 0, 2, 1, 2, 1, 1, 0])
+        cols = np.array([1, 2, 1, 0, 1, 0, 0, 0])
+        values = np.array([0.1, 5.0, 0.2, 1.0, 0.3, 1e16, -1e16, 0.0])
+        problem = ConstrainedLsqProblem(
+            rows, cols, values, (3, 3), np.zeros(3), np.zeros(3), 0.0, np.zeros(3), np.ones(3)
+        )
+        assert problem.rows.tolist() == [0, 2]
+        assert problem.cols.tolist() == [2, 1]
+        assert problem.values.tolist() == [5.0, 0.1 + 0.2 + 0.3]
+        dense = np.bincount(rows * 3 + cols, weights=values, minlength=9).reshape(3, 3)
+        assert np.array_equal(problem.design, dense)
+
+    def test_entries_come_out_row_major(self):
+        rng = np.random.default_rng(10)
+        for _ in range(20):
+            problem = random_sparse_problem(rng)
+            keys = problem.rows * problem.shape[1] + problem.cols
+            assert np.all(np.diff(keys) > 0)
+            assert np.all(problem.values != 0)
+
+    @pytest.mark.parametrize("row, col", [(-1, 0), (2, 0), (0, -1), (0, 3)])
+    def test_entry_outside_the_shape_rejected(self, row, col):
+        with pytest.raises(BoxLsqError, match="within the shape"):
+            ConstrainedLsqProblem(
+                [0, row], [0, col], [1.0, 1.0], (2, 3), np.zeros(2), np.zeros(2), 0.0,
+                np.zeros(3), np.ones(3),
+            )
+
+    def test_triplets_of_unequal_length_rejected(self):
+        with pytest.raises(BoxLsqError, match="one length"):
+            ConstrainedLsqProblem(
+                [0, 1], [0], [1.0, 1.0], (2, 1), np.zeros(2), np.zeros(2), 0.0, np.zeros(1), np.ones(1)
+            )
+
+    def test_problem_without_columns(self):
+        # Nothing can move: one sweep certifies the objective ||b - t||^2.
+        problem = ConstrainedLsqProblem(
+            [], [], [], (2, 0), np.array([1.0, 0.0]), np.array([0.5, 2.0]), 0.1, [], []
+        )
+        assert problem.design.shape == (2, 0)
+        report = solve(problem)
+        assert (report.stop_reason, report.iterations, report.objective) == ("kkt", 1, 4.25)
+        assert report.solution.shape == (0,)
+
+    def test_from_dense_round_trips(self):
+        rng = np.random.default_rng(11)
+        design = rng.normal(size=(5, 4)) * (rng.random((5, 4)) < 0.4)
+        problem = ConstrainedLsqProblem.from_dense(
+            design, np.zeros(5), np.zeros(5), 0.0, np.zeros(4), np.ones(4)
+        )
+        assert problem.shape == (5, 4)
+        assert problem.values.size == np.count_nonzero(design)
+        assert np.array_equal(problem.design, design)
+
+    def test_gram_matches_dense_product(self):
+        rng = np.random.default_rng(12)
+        for problem in [random_sparse_problem(rng) for _ in range(30)] + [word_problem(seed=2)]:
+            rows, cols, values = _gram(problem)
+            d = problem.n_coords
+            keys = rows * d + cols
+            assert np.all(np.diff(keys) > 0)
+            gram = np.zeros((d, d))
+            gram[rows, cols] = values
+            X = problem.design
+            npt.assert_allclose(gram, X.T @ X, rtol=1e-12, atol=1e-12)
+            assert np.array_equal(gram != 0, (X != 0).T.astype(int) @ (X != 0) > 0)
+
+
 class TestKktResidual:
     def test_zero_at_unconstrained_optimum(self):
         rng = np.random.default_rng(5)
         d, m = 3, 6
-        problem = ConstrainedLsqProblem(
+        problem = ConstrainedLsqProblem.from_dense(
             design=rng.normal(size=(m, d)),
             bias=rng.normal(size=m),
             targets=rng.normal(size=m),
@@ -272,7 +369,7 @@ class TestKktResidual:
         assert kkt_residual(problem, ls_center(problem)) <= 1e-8
 
     def test_positive_away_from_optimum(self):
-        problem = ConstrainedLsqProblem(
+        problem = ConstrainedLsqProblem.from_dense(
             design=np.eye(2),
             bias=np.zeros(2),
             targets=np.array([1.0, 1.0]),
@@ -285,7 +382,7 @@ class TestKktResidual:
     def test_bound_with_inward_gradient_is_optimal(self):
         # Gradient pushes below the lower bound, so sitting on the bound
         # is first-order optimal.
-        problem = ConstrainedLsqProblem(
+        problem = ConstrainedLsqProblem.from_dense(
             design=np.array([[1.0]]),
             bias=np.zeros(1),
             targets=np.array([-3.0]),
@@ -296,7 +393,7 @@ class TestKktResidual:
         assert kkt_residual(problem, np.array([0.0])) == 0.0
 
     def test_infeasible_point_rejected(self):
-        problem = ConstrainedLsqProblem(
+        problem = ConstrainedLsqProblem.from_dense(
             design=np.eye(1),
             bias=np.zeros(1),
             targets=np.zeros(1),
@@ -311,7 +408,7 @@ class TestKktResidual:
 class TestValidation:
     def test_design_must_be_2d(self):
         with pytest.raises(BoxLsqError):
-            ConstrainedLsqProblem(
+            ConstrainedLsqProblem.from_dense(
                 design=np.zeros(3),
                 bias=np.zeros(3),
                 targets=np.zeros(3),
@@ -322,7 +419,7 @@ class TestValidation:
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(BoxLsqError):
-            ConstrainedLsqProblem(
+            ConstrainedLsqProblem.from_dense(
                 design=np.zeros((3, 2)),
                 bias=np.zeros(2),
                 targets=np.zeros(3),
@@ -333,7 +430,7 @@ class TestValidation:
 
     def test_crossed_bounds_rejected(self):
         with pytest.raises(BoxLsqError):
-            ConstrainedLsqProblem(
+            ConstrainedLsqProblem.from_dense(
                 design=np.zeros((1, 1)),
                 bias=np.zeros(1),
                 targets=np.zeros(1),
@@ -344,7 +441,7 @@ class TestValidation:
 
     def test_negative_lam_rejected(self):
         with pytest.raises(BoxLsqError):
-            ConstrainedLsqProblem(
+            ConstrainedLsqProblem.from_dense(
                 design=np.zeros((1, 1)),
                 bias=np.zeros(1),
                 targets=np.zeros(1),
@@ -356,7 +453,7 @@ class TestValidation:
     @pytest.mark.parametrize("lam", [float("nan"), float("inf")])
     def test_non_finite_lam_rejected(self, lam):
         with pytest.raises(BoxLsqError, match="lam must be finite"):
-            ConstrainedLsqProblem(
+            ConstrainedLsqProblem.from_dense(
                 design=np.zeros((1, 1)),
                 bias=np.zeros(1),
                 targets=np.zeros(1),
@@ -366,7 +463,7 @@ class TestValidation:
             )
 
     def test_objective_on_wrong_shape_rejected(self):
-        problem = ConstrainedLsqProblem(
+        problem = ConstrainedLsqProblem.from_dense(
             design=np.eye(2),
             bias=np.zeros(2),
             targets=np.zeros(2),

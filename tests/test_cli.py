@@ -854,6 +854,43 @@ class TestParserBehavior:
             assert args.vocab_size == ExperimentConfig().vocab_size
 
 
+class TestOutputPaths:
+    """A command whose output cannot be created exits 1 before it loads
+    anything, naming the flag and the path."""
+
+    @pytest.mark.parametrize(
+        "command, flag, inputs",
+        [
+            ("learn-scores", "--out", ["--mentions", "m.tsv", "--lexicon", "l.lex"]),
+            ("learn-scores", "--trace", ["--mentions", "m.tsv", "--lexicon", "l.lex", "--out", "o"]),
+            ("augment", "--out", ["--corpus", "c.tsv", "--lexicon", "l.lex"]),
+            ("train", "--out", ["--corpus", "c.tsv"]),
+            ("evaluate", "--out", ["--corpus", "c.tsv"]),
+            ("gen-corpus", "--lexicon-out", ["--out", "c.tsv"]),
+        ],
+    )
+    def test_missing_directory_exits_1_before_loading(
+        self, tmp_path, capsys, monkeypatch, command, flag, inputs
+    ):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the command started its work")
+
+        for name in ("load_mention_records", "load_lexicon", "generate_corpus"):
+            monkeypatch.setattr(f"sentiscore.cli.{name}", forbidden)
+        monkeypatch.chdir(tmp_path)
+        path = str(tmp_path / "missing" / "output")
+        assert main([command, *inputs, flag, path]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {flag} {path}: not a file in an existing directory\n"
+        )
+        assert not any(tmp_path.iterdir())
+
+    def test_directory_as_output_exits_1(self, tmp_path, capsys):
+        corpus, _ = gen_corpus(tmp_path, size=40, words=6)
+        assert main(["train", "--corpus", str(corpus), "--out", str(tmp_path), *TRAIN_FLAGS]) == 1
+        assert f"--out {tmp_path}: not a file" in capsys.readouterr().err
+
+
 class TestUndecodableInput:
     @pytest.mark.parametrize(
         "command, flag",

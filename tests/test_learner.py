@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -189,6 +192,43 @@ class TestTrainIterative:
         ]
         assert values[-1] < values[0]
         assert all(b <= a + 1e-9 * a for a, b in zip(values, values[1:]))
+
+    def test_stops_once_the_joint_objective_settles(self):
+        # After the word half-step the joint objective is the word
+        # objective plus lam ||a||^2. The loop stops at the first
+        # iteration that lowers it by less than solver_tol, and not before.
+        config = CorpusConfig(size=300, word_count=12, adverb_count=4, noise_rate=0.2, rng_seed=3)
+        records, truth = generate_corpus(config)
+        seed = coarse_seed_lexicon(truth)
+        mentions = prepare_mentions(records, seed)
+        adverbs = index_occurrences(mentions).adverbs
+        learning = LearningConfig(max_outer_iterations=20, lam=0.01, solver_tol=1e-6)
+        stopped = len(train_iterative(mentions, seed, learning).iterations)
+        assert stopped < learning.max_outer_iterations
+        joint = []
+        for k in range(1, stopped + 1):
+            capped = train_iterative(mentions, seed, replace(learning, max_outer_iterations=k))
+            a = np.array([capped.lexicon.adverb_score(term) for term in adverbs])
+            joint.append(capped.iterations[-1][1] + learning.lam * float(a @ a))
+        drops = [before - after for before, after in zip(joint, joint[1:])]
+        assert all(drop >= learning.solver_tol for drop in drops[:-1])
+        assert drops[-1] < learning.solver_tol
+
+    def test_peak_memory_stays_far_below_a_dense_design(self):
+        records, truth = generate_corpus(
+            CorpusConfig(size=3000, word_count=600, adverb_count=20, rng_seed=5)
+        )
+        seed = coarse_seed_lexicon(truth)
+        mentions = prepare_mentions(records, seed)
+        dense_word_design = len(mentions) * len(index_occurrences(mentions).words) * 8
+        assert dense_word_design >= 12e6
+        tracemalloc.start()
+        try:
+            train_iterative(mentions, seed, LearningConfig(lam=0.01, max_outer_iterations=5))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < dense_word_design / 10
 
     def test_learned_scores_respect_polarity_on_noisy_data(self):
         config = CorpusConfig(

@@ -52,6 +52,31 @@ learning_rate = 0.2
 dropout_rate = 0.1
 """
 
+# Records whose splices land after an entity mask, around "İ" (which
+# lowercases to two characters) and next to the comparatives augment
+# swaps on a label flip; "better" and "worse" are lexicon words too.
+SPLICE_LEXICON = """\
+awful\tword\tnegative\t-0.85
+bad\tword\tnegative\t-0.7
+better\tword\tpositive\t0.6
+good\tword\tpositive\t0.7
+great\tword\tpositive\t0.9
+nice\tword\tpositive\t0.65
+poor\tword\tnegative\t-0.65
+worse\tword\tnegative\t-0.6
+very\tadverb\tn/a\t1.4
+"""
+
+SPLICE_CORPUS = """\
+İstanbul fans say the Acme Phone is better and very good\tpositive\t\tacme phone
+The ACME phone screen is awful, worse than İzmir's\tnegative\t\tAcme Phone
+İ think TARGET is İnice but better ones exist\tpositive\t\t
+TARGET is better\tpositive\t\t
+İt is a TARGET; nothing bad, nothing great\tneutral\t\t
+so poor, İİ worse\tnegative\t0.5\t
+nothing to see at İkea\tneutral\t\t
+"""
+
 SMALL_CNN = [
     "--window", "2", "--filters", "4", "--sequence-length", "12",
     "--embedding-dim", "8", "--epochs", "3", "--batch-size", "8",
@@ -108,6 +133,12 @@ def run_all(work: Path) -> dict[str, str]:
     run("augment --no-flips", [
         *augment, "--out", path("augmented_no_flips.tsv"), "--no-flips", "--max-variants", "2",
     ], ["augmented_no_flips.tsv"])
+    (work / "splice.lexicon").write_text(SPLICE_LEXICON, encoding="utf-8")
+    (work / "splice.tsv").write_text(SPLICE_CORPUS, encoding="utf-8")
+    run("augment splice", [
+        "augment", "--corpus", path("splice.tsv"), "--lexicon", path("splice.lexicon"),
+        "--out", path("augmented_splice.tsv"), "--max-variants", "6", "--seed", "5",
+    ], ["augmented_splice.tsv"])
     run("train", ["train", "--corpus", path("corpus.tsv"), "--out", path("plain.ckpt"), *SMALL_CNN],
         ["plain.ckpt"])
     run("train --weighted-ce", [

@@ -24,6 +24,7 @@ from sentiscore.lexicon import (
     Lexicon,
     Mention,
     is_token,
+    tokenize_with_spans,
 )
 
 #: Comparatives swapped when a variant flips the label.
@@ -156,21 +157,18 @@ def augment_corpus(
 def _variants(
     mention: Mention, config: AugmentConfig, lookup: Callable, index: int
 ) -> list[AugmentedSample]:
-    text, spans = mention.raw_text, mention.spans
-    comparatives = config.comparative_terms()
+    tokens, comparatives = mention.tokens, config.comparative_terms()
     swaps = [
-        (idx, start, end, config.antonyms.get(tok))
-        for idx, (tok, start, end) in enumerate(spans)
-        if tok in comparatives
+        (idx, config.antonyms.get(tok)) for idx, tok in enumerate(tokens) if tok in comparatives
     ]
-    unmapped = [idx for idx, _, _, antonym in swaps if antonym is None]
+    unmapped = [idx for idx, antonym in swaps if antonym is None]
     flips = config.include_flips and mention.label != NEUTRAL
 
     # (word index, replacements, is_flip) blocks in canonical order.
     blocks: list[tuple[int, list[str], bool]] = []
     full_swap_counted = False
     for _, word_idx in mention.pair_indices:
-        word = spans[word_idx][0]
+        word = tokens[word_idx]
         same_sign, opposite_sign = lookup(word)
         blocks.append((word_idx, same_sign, False))
         if not flips or any(idx != word_idx for idx in unmapped):
@@ -188,20 +186,22 @@ def _variants(
         seed = derive_seed(config.rng_seed, index)
         keep = sorted(random.Random(seed).sample(keep, config.max_variants_per_sample))
 
+    # Character spans only for a mention that keeps a variant to splice.
+    spans = tokenize_with_spans(mention.raw_text) if keep else []
     variants: list[AugmentedSample] = []
     for number in keep:
         block = bisect_right(starts, number) - 1
         word_idx, terms, is_flip = blocks[block]
         replacement = terms[number - starts[block]]
-        word, start, end = spans[word_idx]
-        edits = [(start, end, replacement)]
+        edits = [(word_idx, replacement)]
         label, note = mention.label, ""
         if is_flip:
-            edits += [(s, e, new) for idx, s, e, new in swaps if idx != word_idx]
+            edits += [(idx, new) for idx, new in swaps if idx != word_idx]
             label, note = flip_label(mention.label), " (flip)"
-        out = text
-        for s, e, new in sorted(edits, reverse=True):
-            out = out[:s] + new + out[e:]
-        substitution = f"{word}@{word_idx}->{replacement}{note}"
+        out = mention.raw_text
+        for idx, new in sorted(edits, reverse=True):
+            _, start, end = spans[idx]
+            out = out[:start] + new + out[end:]
+        substitution = f"{tokens[word_idx]}@{word_idx}->{replacement}{note}"
         variants.append(AugmentedSample(out, label, index, substitution))
     return variants

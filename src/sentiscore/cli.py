@@ -34,6 +34,7 @@ from sentiscore.learner import LearningConfig, train_iterative
 from sentiscore.lexicon import (
     LABEL_SCORES,
     LABELS,
+    MentionRecord,
     load_lexicon,
     load_mention_records,
     masked_text,
@@ -253,8 +254,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _load_records(path) -> list[MentionRecord]:
+    """The records of a mention file that must hold at least one."""
+    records = load_mention_records(path)
+    if not records:
+        raise ValueError(f"{path}: no mention records")
+    return records
+
+
 def _cmd_learn_scores(args: argparse.Namespace) -> int:
-    records = load_mention_records(args.mentions)
+    records = _load_records(args.mentions)
     seed_lexicon = load_lexicon(args.lexicon)
     mentions = prepare_mentions(records, seed_lexicon)
     trace = train_iterative(mentions, seed_lexicon, _config(LearningConfig, args))
@@ -292,7 +301,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     penalty = None
     if args.weighted_ce:
         penalty = PenaltyMatrix.default() if args.penalty is None else _parse_penalty(args.penalty)
-    records = load_mention_records(args.corpus)
+    records = _load_records(args.corpus)
     config = _config(CnnConfig, args)
     model, vocab, _ = train_classifier(
         [tokenize(masked_text(r.text, r.entity)) for r in records],
@@ -311,7 +320,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         config = replace(config, variant=args.variant)
     if args.seed is not None:
         config = replace(config, rng_seed=args.seed)
-    records = load_mention_records(args.corpus)
+    records = _load_records(args.corpus)
     seed_lexicon = load_lexicon(args.lexicon) if args.lexicon else None
     report = run_experiment(config, records, seed_lexicon)
     save_report(args.out, report)

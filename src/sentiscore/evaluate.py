@@ -370,7 +370,7 @@ def run_experiment(
     expected = np.array([LABEL_INDEX[label] for label in labels])
     if learns:  # each mention has masked and tokenized its record
         mentions = prepare_mentions(records, seed_lexicon)
-        tokens = [[token for token, _, _ in m.spans] for m in mentions]
+        tokens = [m.tokens for m in mentions]
     else:
         tokens = [tokenize(masked_text(r.text, r.entity)) for r in records]
     penalty = config.penalty if variant_uses_weighted_loss(config.variant) else None
@@ -384,6 +384,8 @@ def run_experiment(
         train_labels = [labels[i] for i in train]
         if learns:
             train_mentions = [mentions[i] for i in train]
+            if not any(m.pair_indices for m in train_mentions):
+                raise EvalError(f"fold {fold}: no sentiment word occurrences in its training split")
             trace = train_iterative(train_mentions, seed_lexicon, config.learning)
             augment_cfg = replace(config.augment, rng_seed=seed)
             for sample in augment_corpus(train_mentions, trace.lexicon, augment_cfg):

@@ -3,8 +3,8 @@
 A lexicon holds two disjoint term maps: sentiment words carry a signed
 score (positive words strictly above zero, negative words strictly
 below), and modifiers ("adverbs") carry a non-negative multiplicative
-score. A mention is a labeled text tokenized once, with its token spans
-and the token indices of its (modifier, word) occurrences; its lexicon
+score. A mention is a labeled text tokenized once, with its tokens and
+the token indices of its (modifier, word) occurrences; its lexicon
 score is the sum of ``modifier_score * word_score`` over those
 occurrences, with a modifier score of 1 for unmodified words.
 """
@@ -214,15 +214,15 @@ def score_mention(pairs: Iterable[tuple[str | None, str]], lexicon: Lexicon) -> 
 class Mention:
     """A labeled text, tokenized once, with its sentiment occurrences.
 
-    ``spans`` holds every token's ``(token, start, end)``, as from
-    :func:`tokenize_with_spans`; ``pair_indices`` holds each occurrence's
-    ``(modifier or None, word)`` token indices, as from
-    :func:`extract_pair_indices`. ``target_score`` is the supervision
-    value for score learning: +1 / 0 / -1 by label unless one is given.
+    ``tokens`` holds the text's tokens, as from :func:`tokenize`;
+    ``pair_indices`` holds each occurrence's ``(modifier or None, word)``
+    token indices, as from :func:`extract_pair_indices`. ``target_score``
+    is the supervision value for score learning: +1 / 0 / -1 by label
+    unless one is given.
     """
 
     raw_text: str
-    spans: tuple[tuple[str, int, int], ...]
+    tokens: tuple[str, ...]
     pair_indices: tuple[tuple[int | None, int], ...]
     label: str
     target_score: float
@@ -234,9 +234,9 @@ class Mention:
     @property
     def pairs(self) -> tuple[tuple[str | None, str], ...]:
         """The ``(modifier or None, word)`` terms of each occurrence, in order."""
-        spans = self.spans
+        tokens = self.tokens
         return tuple(
-            (None if adverb is None else spans[adverb][0], spans[word][0])
+            (None if adverb is None else tokens[adverb], tokens[word])
             for adverb, word in self.pair_indices
         )
 
@@ -251,17 +251,17 @@ def make_mention(
     target_score: float | None = None,
     entity: str | None = None,
 ) -> Mention:
-    """Build a :class:`Mention`: mask, tokenize with spans, and find occurrences.
+    """Build a :class:`Mention`: mask, tokenize, and find occurrences.
 
     When ``entity`` is given the text is target-masked first, so
     downstream consumers always see the masked form.
     """
     text = masked_text(text, entity)
-    spans = tuple(tokenize_with_spans(text))
-    pair_indices = tuple(extract_pair_indices([token for token, _, _ in spans], lexicon))
+    tokens = tuple(tokenize(text))
+    pair_indices = tuple(extract_pair_indices(tokens, lexicon))
     if target_score is None:
         target_score = LABEL_SCORES.get(label, 0.0)  # Mention rejects an unknown label
-    return Mention(text, spans, pair_indices, label, float(target_score))
+    return Mention(text, tokens, pair_indices, label, float(target_score))
 
 
 # ----------------------------------------------------------------------

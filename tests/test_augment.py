@@ -15,7 +15,7 @@ from sentiscore.augment import (
     derive_seed,
     flip_label,
 )
-from sentiscore.lexicon import LABELS, Lexicon, LexiconError, make_mention
+from sentiscore.lexicon import LABELS, Lexicon, LexiconError, make_mention, tokenize_with_spans
 
 
 @pytest.fixture
@@ -174,21 +174,36 @@ class TestAugmentCorpus:
     def test_reads_occurrences_from_the_mentions(self, lexicon, monkeypatch):
         mentions = [
             make("TARGET is very horrible, not better", "negative", lexicon),
+            make("TARGET is nice", "positive", lexicon),  # no peer within tolerance
             make("Great! TARGET is amazing", "positive", lexicon),
+            make("nothing to report", "neutral", lexicon),
         ]
         config = AugmentConfig(max_variants_per_sample=10)
         expected = augment_corpus(mentions, lexicon, config)
         assert any(sample.label == "positive" for sample in expected)
+        assert {sample.source_index for sample in expected} == {0, 2}
 
         def tokenized_again(*args, **kwargs):
             raise AssertionError("augment_corpus tokenized or extracted again")
 
         for name, module in list(sys.modules.items()):
             if name.split(".")[0] == "sentiscore":
-                for attr in ("tokenize", "tokenize_with_spans", "extract_pair_indices"):
+                for attr in ("tokenize", "extract_pair_indices"):
                     if hasattr(module, attr):
                         monkeypatch.setattr(module, attr, tokenized_again)
+        # Character spans are made only for a mention that keeps a variant.
+        spanned = []
+
+        def spans(text):
+            spanned.append(text)
+            return tokenize_with_spans(text)
+
+        monkeypatch.setattr("sentiscore.augment.tokenize_with_spans", spans)
         assert augment_corpus(mentions, lexicon, config) == expected
+        assert spanned == [mentions[0].raw_text, mentions[2].raw_text]
+        spanned.clear()
+        assert augment_corpus(mentions, lexicon, AugmentConfig(max_variants_per_sample=0)) == []
+        assert spanned == []
 
     def test_lexicon_without_a_mention_word_raises(self, lexicon):
         mentions = [make("TARGET is nice", "positive", lexicon)]

@@ -925,3 +925,30 @@ class TestUndecodableInput:
         code = main([command, *(str(x) for item in inputs.items() for x in item)])
         assert code == 1
         assert capsys.readouterr() == ("", f"error: {bad}: not UTF-8 text\n")
+
+
+class TestEmptyMentionFile:
+    @pytest.mark.parametrize(
+        "command, inputs",
+        [
+            ("learn-scores", ["--lexicon", "seed.lex", "--out", "out.lex", "--mentions"]),
+            ("train", ["--out", "model.ckpt", "--corpus"]),
+            ("evaluate", ["--out", "report.txt", "--corpus"]),
+        ],
+    )
+    def test_exits_1_naming_the_file(self, tmp_path, capsys, monkeypatch, command, inputs):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "seed.lex").write_text("good\tword\tpositive\t0.5\n", encoding="utf-8")
+        empty = tmp_path / "empty.tsv"
+        empty.write_text("\n\n", encoding="utf-8")
+        assert main([command, *inputs, str(empty)]) == 1
+        assert capsys.readouterr() == ("", f"error: {empty}: no mention records\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.tsv", "seed.lex"]
+
+    def test_augment_writes_an_empty_file(self, tmp_path):
+        empty, lexicon, out = tmp_path / "empty.tsv", tmp_path / "seed.lex", tmp_path / "out.tsv"
+        empty.write_text("", encoding="utf-8")
+        lexicon.write_text("good\tword\tpositive\t0.5\n", encoding="utf-8")
+        args = ["augment", "--corpus", str(empty), "--lexicon", str(lexicon), "--out", str(out)]
+        assert main(args) == 0
+        assert out.read_bytes() == b""

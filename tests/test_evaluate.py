@@ -485,7 +485,7 @@ class TestRunExperiment:
         assert made == texts
         assert masked == texts
         assert sum(augmented.values()) > 0
-        # Each record's tokens come from its mention's spans.
+        # Each record's tokens come from its mention.
         assert tokenized == augmented
 
     def test_too_few_examples_rejected(self):
@@ -545,3 +545,16 @@ class TestReportText:
         path = tmp_path / "report.txt"
         save_report(path, report)
         assert path.read_text(encoding="utf-8") == text
+
+
+class TestLearnerFolds:
+    def test_training_split_without_a_lexicon_word_names_the_fold(self):
+        records = [MentionRecord("TARGET is superb", POSITIVE)] + [
+            MentionRecord(f"TARGET item {i}", LABELS[i % 3]) for i in range(14)
+        ]
+        config = tiny_experiment("cnn-quad", cnn=quick_cnn())
+        fold = kfold_split([r.label for r in records], config.k, config.rng_seed)[0]
+        superb_only = lexicon.Lexicon({"superb": 0.8})
+        message = f"fold {fold}: no sentiment word occurrences in its training split"
+        with pytest.raises(EvalError, match=message):
+            run_experiment(config, records, superb_only)

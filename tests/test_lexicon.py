@@ -255,11 +255,11 @@ class TestMention:
         assert m.pairs == (("very", "beautiful"),)
         assert m.label == "positive"
 
-    def test_mention_keeps_its_spans_and_occurrence_indices(self, lexicon):
+    def test_mention_keeps_its_tokens_and_occurrence_indices(self, lexicon):
         m = make_mention("Ünïcode: very  beautiful, BAD!", "neutral", lexicon)
-        assert m.spans == tuple(tokenize_with_spans(m.raw_text))
-        tokens = [token for token, _, _ in m.spans]
-        assert m.pair_indices == tuple(extract_pair_indices(tokens, lexicon)) == ((2, 3), (None, 4))
+        assert m.tokens == tuple(tokenize(m.raw_text))
+        pair_indices = tuple(extract_pair_indices(m.tokens, lexicon))
+        assert m.pair_indices == pair_indices == ((2, 3), (None, 4))
         assert m.pairs == (("very", "beautiful"), (None, "bad"))
 
     def test_default_target_scores_follow_labels(self, lexicon):

@@ -38,8 +38,6 @@ def coalesce(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]):
     if rows.size and (min(rows.min(), cols.min()) < 0 or rows.max() >= m or cols.max() >= d):
         raise BoxLsqError(f"design entries must lie within the shape {shape}")
     keys = rows * d + cols
-    if np.all(keys[1:] > keys[:-1]):
-        return rows, cols, np.arange(keys.size)
     ordered = np.sort(keys)
     distinct = ordered[np.diff(ordered, prepend=-1) != 0]
     return distinct // d, distinct % d, np.searchsorted(distinct, keys)
@@ -84,7 +82,7 @@ class ConstrainedLsqProblem:
         if np.any(self.lower > self.upper):
             raise BoxLsqError("every lower bound must be <= its upper bound")
         rows, cols, cell = coalesce(rows, cols, (m, d))
-        values = np.bincount(cell, self.values, rows.size).astype(float)
+        values = np.bincount(cell, self.values, rows.size)
         kept = values != 0
         object.__setattr__(self, "rows", rows[kept])
         object.__setattr__(self, "cols", cols[kept])

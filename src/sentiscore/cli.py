@@ -266,6 +266,8 @@ def _cmd_learn_scores(args: argparse.Namespace) -> int:
     records = _load_records(args.mentions)
     seed_lexicon = load_lexicon(args.lexicon)
     mentions = prepare_mentions(records, seed_lexicon)
+    if not any(m.pair_indices for m in mentions):
+        raise ValueError(f"{args.mentions}: no sentiment word occurrences")
     trace = train_iterative(mentions, seed_lexicon, _config(LearningConfig, args))
     save_lexicon(trace.lexicon, args.out)
     trace_path = args.trace or f"{args.out}.trace"

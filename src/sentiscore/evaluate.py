@@ -289,7 +289,10 @@ def parse_experiment_config(text: str) -> ExperimentConfig:
             for label in LABELS:
                 if not cp.has_option("penalty", label):
                     raise EvalError(f"penalty section is missing the {label} row")
-                rows.append([float(x) for x in cp.get("penalty", label).split()])
+                row = [float(x) for x in cp.get("penalty", label).split()]
+                if len(row) != 3:
+                    raise ValueError(f"penalty {label} row must hold three weights, got {len(row)}")
+                rows.append(row)
             penalty = PenaltyMatrix(np.array(rows))
         return _read_section(cp, "experiment", replace(defaults, **nested, penalty=penalty))
     except ValueError as exc:

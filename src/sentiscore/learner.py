@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from sentiscore.boxlsq import ConstrainedLsqProblem, coalesce, solve
+from sentiscore.boxlsq import ConstrainedLsqProblem, solve
 from sentiscore.lexicon import Lexicon, Mention
 
 
@@ -75,8 +75,7 @@ class OccurrenceIndex:
     ``words[word_cols[k]]`` and its modifier ``adverbs[adverb_cols[k]]``,
     or none when ``adverb_cols[k]`` is -1. Occurrences run in mention
     order, then token order. ``adverbs`` and ``words`` are the observed
-    terms, sorted: the columns of the modifier and word problems, whose
-    fixed sparsity patterns ``adverb_cells`` and ``word_cells`` hold.
+    terms, sorted: the columns of the modifier and word problems.
     """
 
     rows: np.ndarray
@@ -85,8 +84,6 @@ class OccurrenceIndex:
     adverbs: list[str]
     words: list[str]
     targets: np.ndarray
-    adverb_cells: tuple[np.ndarray, np.ndarray, np.ndarray]
-    word_cells: tuple[np.ndarray, np.ndarray, np.ndarray]
 
     def scores(self, lexicon: Lexicon) -> tuple[np.ndarray, np.ndarray]:
         """The lexicon's scores of the observed modifiers and words, by column."""
@@ -111,12 +108,7 @@ def index_occurrences(mentions: Sequence[Mention]) -> OccurrenceIndex:
         [(row, adverb_col[adverb], word_col[word]) for row, adverb, word in pairs], dtype=np.intp
     ).T
     targets = np.array([m.target_score for m in mentions], dtype=float)
-    modified = adverb_cols >= 0
-    return OccurrenceIndex(
-        rows, adverb_cols, word_cols, adverbs, words, targets,
-        coalesce(rows[modified], adverb_cols[modified], (len(mentions), len(adverbs))),
-        coalesce(rows, word_cols, (len(mentions), len(words))),
-    )
+    return OccurrenceIndex(rows, adverb_cols, word_cols, adverbs, words, targets)
 
 
 def build_adverb_problem(
@@ -134,12 +126,10 @@ def build_adverb_problem(
     """
     m_count, d = len(index.targets), len(index.adverbs)
     modified, bare = index.adverb_cols >= 0, index.adverb_cols < 0
-    rows, cols, cell = index.adverb_cells
-    values = np.bincount(cell, word_scores[index.word_cols[modified]], rows.size)
     bias = np.bincount(index.rows[bare], word_scores[index.word_cols[bare]], m_count)
     return ConstrainedLsqProblem(
-        rows, cols, values, (m_count, d), bias, index.targets, config.lam,
-        np.zeros(d), np.full(d, np.inf),
+        index.rows[modified], index.adverb_cols[modified], word_scores[index.word_cols[modified]],
+        (m_count, d), bias, index.targets, config.lam, np.zeros(d), np.full(d, np.inf),
     )
 
 
@@ -159,12 +149,11 @@ def build_word_problem(
     m_count, d = len(index.targets), len(index.words)
     # Column -1 of the extended scores is the 1 that scales an unmodified word.
     scales = np.append(adverb_scores, 1.0)[index.adverb_cols]
-    rows, cols, cell = index.word_cells
-    values = np.bincount(cell, scales, rows.size)
     positive, eps = word_scores > 0, config.epsilon_margin
     lower, upper = np.where(positive, eps, -np.inf), np.where(positive, np.inf, -eps)
     return ConstrainedLsqProblem(
-        rows, cols, values, (m_count, d), np.zeros(m_count), index.targets, config.lam, lower, upper
+        index.rows, index.word_cols, scales, (m_count, d), np.zeros(m_count), index.targets,
+        config.lam, lower, upper,
     )
 
 

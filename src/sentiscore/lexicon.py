@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -86,6 +86,7 @@ def masked_text(text: str, entity: str | None) -> str:
     return mask_target(text, entity) if entity else text
 
 
+@dataclass(frozen=True, repr=False)
 class Lexicon:
     """Immutable sentiment dictionary of words and modifiers.
 
@@ -93,16 +94,15 @@ class Lexicon:
     polarity; ``adverbs`` maps term to a non-negative score. Construction
     validates that terms are single tokens (:func:`is_token`), scores are
     finite, word scores are nonzero, modifier scores are non-negative,
-    and the two maps are disjoint.
+    and the two maps are disjoint, then holds read-only copies of both.
     """
 
-    def __init__(
-        self,
-        word_scores: Mapping[str, float],
-        adverb_scores: Mapping[str, float] | None = None,
-    ) -> None:
-        words = {term: float(score) for term, score in word_scores.items()}
-        adverbs = {term: float(score) for term, score in (adverb_scores or {}).items()}
+    words: Mapping[str, float]
+    adverbs: Mapping[str, float] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        words = {term: float(score) for term, score in self.words.items()}
+        adverbs = {term: float(score) for term, score in self.adverbs.items()}
         for term in (*words, *adverbs):
             if not is_token(term):
                 raise LexiconError(f"term {term!r} is not a single lowercase token")
@@ -115,26 +115,18 @@ class Lexicon:
         overlap = set(words) & set(adverbs)
         if overlap:
             raise LexiconError(f"terms in both maps: {sorted(overlap)}")
-        self._words = words
-        self._adverbs = adverbs
-
-    @property
-    def words(self) -> Mapping[str, float]:
-        return MappingProxyType(self._words)
-
-    @property
-    def adverbs(self) -> Mapping[str, float]:
-        return MappingProxyType(self._adverbs)
+        object.__setattr__(self, "words", MappingProxyType(words))
+        object.__setattr__(self, "adverbs", MappingProxyType(adverbs))
 
     def word_terms(self) -> list[str]:
-        return sorted(self._words)
+        return sorted(self.words)
 
     def adverb_terms(self) -> list[str]:
-        return sorted(self._adverbs)
+        return sorted(self.adverbs)
 
     def word_score(self, term: str) -> float:
         try:
-            return self._words[term]
+            return self.words[term]
         except KeyError:
             raise LexiconError(f"unknown sentiment word: {term!r}") from None
 
@@ -144,7 +136,7 @@ class Lexicon:
 
     def adverb_score(self, term: str) -> float:
         try:
-            return self._adverbs[term]
+            return self.adverbs[term]
         except KeyError:
             raise LexiconError(f"unknown adverb: {term!r}") from None
 
@@ -164,15 +156,10 @@ class Lexicon:
                 raise LexiconError(f"word {term!r} must keep the sign of its score")
         for term in adverb_scores:
             self.adverb_score(term)  # raises on an unknown adverb
-        return Lexicon({**self._words, **word_scores}, {**self._adverbs, **adverb_scores})
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Lexicon):
-            return NotImplemented
-        return self._words == other._words and self._adverbs == other._adverbs
+        return Lexicon({**self.words, **word_scores}, {**self.adverbs, **adverb_scores})
 
     def __repr__(self) -> str:
-        return f"Lexicon(words={len(self._words)}, adverbs={len(self._adverbs)})"
+        return f"Lexicon(words={len(self.words)}, adverbs={len(self.adverbs)})"
 
 
 def extract_pair_indices(

@@ -642,10 +642,14 @@ class TestEvaluate:
             ("[learning]\nsolver_max_iter = -5\n", "solver_max_iter must be >= 1"),
             ("[learning]\nlam = inf\n", "lam must be finite and >= 0"),
             ("[cnn]\nlearning_rate = inf\n", "learning_rate must be finite and > 0"),
+            ("[penalty]\npositive = 1 2\nnegative = 4 1 3\nneutral = 2 2 1\n",
+             "penalty positive row must hold three weights, got 2"),
+            ("[penalty]\npositive = 1 4 3\nnegative = 4 1 3 4\nneutral = 2 2 1\n",
+             "penalty negative row must hold three weights, got 4"),
         ],
         ids=[
             "penalty-nan", "penalty-inf", "max-iter-0", "max-iter-negative", "lam-inf",
-            "learning-rate-inf",
+            "learning-rate-inf", "penalty-row-short", "penalty-row-long",
         ],
     )
     def test_bad_config_value_exits_1_naming_it(self, tmp_path, capsys, text, message):
@@ -944,6 +948,17 @@ class TestEmptyMentionFile:
         assert main([command, *inputs, str(empty)]) == 1
         assert capsys.readouterr() == ("", f"error: {empty}: no mention records\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.tsv", "seed.lex"]
+
+    def test_learn_scores_without_a_lexicon_word_exits_1_naming_the_file(self, tmp_path, capsys):
+        _, truth_path = gen_corpus(tmp_path)
+        seed_path = write_seed_lexicon(tmp_path, truth_path)
+        neutral, out = tmp_path / "neutral.tsv", tmp_path / "out.lex"
+        neutral.write_text("TARGET is here\tneutral\nTARGET ships\tneutral\n", encoding="utf-8")
+        args = ["learn-scores", "--mentions", str(neutral), "--lexicon", str(seed_path),
+                "--out", str(out)]
+        assert main(args) == 1
+        assert capsys.readouterr().err == f"error: {neutral}: no sentiment word occurrences\n"
+        assert not out.exists()
 
     def test_augment_writes_an_empty_file(self, tmp_path):
         empty, lexicon, out = tmp_path / "empty.tsv", tmp_path / "seed.lex", tmp_path / "out.tsv"

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import explicit_learner_problems
@@ -312,9 +312,20 @@ def scored_corpora(draw):
     return mentions, lexicon
 
 
+def repeated_word_corpus():
+    """Two mentions, the first listing its words against column order with
+    one repeated: word columns 3, 0, 3, 3, the first ``good`` modified. With
+    ``very`` at 2**53 that cell is 2**53 in occurrence order, 2**53 + 2 with
+    the 1s added first."""
+    lexicon = Lexicon({"good": 0.5, "fine": 1.0, "bad": -1.0, "awful": -0.7}, {"very": 2.0**53})
+    texts = ("TARGET very good awful good good", "fine bad")
+    return [make_mention(text, "positive", lexicon, target_score=1.0) for text in texts], lexicon
+
+
 class TestAgainstExplicitConstruction:
     @settings(max_examples=200, deadline=None)
     @given(corpus=scored_corpora(), lam=st.sampled_from([0.0, 0.01, 0.1]))
+    @example(corpus=repeated_word_corpus(), lam=0.1)
     def test_designs_bias_and_targets_equal_pair_by_pair_sums(self, corpus, lam):
         mentions, lexicon = corpus
         config = LearningConfig(lam=lam)

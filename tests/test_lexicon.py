@@ -171,6 +171,8 @@ class TestLexiconInvariants:
             lexicon.words["great"] = 2.0
         with pytest.raises(TypeError):
             lexicon.adverbs["very"] = 2.0
+        with pytest.raises(AttributeError):
+            lexicon.words = {"great": 2.0}
         assert lexicon.word_score("great") == 1.0
         assert lexicon.adverb_score("very") == 0.75
 

@@ -46,6 +46,7 @@ from sentiscore.lexicon import (
 from sentiscore.losses import PenaltyMatrix
 from sentiscore.evaluate import (
     VARIANTS,
+    EvalError,
     ExperimentConfig,
     load_experiment_config,
     run_experiment,
@@ -298,6 +299,10 @@ def _cmd_augment(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
+    try:
+        ExperimentConfig(vocab_size=args.vocab_size)
+    except EvalError as exc:
+        raise ValueError(f"--vocab-size: {exc}") from None
     if args.penalty is not None and not args.weighted_ce:
         raise ValueError("--penalty applies only with --weighted-ce")
     penalty = None

@@ -146,27 +146,82 @@ def init_model(vocab_size: int, config: CnnConfig) -> CnnModel:
 
 @dataclass
 class ForwardCache:
-    """Intermediates retained by the forward pass for backpropagation."""
+    """Intermediates retained by the forward pass for backpropagation.
+
+    The arrays are views into the workspace the forward pass wrote into,
+    so a cache stays valid only until the next ``forward`` call with
+    that workspace.
+    """
 
     indices: np.ndarray  # (B, N) token indices
     windows: np.ndarray  # (B * P, d * K) im2col rows of the input
     pre: np.ndarray  # (B, P, f) pre-activation features
     pool_rows: np.ndarray  # (B, q, f) row index feeding each pooled value
+    winners: np.ndarray  # (B, q, f) flat index of each pooled value in the column
     pooled: np.ndarray  # (B, q * f) pooled vectors before dropout
     mask: np.ndarray | None  # dropout keep mask, None when inactive
     kept: np.ndarray  # (B, q * f) dense-layer input
+    workspace: _Workspace
 
 
-def _activate(pre: np.ndarray, activation: str) -> np.ndarray:
-    if activation == "relu":
-        return np.maximum(pre, 0.0)
-    return np.tanh(pre)
+class _Workspace:
+    """Every large intermediate of a forward and backward pass, for up to
+    ``rows`` sequences.
+
+    A batch of B <= ``rows`` sequences uses leading slices, so repeated
+    steps reuse the same memory instead of allocating and freeing it.
+    The feature column's zero and -inf pad rows are written once here.
+    """
+
+    def __init__(self, config: CnnConfig, width: int, rows: int) -> None:
+        n, d, f, q = config.sequence_length, config.window, config.filter_count, config.pooled_rows
+        positions = n - d + 1
+        self.span = n if config.pooling == MAX_OVER_TIME else config.pool_window
+        self.embedded = np.empty((rows, n, width))
+        self.frames = sliding_window_view(self.embedded, (d, width), axis=(1, 2))
+        self.windows = np.empty((rows * positions, d * width))
+        self.pre = np.empty((rows, positions, f))
+        self.column = np.full((rows, q * self.span, f), -np.inf)
+        self.column[:, :n] = 0.0
+        self.pool_rows = np.empty((rows, q, f), dtype=np.intp)
+        self.winners = np.empty((rows, q, f), dtype=np.intp)
+        # Flat offset of (row 0, filter j) of each sequence's column.
+        self.origin = (np.arange(rows) * (q * self.span * f))[:, None, None] + np.arange(f)
+        self.better = np.empty((rows, q, f), dtype=bool)
+        self.pooled = np.empty((rows, q * f))
+        self.draw = np.empty((rows, q * f))
+        self.mask = np.empty((rows, q * f), dtype=bool)
+        self.kept = np.empty((rows, q * f))
+        self.d_pooled = np.empty((rows, q * f))
+        self.d_column = np.empty_like(self.column)
+        self.slope = np.empty((rows, positions, f))
+        self.d_pre = np.empty((rows * positions, f))
+        self.d_rows = np.empty((rows * positions, width))
+        self.d_embedded = np.empty_like(self.embedded)
+        self.cells = np.empty(self.embedded.shape, dtype=np.intp)
 
 
-def _activation_grad(pre: np.ndarray, activation: str) -> np.ndarray:
-    if activation == "relu":
-        return (pre > 0.0).astype(float)
-    return 1.0 - np.tanh(pre) ** 2
+def _pool(ws: _Workspace, b: int) -> None:
+    """Max of every chunk of ``ws.span`` rows of the feature column, with the
+    winning row and its flat index; ties go to the first row."""
+    column, rows, winners, pooled = ws.column[:b], ws.pool_rows[:b], ws.winners[:b], ws.pooled[:b]
+    q, f = rows.shape[1:]
+    if q == 1:  # one chunk: argmax is faster than a running max over every row
+        np.argmax(column, axis=1, out=rows[:, 0])
+    else:
+        slices = column.reshape(b, q, ws.span, f)
+        best, better = pooled.reshape(b, q, f), ws.better[:b]
+        np.copyto(best, slices[:, :, 0])
+        rows.fill(0)
+        for s in range(1, ws.span):
+            np.greater(slices[:, :, s], best, out=better)
+            np.copyto(best, slices[:, :, s], where=better)
+            np.copyto(rows, s, where=better)
+        rows += ws.span * np.arange(q)[:, None]
+    np.multiply(rows, f, out=winners)
+    winners += ws.origin[:b]
+    if q == 1:
+        np.take(column.reshape(-1), winners, out=pooled.reshape(b, q, f), mode="clip")
 
 
 def forward(
@@ -175,6 +230,8 @@ def forward(
     config: CnnConfig,
     dropout_active: bool = False,
     rng: np.random.Generator | None = None,
+    *,
+    workspace: _Workspace | None = None,
 ) -> tuple[np.ndarray, ForwardCache]:
     """Logits (B, 3) for B sequences of N token indices, plus the backward cache.
 
@@ -185,32 +242,47 @@ def forward(
     uses inverted scaling and only fires, drawing from ``rng``, when
     ``dropout_active`` and the configured rate is nonzero; its one
     ``(B, q*f)`` draw takes the same numbers as B draws of ``q*f``.
+    Intermediates are written into ``workspace``, made for this config
+    and at least B rows; without one, a fresh workspace is made. The
+    returned cache is valid until the next call with the same workspace.
     """
     indices = np.asarray(indices)
-    n, k = config.sequence_length, model.embedding.shape[1]
+    n, (vocab_rows, k) = config.sequence_length, model.embedding.shape
     if indices.ndim != 2 or indices.shape[1] != n:
         raise CnnError(f"token indices must be (B, {n}), got {indices.shape}")
-    embedded = model.embedding[indices]
-    b, d, f, q = embedded.shape[0], config.window, config.filter_count, config.pooled_rows
+    if indices.size and not 0 <= indices.min() <= indices.max() < vocab_rows:
+        raise CnnError(f"token indices must lie in [0, {vocab_rows})")
+    b, d, f = len(indices), config.window, config.filter_count
     positions = n - d + 1
+    ws = _Workspace(config, k, b) if workspace is None else workspace
 
-    windows = sliding_window_view(embedded, (d, k), axis=(1, 2)).reshape(b * positions, d * k)
-    pre = (windows @ model.filters.reshape(f, d * k).T + model.filter_bias).reshape(b, positions, f)
-    span = n if config.pooling == MAX_OVER_TIME else config.pool_window
-    column = np.full((b, q * span, f), -np.inf)
-    column[:, :n] = 0.0
-    column[:, :positions] = _activate(pre, config.activation)
-    pool_rows = column.reshape(b, q, span, f).argmax(axis=2) + span * np.arange(q)[:, None]
-    pooled = np.take_along_axis(column, pool_rows, axis=1).reshape(b, q * f)
+    # Checked above; the default mode="raise" would copy through a temporary.
+    np.take(model.embedding, indices, axis=0, out=ws.embedded[:b], mode="clip")
+    windows = ws.windows[: b * positions]
+    np.copyto(windows.reshape(ws.frames[:b].shape), ws.frames[:b])
+    pre = ws.pre[:b]
+    np.matmul(windows, model.filters.reshape(f, d * k).T, out=pre.reshape(b * positions, f))
+    pre += model.filter_bias
+    active = ws.column[:b, :positions]
+    if config.activation == "relu":
+        np.maximum(pre, 0.0, out=active)
+    else:
+        np.tanh(pre, out=active)
+    _pool(ws, b)
+    pooled = ws.pooled[:b]
 
     mask = None
     kept = pooled
     if dropout_active and config.dropout_rate > 0.0:
-        mask = rng.random(pooled.shape) >= config.dropout_rate
-        kept = pooled * mask / (1.0 - config.dropout_rate)
+        mask = np.greater_equal(rng.random(out=ws.draw[:b]), config.dropout_rate, out=ws.mask[:b])
+        kept = np.multiply(pooled, mask, out=ws.kept[:b])
+        kept /= 1.0 - config.dropout_rate
 
     logits = kept @ model.dense_w + model.dense_b
-    return logits, ForwardCache(indices, windows, pre, pool_rows, pooled, mask, kept)
+    cache = ForwardCache(
+        indices, windows, pre, ws.pool_rows[:b], ws.winners[:b], pooled, mask, kept, ws
+    )
+    return logits, cache
 
 
 def backward(
@@ -228,35 +300,40 @@ def backward(
     so gradient landing there is dropped with them. Each embedding row
     sums the gradient of every position that indexes it, PAD included.
     """
-    n, f = config.sequence_length, config.filter_count
+    ws = cache.workspace
     b, positions, _ = cache.pre.shape
     d_dense_w = cache.kept.T @ dlogits
     d_dense_b = dlogits.sum(axis=0)
-    d_kept = dlogits @ model.dense_w.T
+    d_pooled = np.matmul(dlogits, model.dense_w.T, out=ws.d_pooled[:b])
     if cache.mask is not None:
-        d_pooled = d_kept * cache.mask / (1.0 - config.dropout_rate)
-    else:
-        d_pooled = d_kept
+        d_pooled *= cache.mask
+        d_pooled /= 1.0 - config.dropout_rate
 
-    d_column = np.zeros((b, n, f))
-    np.put_along_axis(d_column, cache.pool_rows, d_pooled.reshape(cache.pool_rows.shape), axis=1)
-    d_pre = d_column[:, :positions] * _activation_grad(cache.pre, config.activation)
-    d_pre = d_pre.reshape(-1, f)
+    d_column = ws.d_column[:b]
+    d_column.fill(0.0)
+    d_column.reshape(-1)[cache.winners] = d_pooled.reshape(cache.winners.shape)
+    slope = ws.slope[:b]
+    if config.activation == "relu":
+        np.greater(cache.pre, 0.0, out=slope)
+    else:  # 1 - tanh², from the activations the forward pass kept
+        np.square(ws.column[:b, :positions], out=slope)
+        np.subtract(1.0, slope, out=slope)
+    d_pre = ws.d_pre[: b * positions]
+    np.multiply(d_column[:, :positions], slope, out=d_pre.reshape(slope.shape))
     d_filters = (d_pre.T @ cache.windows).reshape(model.filters.shape)
     d_filter_bias = d_pre.sum(axis=0)
 
     rows, k = model.embedding.shape
-    d_embedded = np.zeros((b, n, k))
+    d_embedded, d_rows = ws.d_embedded[:b], ws.d_rows[: b * positions]
+    d_embedded.fill(0.0)
     for offset in range(config.window):
-        d_rows = d_pre @ model.filters[:, offset]
-        d_embedded[:, offset : offset + positions] += d_rows.reshape(b, positions, -1)
-    # Freed before the scatter allocates: with them live, the higher peak
-    # made glibc grow and trim the heap, faulting its pages in, each step.
-    del d_column, d_pre, d_rows
+        np.matmul(d_pre, model.filters[:, offset], out=d_rows)
+        d_embedded[:, offset : offset + positions] += d_rows.reshape(b, positions, k)
     # A scatter-add over (row, column) cells: bincount adds in the
     # same order as np.add.at, several times faster.
-    cells = (cache.indices[..., None] * k + np.arange(k)).reshape(-1)
-    d_embedding = np.bincount(cells, d_embedded.reshape(-1), rows * k).reshape(rows, k)
+    cells = ws.cells[:b]
+    np.add(cache.indices[..., None] * k, np.arange(k), out=cells)
+    d_embedding = np.bincount(cells.reshape(-1), d_embedded.reshape(-1), rows * k).reshape(rows, k)
     return CnnModel(d_embedding, d_filters, d_filter_bias, d_dense_w, d_dense_b)
 
 
@@ -268,27 +345,34 @@ def train_step(
     penalty: PenaltyMatrix | None = None,
     *,
     rng: np.random.Generator,
+    workspace: _Workspace | None = None,
 ) -> tuple[CnnModel, float]:
     """One mini-batch gradient-descent update of all parameters.
 
     The batch is a (B, N) token-index matrix and its B label indices,
-    run through one batched forward and backward pass. Every tensor
-    steps by the batch-mean gradient; the PAD embedding row never
-    moves, and the embedding only moves when fine-tuning is enabled.
-    Dropout draws from ``rng``. Uses weighted cross entropy when a
-    penalty matrix is given, plain cross entropy otherwise. A
-    non-finite batch loss raises :class:`TrainingDiverged`.
+    run through one batched forward and backward pass in ``workspace``
+    (see :func:`forward`). Every tensor steps by the batch-mean
+    gradient; the PAD embedding row never moves, and the embedding only
+    moves when fine-tuning is enabled. Dropout draws from ``rng``. Uses
+    weighted cross entropy when a penalty matrix is given, plain cross
+    entropy otherwise. A non-finite batch loss raises
+    :class:`TrainingDiverged`; numpy's overflow and invalid-value
+    warnings on the way there are silenced, so that error is the one
+    report of a diverging run.
     """
     count = len(labels)
     if count == 0:
         raise CnnError("batch must be non-empty")
     if labels.min() < 0 or labels.max() >= len(LABELS):
         raise CnnError(f"label indices must lie in [0, {len(LABELS)})")
-    logits, cache = forward(model, indices, config, dropout_active=True, rng=rng)
-    if not np.all(np.isfinite(logits)):
-        raise TrainingDiverged("non-finite logits; lower the learning rate")
-    losses, dlogits = loss_and_logit_grad(labels, softmax(logits), penalty)
-    mean_loss = float(losses.sum()) / count
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits, cache = forward(
+            model, indices, config, dropout_active=True, rng=rng, workspace=workspace
+        )
+        if not np.all(np.isfinite(logits)):
+            raise TrainingDiverged("non-finite logits; lower the learning rate")
+        losses, dlogits = loss_and_logit_grad(labels, softmax(logits), penalty)
+        mean_loss = float(losses.sum()) / count
     if not np.isfinite(mean_loss):
         raise TrainingDiverged(f"non-finite training loss: {mean_loss}")
     grads = backward(model, config, cache, dlogits)
@@ -308,11 +392,16 @@ def fit(
     config: CnnConfig,
     penalty: PenaltyMatrix | None = None,
 ) -> tuple[CnnModel, list[float]]:
-    """Epochs of shuffled mini-batch updates; returns per-epoch mean loss."""
+    """Epochs of shuffled mini-batch updates; returns per-epoch mean loss.
+
+    Every step works in one workspace sized for the largest batch the
+    dataset can fill, ``min(batch_size, len(dataset))`` rows.
+    """
     if not dataset:
         raise CnnError("dataset must be non-empty")
     indices = np.stack([np.asarray(ix, dtype=np.int64) for ix, _ in dataset])
     labels = np.array([label for _, label in dataset], dtype=np.int64)
+    workspace = _Workspace(config, model.embedding.shape[1], min(config.batch_size, len(dataset)))
     rng = np.random.default_rng(config.rng_seed)
     history: list[float] = []
     for _ in range(config.epochs):
@@ -321,7 +410,10 @@ def fit(
         batches = 0
         for start in range(0, len(dataset), config.batch_size):
             chosen = order[start : start + config.batch_size]
-            model, loss = train_step(model, indices[chosen], labels[chosen], config, penalty, rng=rng)
+            model, loss = train_step(
+                model, indices[chosen], labels[chosen], config, penalty, rng=rng,
+                workspace=workspace,
+            )
             epoch_loss += loss
             batches += 1
         history.append(epoch_loss / batches)
@@ -359,16 +451,23 @@ def predict(
     """Labels and (T, 3) probability rows for T token sequences, dropout off.
 
     Takes ``config.batch_size`` sequences at a time from ``token_lists``
-    and runs one forward pass per chunk, so a lazy iterable of sequences
-    keeps memory flat however long the input. Argmax ties resolve to
-    the lowest label index (positive, then negative, then neutral).
+    and runs one forward pass per chunk, all in one workspace sized by
+    the first chunk, so an empty input allocates none. A lazy iterable
+    is read one chunk at a time, and only that chunk's token indices
+    and intermediates are live; but the labels and probability rows of
+    every sequence are kept and returned, so memory still grows with
+    the input. Argmax ties resolve to the lowest label index (positive,
+    then negative, then neutral).
     """
     labels: list[str] = []
     rows = [np.empty((0, len(LABELS)))]
     sequences = iter(token_lists)
+    workspace = None
     while chunk := list(islice(sequences, config.batch_size)):
         indices = np.stack([sequence_indices(t, vocab, config.sequence_length) for t in chunk])
-        logits, _ = forward(model, indices, config)
+        if workspace is None:
+            workspace = _Workspace(config, model.embedding.shape[1], len(indices))
+        logits, _ = forward(model, indices, config, workspace=workspace)
         rows.append(softmax(logits))
         labels += [LABELS[i] for i in rows[-1].argmax(axis=1)]
     return labels, np.concatenate(rows)

@@ -179,6 +179,8 @@ class ExperimentConfig:
             raise EvalError(f"variant must be one of {VARIANTS}")
         if self.rng_seed < 0:
             raise EvalError("rng_seed must be >= 0")
+        if self.vocab_size < 1:
+            raise EvalError(f"vocab_size must be >= 1, got {self.vocab_size}")
 
 
 def _nested(config: ExperimentConfig) -> dict[str, object]:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import io
 import re
+import warnings
 
 import pytest
 
@@ -602,7 +603,22 @@ class TestTrainPredict:
         checkpoint = tmp_path / "model.ckpt"
         code = main(["train", "--corpus", str(corpus), "--out", str(checkpoint)] + flag)
         assert code == 1
-        assert f"error: {field} must be" in capsys.readouterr().err
+        named = "--vocab-size: " if field == "vocab_size" else ""
+        assert f"error: {named}{field} must be" in capsys.readouterr().err
+        assert not checkpoint.exists()
+
+    def test_divergence_reports_one_line_and_no_warning(self, tmp_path, capsys):
+        corpus, _ = gen_corpus(tmp_path, size=60, words=6, seed=4)
+        checkpoint = tmp_path / "model.ckpt"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(
+                ["train", "--corpus", str(corpus), "--out", str(checkpoint),
+                 "--learning-rate", "1e300"]
+            )
+        err = capsys.readouterr().err
+        assert (code, err) == (2, "error: non-finite logits; lower the learning rate\n")
+        assert "Warning" not in err and [str(w.message) for w in caught] == []
         assert not checkpoint.exists()
 
     def test_checkpoint_with_unknown_config_key_exits_1(self, tmp_path, capsys):
@@ -630,26 +646,31 @@ class TestTrainPredict:
         assert "error:" in capsys.readouterr().err
 
 
+#: The prefix of every config error but those ExperimentConfig raises itself.
+MALFORMED = "malformed experiment config: "
+
+
 class TestEvaluate:
     @pytest.mark.parametrize(
         "text, message",
         [
             ("[penalty]\npositive = 1 nan 3\nnegative = 4 1 3\nneutral = 2 2 1\n",
-             "penalty weights must be finite"),
+             f"{MALFORMED}penalty weights must be finite"),
             ("[penalty]\npositive = 1 4 3\nnegative = 4 1 3\nneutral = 2 inf 1\n",
-             "penalty weights must be finite"),
-            ("[learning]\nsolver_max_iter = 0\n", "solver_max_iter must be >= 1"),
-            ("[learning]\nsolver_max_iter = -5\n", "solver_max_iter must be >= 1"),
-            ("[learning]\nlam = inf\n", "lam must be finite and >= 0"),
-            ("[cnn]\nlearning_rate = inf\n", "learning_rate must be finite and > 0"),
+             f"{MALFORMED}penalty weights must be finite"),
+            ("[learning]\nsolver_max_iter = 0\n", f"{MALFORMED}solver_max_iter must be >= 1"),
+            ("[learning]\nsolver_max_iter = -5\n", f"{MALFORMED}solver_max_iter must be >= 1"),
+            ("[learning]\nlam = inf\n", f"{MALFORMED}lam must be finite and >= 0"),
+            ("[cnn]\nlearning_rate = inf\n", f"{MALFORMED}learning_rate must be finite and > 0"),
             ("[penalty]\npositive = 1 2\nnegative = 4 1 3\nneutral = 2 2 1\n",
-             "penalty positive row must hold three weights, got 2"),
+             f"{MALFORMED}penalty positive row must hold three weights, got 2"),
             ("[penalty]\npositive = 1 4 3\nnegative = 4 1 3 4\nneutral = 2 2 1\n",
-             "penalty negative row must hold three weights, got 4"),
+             f"{MALFORMED}penalty negative row must hold three weights, got 4"),
+            ("[experiment]\nvocab_size = 0\n", "vocab_size must be >= 1, got 0"),
         ],
         ids=[
             "penalty-nan", "penalty-inf", "max-iter-0", "max-iter-negative", "lam-inf",
-            "learning-rate-inf", "penalty-row-short", "penalty-row-long",
+            "learning-rate-inf", "penalty-row-short", "penalty-row-long", "vocab-size-0",
         ],
     )
     def test_bad_config_value_exits_1_naming_it(self, tmp_path, capsys, text, message):
@@ -662,9 +683,7 @@ class TestEvaluate:
             ["evaluate", "--corpus", str(corpus), "--config", str(config_path), "--lexicon",
              str(seed_path), "--variant", "cnn-total", "--out", str(report_path)]
         )
-        assert (code, capsys.readouterr().err) == (
-            1, f"error: {config_path}: malformed experiment config: {message}\n"
-        )
+        assert (code, capsys.readouterr().err) == (1, f"error: {config_path}: {message}\n")
         assert not report_path.exists()
 
     def test_config_run_writes_report(self, tmp_path):

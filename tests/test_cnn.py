@@ -8,9 +8,12 @@ import numpy as np
 import numpy.testing as npt
 from numpy.random import default_rng
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import reference_fit
+from helpers import _reference_pool, reference_fit
 
+from sentiscore import cnn
 from sentiscore.cnn import (
     CnnConfig,
     CnnError,
@@ -182,6 +185,14 @@ class TestForward:
         for shape in [(6,), (4, 4), (6, 4), (1, 4, 4), (1, 6, 5), (1, 6, 4)]:
             with pytest.raises(CnnError, match="token indices"):
                 forward(model, np.zeros(shape, dtype=np.int64), config)
+
+    @pytest.mark.parametrize("index", [-1, 9])
+    def test_out_of_range_index_rejected(self, index):
+        config = tiny_config()
+        model = init_model(vocab_size=9, config=config)
+        indices = np.array([[2, 3, index, 0, 0, 0]])
+        with pytest.raises(CnnError, match=r"token indices must lie in \[0, 9\)"):
+            forward(model, indices, config)
 
 
 #: Three index sequences for the gradient check: rows repeat within a
@@ -406,6 +417,118 @@ class TestFit:
         npt.assert_allclose(history, expected, rtol=0, atol=1e-12)
         for name in ("embedding", "filters", "filter_bias", "dense_w", "dense_b"):
             npt.assert_allclose(getattr(model, name), getattr(expected_model, name), atol=1e-12)
+
+
+class TestWorkspace:
+    """``fit`` and ``predict`` run every step in one reused workspace; the
+    bytes must be those of a fresh workspace per call."""
+
+    TENSORS = ("embedding", "filters", "filter_bias", "dense_w", "dense_b")
+
+    def dataset(self, size: int, seed: int):
+        # Mostly PAD rows in half the examples, so ReLU zeros tie in the pool.
+        rng = np.random.default_rng(seed)
+        return [
+            (np.where(rng.random(7) < 0.2 + 0.6 * (i % 2), 0, rng.integers(2, 12, size=7)),
+             int(rng.integers(3)))
+            for i in range(size)
+        ]
+
+    def test_sized_by_the_rows_a_batch_can_hold(self, monkeypatch):
+        requested = []
+        workspace = cnn._Workspace
+
+        def recording(config, width, rows):
+            requested.append(rows)
+            if rows > 5:
+                raise AssertionError(f"a workspace of {rows} rows for 5 examples")
+            return workspace(config, width, rows)
+
+        monkeypatch.setattr(cnn, "_Workspace", recording)
+        config = tiny_config(sequence_length=7, batch_size=10**9)
+        fit(init_model(12, config), self.dataset(5, seed=1), config)
+        vocab = Vocab((PAD, UNK, "good", "bad"))
+        model = init_model(len(vocab), config)
+        predict(model, [["good"], ["bad"], [], ["good", "bad"], ["bad"]], vocab, config)
+        predict(model, [], vocab, config)
+        assert requested == [5, 5]
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"activation": "relu"}, {"pooling": "max_over_time", "activation": "tanh"}],
+        ids=["chunked-relu", "max-over-time-tanh"],
+    )
+    def test_fit_equals_steps_without_a_workspace(self, overrides):
+        # 10 examples in batches of 4: the last batch holds 2.
+        config = tiny_config(
+            sequence_length=7, dropout_rate=0.5, learning_rate=0.3, batch_size=4, **overrides
+        )
+        dataset = self.dataset(10, seed=2)
+        penalty = PenaltyMatrix.default()
+        model, history = fit(init_model(12, config), dataset, config, penalty)
+
+        expected = init_model(12, config)
+        indices = np.stack([ix for ix, _ in dataset])
+        labels = np.array([label for _, label in dataset])
+        gen = np.random.default_rng(config.rng_seed)
+        expected_history = []
+        for _ in range(config.epochs):
+            order = gen.permutation(len(dataset))
+            losses = []
+            for start in range(0, len(dataset), config.batch_size):
+                chosen = order[start : start + config.batch_size]
+                expected, loss = train_step(
+                    expected, indices[chosen], labels[chosen], config, penalty, rng=gen
+                )
+                losses.append(loss)
+            expected_history.append(sum(losses) / len(losses))
+        npt.assert_array_equal(history, expected_history)
+        for name in self.TENSORS:
+            npt.assert_array_equal(getattr(model, name), getattr(expected, name))
+
+    def test_reused_workspace_equals_fresh_ones(self):
+        # The second, shorter batch pools other winners: a d_column cell
+        # left over from the first would leak into its gradients.
+        config = tiny_config(sequence_length=7, dropout_rate=0.5, activation="tanh")
+        model = random_embedding(init_model(12, config), 6)
+        workspace = cnn._Workspace(config, config.embedding_dim, 3)
+        rng = np.random.default_rng(8)
+        for size in (3, 2):
+            indices = rng.integers(0, 12, size=(size, 7))
+            dlogits = rng.normal(size=(size, 3))
+            logits, cache = forward(model, indices, config, True, default_rng(size),
+                                    workspace=workspace)
+            fresh_logits, fresh_cache = forward(model, indices, config, True, default_rng(size))
+            npt.assert_array_equal(logits, fresh_logits)
+            grads = backward(model, config, cache, dlogits)
+            fresh = backward(model, config, fresh_cache, dlogits)
+            for name in self.TENSORS:
+                npt.assert_array_equal(getattr(grads, name), getattr(fresh, name))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_pool_matches_the_reference(self, data):
+        n = data.draw(st.integers(1, 9), label="n")
+        d = data.draw(st.integers(1, n), label="d")
+        span = data.draw(st.integers(1, n), label="span")
+        pooling = "max_over_time" if span == n and data.draw(st.booleans()) else "chunked"
+        b, f, spare = (data.draw(st.integers(1, 3)) for _ in range(3))
+        positions = n - d + 1
+        # Few distinct values: after ReLU, zeros and equal maxima tie often.
+        pre = data.draw(st.lists(st.sampled_from([-1.0, 0.0, 0.5, 1.0]),
+                                 min_size=b * positions * f, max_size=b * positions * f))
+        config = tiny_config(window=d, filter_count=f, pool_window=span, pooling=pooling,
+                             sequence_length=n)
+        workspace = cnn._Workspace(config, 1, b + spare)
+        workspace.column[:b, :positions] = np.maximum(np.reshape(pre, (b, positions, f)), 0.0)
+        cnn._pool(workspace, b)
+        flat = workspace.column[:b].reshape(-1)
+        for i in range(b):
+            column = workspace.column[i, :n]
+            rows = _reference_pool(column, pooling, span)
+            npt.assert_array_equal(workspace.pool_rows[i], rows)
+            npt.assert_array_equal(workspace.pooled[i], column[rows, np.arange(f)].reshape(-1))
+            npt.assert_array_equal(flat[workspace.winners[i]], column[rows, np.arange(f)])
 
 
 class TestTrainClassifier:

@@ -46,7 +46,6 @@ from sentiscore.lexicon import (
 from sentiscore.losses import PenaltyMatrix
 from sentiscore.evaluate import (
     VARIANTS,
-    EvalError,
     ExperimentConfig,
     load_experiment_config,
     run_experiment,
@@ -299,10 +298,8 @@ def _cmd_augment(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    try:
-        ExperimentConfig(vocab_size=args.vocab_size)
-    except EvalError as exc:
-        raise ValueError(f"--vocab-size: {exc}") from None
+    if args.vocab_size < 1:
+        raise ValueError(f"--vocab-size must be >= 1, got {args.vocab_size}")
     if args.penalty is not None and not args.weighted_ce:
         raise ValueError("--penalty applies only with --weighted-ce")
     penalty = None

@@ -148,16 +148,15 @@ def init_model(vocab_size: int, config: CnnConfig) -> CnnModel:
 class ForwardCache:
     """Intermediates retained by the forward pass for backpropagation.
 
-    The arrays are views into the workspace the forward pass wrote into,
-    so a cache stays valid only until the next ``forward`` call with
-    that workspace.
+    ``windows`` and ``pre`` are views into the workspace the forward
+    pass wrote into, so a cache stays valid only until the next
+    ``forward`` call with that workspace.
     """
 
     indices: np.ndarray  # (B, N) token indices
     windows: np.ndarray  # (B * P, d * K) im2col rows of the input
     pre: np.ndarray  # (B, P, f) pre-activation features
     pool_rows: np.ndarray  # (B, q, f) row index feeding each pooled value
-    winners: np.ndarray  # (B, q, f) flat index of each pooled value in the column
     pooled: np.ndarray  # (B, q * f) pooled vectors before dropout
     mask: np.ndarray | None  # dropout keep mask, None when inactive
     kept: np.ndarray  # (B, q * f) dense-layer input
@@ -165,12 +164,14 @@ class ForwardCache:
 
 
 class _Workspace:
-    """Every large intermediate of a forward and backward pass, for up to
-    ``rows`` sequences.
+    """The intermediates of a forward and backward pass that hold a row
+    per sequence position, for up to ``rows`` sequences.
 
     A batch of B <= ``rows`` sequences uses leading slices, so repeated
     steps reuse the same memory instead of allocating and freeing it.
     The feature column's zero and -inf pad rows are written once here.
+    The pooled-size arrays, a row per pooled cell, are small enough to
+    make per call.
     """
 
     def __init__(self, config: CnnConfig, width: int, rows: int) -> None:
@@ -183,16 +184,6 @@ class _Workspace:
         self.pre = np.empty((rows, positions, f))
         self.column = np.full((rows, q * self.span, f), -np.inf)
         self.column[:, :n] = 0.0
-        self.pool_rows = np.empty((rows, q, f), dtype=np.intp)
-        self.winners = np.empty((rows, q, f), dtype=np.intp)
-        # Flat offset of (row 0, filter j) of each sequence's column.
-        self.origin = (np.arange(rows) * (q * self.span * f))[:, None, None] + np.arange(f)
-        self.better = np.empty((rows, q, f), dtype=bool)
-        self.pooled = np.empty((rows, q * f))
-        self.draw = np.empty((rows, q * f))
-        self.mask = np.empty((rows, q * f), dtype=bool)
-        self.kept = np.empty((rows, q * f))
-        self.d_pooled = np.empty((rows, q * f))
         self.d_column = np.empty_like(self.column)
         self.slope = np.empty((rows, positions, f))
         self.d_pre = np.empty((rows * positions, f))
@@ -201,27 +192,29 @@ class _Workspace:
         self.cells = np.empty(self.embedded.shape, dtype=np.intp)
 
 
-def _pool(ws: _Workspace, b: int) -> None:
-    """Max of every chunk of ``ws.span`` rows of the feature column, with the
-    winning row and its flat index; ties go to the first row."""
-    column, rows, winners, pooled = ws.column[:b], ws.pool_rows[:b], ws.winners[:b], ws.pooled[:b]
-    q, f = rows.shape[1:]
-    if q == 1:  # one chunk: argmax is faster than a running max over every row
-        np.argmax(column, axis=1, out=rows[:, 0])
-    else:
-        slices = column.reshape(b, q, ws.span, f)
-        best, better = pooled.reshape(b, q, f), ws.better[:b]
-        np.copyto(best, slices[:, :, 0])
-        rows.fill(0)
-        for s in range(1, ws.span):
-            np.greater(slices[:, :, s], best, out=better)
-            np.copyto(best, slices[:, :, s], where=better)
-            np.copyto(rows, s, where=better)
-        rows += ws.span * np.arange(q)[:, None]
-    np.multiply(rows, f, out=winners)
-    winners += ws.origin[:b]
-    if q == 1:
-        np.take(column.reshape(-1), winners, out=pooled.reshape(b, q, f), mode="clip")
+def _pool(column: np.ndarray, span: int) -> tuple[np.ndarray, np.ndarray]:
+    """The winning row and the max of every chunk of ``span`` rows of the
+    (B, q * span, f) feature columns, as (B, q, f) rows and (B, q * f) maxima.
+
+    A running max over the chunk rows that picks the row ``argmax``
+    would: the first maximum, or the first NaN, so a NaN feature reaches
+    the logits and a diverging step is caught there. It beats ``argmax``
+    over short chunks, but not at max-over-time's one chunk of N rows.
+    """
+    b, _, f = column.shape
+    slices = column.reshape(b, -1, span, f)
+    best = slices[:, :, 0].copy()
+    rows = np.zeros(best.shape, dtype=np.intp)
+    better = np.empty(best.shape, dtype=bool)
+    for s in range(1, span):
+        # Row s wins unless it is <= the best so far or the best is NaN.
+        np.less_equal(slices[:, :, s], best, out=better)
+        better |= np.isnan(best)
+        np.logical_not(better, out=better)
+        np.copyto(best, slices[:, :, s], where=better)
+        np.copyto(rows, s, where=better)
+    rows += span * np.arange(rows.shape[1])[:, None]
+    return rows, best.reshape(b, -1)
 
 
 def forward(
@@ -268,21 +261,16 @@ def forward(
         np.maximum(pre, 0.0, out=active)
     else:
         np.tanh(pre, out=active)
-    _pool(ws, b)
-    pooled = ws.pooled[:b]
+    pool_rows, pooled = _pool(ws.column[:b], ws.span)
 
     mask = None
     kept = pooled
     if dropout_active and config.dropout_rate > 0.0:
-        mask = np.greater_equal(rng.random(out=ws.draw[:b]), config.dropout_rate, out=ws.mask[:b])
-        kept = np.multiply(pooled, mask, out=ws.kept[:b])
-        kept /= 1.0 - config.dropout_rate
+        mask = rng.random(pooled.shape) >= config.dropout_rate
+        kept = pooled * mask / (1.0 - config.dropout_rate)
 
     logits = kept @ model.dense_w + model.dense_b
-    cache = ForwardCache(
-        indices, windows, pre, ws.pool_rows[:b], ws.winners[:b], pooled, mask, kept, ws
-    )
-    return logits, cache
+    return logits, ForwardCache(indices, windows, pre, pool_rows, pooled, mask, kept, ws)
 
 
 def backward(
@@ -304,14 +292,16 @@ def backward(
     b, positions, _ = cache.pre.shape
     d_dense_w = cache.kept.T @ dlogits
     d_dense_b = dlogits.sum(axis=0)
-    d_pooled = np.matmul(dlogits, model.dense_w.T, out=ws.d_pooled[:b])
+    d_pooled = dlogits @ model.dense_w.T
     if cache.mask is not None:
-        d_pooled *= cache.mask
-        d_pooled /= 1.0 - config.dropout_rate
+        d_pooled = d_pooled * cache.mask / (1.0 - config.dropout_rate)
 
     d_column = ws.d_column[:b]
     d_column.fill(0.0)
-    d_column.reshape(-1)[cache.winners] = d_pooled.reshape(cache.winners.shape)
+    # Flat index of each pooled cell's winning (sequence, row, filter).
+    height, f = d_column.shape[1:]
+    winners = cache.pool_rows * f + (np.arange(b) * (height * f))[:, None, None] + np.arange(f)
+    d_column.reshape(-1)[winners] = d_pooled.reshape(winners.shape)
     slope = ws.slope[:b]
     if config.activation == "relu":
         np.greater(cache.pre, 0.0, out=slope)

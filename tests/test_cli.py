@@ -603,8 +603,8 @@ class TestTrainPredict:
         checkpoint = tmp_path / "model.ckpt"
         code = main(["train", "--corpus", str(corpus), "--out", str(checkpoint)] + flag)
         assert code == 1
-        named = "--vocab-size: " if field == "vocab_size" else ""
-        assert f"error: {named}{field} must be" in capsys.readouterr().err
+        named = "--vocab-size" if field == "vocab_size" else field
+        assert f"error: {named} must be" in capsys.readouterr().err
         assert not checkpoint.exists()
 
     def test_divergence_reports_one_line_and_no_warning(self, tmp_path, capsys):

@@ -351,6 +351,16 @@ class TestTrainStep:
             for _ in range(30):
                 model, _ = train_step(model, *self.batch(), config, rng=default_rng(0))
 
+    def test_nan_feature_behind_a_chunks_first_row_diverges(self):
+        # Window 1: only feature row 1, the second row of chunk 0, is NaN.
+        config = tiny_config(window=1)
+        model = init_model(vocab_size=9, config=config)
+        model.embedding[3, 0] = np.nan
+        logits, _ = forward(model, self.batch()[0], config)
+        assert np.isnan(logits[0]).all() and np.isfinite(logits[1]).all()
+        with pytest.raises(TrainingDiverged, match="non-finite logits"):
+            train_step(model, *self.batch(), config, rng=default_rng(0))
+
 
 class TestFit:
     def vocab(self):
@@ -514,21 +524,21 @@ class TestWorkspace:
         pooling = "max_over_time" if span == n and data.draw(st.booleans()) else "chunked"
         b, f, spare = (data.draw(st.integers(1, 3)) for _ in range(3))
         positions = n - d + 1
-        # Few distinct values: after ReLU, zeros and equal maxima tie often.
-        pre = data.draw(st.lists(st.sampled_from([-1.0, 0.0, 0.5, 1.0]),
+        # Few distinct values: after ReLU, zeros and equal maxima tie often;
+        # NaN must win its chunk as it does under argmax.
+        values = [-1.0, 0.0, 0.5, 1.0, np.inf, np.nan]
+        pre = data.draw(st.lists(st.sampled_from(values),
                                  min_size=b * positions * f, max_size=b * positions * f))
         config = tiny_config(window=d, filter_count=f, pool_window=span, pooling=pooling,
                              sequence_length=n)
         workspace = cnn._Workspace(config, 1, b + spare)
         workspace.column[:b, :positions] = np.maximum(np.reshape(pre, (b, positions, f)), 0.0)
-        cnn._pool(workspace, b)
-        flat = workspace.column[:b].reshape(-1)
+        pool_rows, pooled = cnn._pool(workspace.column[:b], workspace.span)
         for i in range(b):
             column = workspace.column[i, :n]
             rows = _reference_pool(column, pooling, span)
-            npt.assert_array_equal(workspace.pool_rows[i], rows)
-            npt.assert_array_equal(workspace.pooled[i], column[rows, np.arange(f)].reshape(-1))
-            npt.assert_array_equal(flat[workspace.winners[i]], column[rows, np.arange(f)])
+            npt.assert_array_equal(pool_rows[i], rows)
+            npt.assert_array_equal(pooled[i], column[rows, np.arange(f)].reshape(-1))
 
 
 class TestTrainClassifier:

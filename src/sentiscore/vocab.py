@@ -54,9 +54,10 @@ def build_vocab(corpus: Iterable[Sequence[str]], vocab_size: int) -> Vocab:
     return Vocab(tuple([PAD, UNK] + kept))
 
 
-def sequence_indices(tokens: Sequence[str], vocab: Vocab, length: int) -> np.ndarray:
-    """Vocabulary indices for ``tokens``, padded/truncated to ``length``."""
-    idx = np.full(length, PAD_INDEX, dtype=np.int64)
-    for i, tok in enumerate(tokens[:length]):
-        idx[i] = vocab.lookup(tok)
-    return idx
+def encode(token_lists: Iterable[Sequence[str]], vocab: Vocab, length: int) -> np.ndarray:
+    """(T, ``length``) int64 matrix of each sequence's first ``length`` indices, PAD-padded."""
+    rows = [tokens[:length] for tokens in token_lists]
+    out = np.full((len(rows), length), PAD_INDEX, dtype=np.int64)
+    filled = np.arange(length) < np.array([len(row) for row in rows], dtype=np.intp)[:, None]
+    out[filled] = [vocab.lookup(token) for row in rows for token in row]
+    return out

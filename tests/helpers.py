@@ -11,6 +11,7 @@ from sentiscore.augment import AugmentedSample, derive_seed, flip_label
 from sentiscore.lexicon import NEUTRAL, extract_pair_indices, tokenize, tokenize_with_spans
 
 from sentiscore.boxlsq import ConstrainedLsqProblem, SolverReport, kkt_residual, objective
+from sentiscore.vocab import PAD_INDEX
 
 
 def ls_center(problem: ConstrainedLsqProblem) -> np.ndarray:
@@ -187,6 +188,14 @@ def reference_step(model, batch, config, penalty, gen):
         embedding = embedding - lr * (d_embedding / count)
     updated = [t - lr * (g / count) for t, g in zip(tensors, grads)]
     return type(model)(embedding, *updated), total / count
+
+
+def reference_sequence_indices(tokens, vocab, length):
+    """One row of ``vocab.encode``, built token by token."""
+    idx = np.full(length, PAD_INDEX, dtype=np.int64)
+    for i, tok in enumerate(tokens[:length]):
+        idx[i] = vocab.lookup(tok)
+    return idx
 
 
 def reference_fit(model, dataset, config, penalty=None):

@@ -288,13 +288,10 @@ def test_8_invariant_spot_checks(capsys):
 
     # Determinism: training twice gives the same loss history.
     config = tiny_config(epochs=3)
-    dataset = [
-        (np.array([2, 3, 4, 0, 0, 0]), 0),
-        (np.array([4, 5, 6, 7, 0, 0]), 1),
-        (np.array([1, 2, 0, 0, 0, 0]), 2),
-    ]
-    _, history_a = fit(init_model(9, config), dataset, config)
-    _, history_b = fit(init_model(9, config), dataset, config)
+    indices = np.array([[2, 3, 4, 0, 0, 0], [4, 5, 6, 7, 0, 0], [1, 2, 0, 0, 0, 0]])
+    labels = np.array([0, 1, 2])
+    _, history_a = fit(init_model(9, config), indices, config, labels)
+    _, history_b = fit(init_model(9, config), indices, config, labels)
     if history_a != history_b:
         failures.append("training determinism")
 

@@ -30,7 +30,7 @@ from sentiscore.cnn import (
 )
 from sentiscore.lexicon import LABEL_INDEX, LABELS
 from sentiscore.losses import PROB_FLOOR, PenaltyMatrix, loss_and_logit_grad, softmax
-from sentiscore.vocab import PAD, UNK, Vocab, build_vocab, sequence_indices
+from sentiscore.vocab import PAD, UNK, Vocab, build_vocab, encode
 
 
 def tiny_config(**overrides) -> CnnConfig:
@@ -367,24 +367,27 @@ class TestFit:
         return Vocab((PAD, UNK, "good", "fine", "nice", "bad", "poor", "sad"))
 
     def dataset(self):
-        return [
-            (np.array([2, 3, 0, 0, 0, 0]), 0),
-            (np.array([3, 4, 0, 0, 0, 0]), 0),
-            (np.array([5, 6, 0, 0, 0, 0]), 1),
-            (np.array([6, 7, 0, 0, 0, 0]), 1),
-        ]
+        indices = np.array([
+            [2, 3, 0, 0, 0, 0],
+            [3, 4, 0, 0, 0, 0],
+            [5, 6, 0, 0, 0, 0],
+            [6, 7, 0, 0, 0, 0],
+        ])
+        return indices, np.array([0, 0, 1, 1])
 
     def test_history_length_and_determinism(self):
         config = tiny_config(epochs=4)
-        model_a, hist_a = fit(init_model(8, config), self.dataset(), config)
-        model_b, hist_b = fit(init_model(8, config), self.dataset(), config)
+        indices, labels = self.dataset()
+        model_a, hist_a = fit(init_model(8, config), indices, config, labels)
+        model_b, hist_b = fit(init_model(8, config), indices, config, labels)
         assert len(hist_a) == 4
         npt.assert_array_equal(model_a.filters, model_b.filters)
         assert hist_a == hist_b
 
     def test_overfits_separable_toy_data(self):
         config = tiny_config(epochs=60, learning_rate=0.5, batch_size=4)
-        model, history = fit(init_model(8, config), self.dataset(), config)
+        indices, labels = self.dataset()
+        model, history = fit(init_model(8, config), indices, config, labels)
         assert history[-1] < history[0]
         vocab = self.vocab()
         for tokens, expected in [
@@ -398,8 +401,16 @@ class TestFit:
 
     def test_empty_dataset_rejected(self):
         config = tiny_config()
-        with pytest.raises(CnnError):
-            fit(init_model(8, config), [], config)
+        with pytest.raises(CnnError, match="got 0 and 0"):
+            fit(init_model(8, config), np.empty((0, 6), dtype=np.int64), config,
+                np.empty(0, dtype=np.int64))
+
+    @pytest.mark.parametrize("rows", [3, 5])
+    def test_unequal_lengths_rejected(self, rows):
+        config = tiny_config()
+        indices, labels = self.dataset()
+        with pytest.raises(CnnError, match=f"got {rows} and 4"):
+            fit(init_model(8, config), np.resize(indices, (rows, 6)), config, labels)
 
     @pytest.mark.parametrize(
         "overrides, weighted",
@@ -421,8 +432,9 @@ class TestFit:
         )
         rng = np.random.default_rng(17)
         dataset = [(rng.integers(0, 12, size=7), int(rng.integers(3))) for _ in range(10)]
+        indices, labels = map(np.array, zip(*dataset))
         penalty = PenaltyMatrix.default() if weighted else None
-        model, history = fit(init_model(12, config), dataset, config, penalty)
+        model, history = fit(init_model(12, config), indices, config, labels, penalty)
         expected_model, expected = reference_fit(init_model(12, config), dataset, config, penalty)
         npt.assert_allclose(history, expected, rtol=0, atol=1e-12)
         for name in ("embedding", "filters", "filter_bias", "dense_w", "dense_b"):
@@ -438,11 +450,13 @@ class TestWorkspace:
     def dataset(self, size: int, seed: int):
         # Mostly PAD rows in half the examples, so ReLU zeros tie in the pool.
         rng = np.random.default_rng(seed)
-        return [
+        dataset = [
             (np.where(rng.random(7) < 0.2 + 0.6 * (i % 2), 0, rng.integers(2, 12, size=7)),
              int(rng.integers(3)))
             for i in range(size)
         ]
+        indices, labels = map(np.array, zip(*dataset))
+        return indices, labels
 
     def test_sized_by_the_rows_a_batch_can_hold(self, monkeypatch):
         requested = []
@@ -456,7 +470,8 @@ class TestWorkspace:
 
         monkeypatch.setattr(cnn, "_Workspace", recording)
         config = tiny_config(sequence_length=7, batch_size=10**9)
-        fit(init_model(12, config), self.dataset(5, seed=1), config)
+        indices, labels = self.dataset(5, seed=1)
+        fit(init_model(12, config), indices, config, labels)
         vocab = Vocab((PAD, UNK, "good", "bad"))
         model = init_model(len(vocab), config)
         predict(model, [["good"], ["bad"], [], ["good", "bad"], ["bad"]], vocab, config)
@@ -473,19 +488,17 @@ class TestWorkspace:
         config = tiny_config(
             sequence_length=7, dropout_rate=0.5, learning_rate=0.3, batch_size=4, **overrides
         )
-        dataset = self.dataset(10, seed=2)
+        indices, labels = self.dataset(10, seed=2)
         penalty = PenaltyMatrix.default()
-        model, history = fit(init_model(12, config), dataset, config, penalty)
+        model, history = fit(init_model(12, config), indices, config, labels, penalty)
 
         expected = init_model(12, config)
-        indices = np.stack([ix for ix, _ in dataset])
-        labels = np.array([label for _, label in dataset])
         gen = np.random.default_rng(config.rng_seed)
         expected_history = []
         for _ in range(config.epochs):
-            order = gen.permutation(len(dataset))
+            order = gen.permutation(len(labels))
             losses = []
-            for start in range(0, len(dataset), config.batch_size):
+            for start in range(0, len(labels), config.batch_size):
                 chosen = order[start : start + config.batch_size]
                 expected, loss = train_step(
                     expected, indices[chosen], labels[chosen], config, penalty, rng=gen
@@ -560,12 +573,10 @@ class TestTrainClassifier:
         model, vocab, history = train_classifier(self.TEXTS, self.LABELS, config, 6, penalty)
 
         expected_vocab = build_vocab(self.TEXTS, 6)
-        dataset = [
-            (sequence_indices(tokens, expected_vocab, config.sequence_length), LABEL_INDEX[label])
-            for tokens, label in zip(self.TEXTS, self.LABELS)
-        ]
+        indices = encode(self.TEXTS, expected_vocab, config.sequence_length)
+        labels = np.array([LABEL_INDEX[label] for label in self.LABELS])
         expected, expected_history = fit(
-            init_model(len(expected_vocab), config), dataset, config, penalty
+            init_model(len(expected_vocab), config), indices, config, labels, penalty
         )
         assert vocab == expected_vocab and len(vocab) == 8
         assert history == expected_history
@@ -606,11 +617,8 @@ class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         config = tiny_config(epochs=2)
         vocab = Vocab((PAD, UNK, "good", "bad"))
-        dataset = [
-            (np.array([2, 0, 0, 0, 0, 0]), 0),
-            (np.array([3, 0, 0, 0, 0, 0]), 1),
-        ]
-        model, _ = fit(init_model(len(vocab), config), dataset, config)
+        indices = np.array([[2, 0, 0, 0, 0, 0], [3, 0, 0, 0, 0, 0]])
+        model, _ = fit(init_model(len(vocab), config), indices, config, np.array([0, 1]))
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, model, vocab, config)
 

@@ -4,9 +4,13 @@ from __future__ import annotations
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import reference_sequence_indices
 
 from sentiscore.cnn import CnnConfig, init_model
-from sentiscore.vocab import PAD, PAD_INDEX, UNK, UNK_INDEX, Vocab, build_vocab, sequence_indices
+from sentiscore.vocab import PAD, PAD_INDEX, UNK, UNK_INDEX, Vocab, build_vocab, encode
 
 
 def small_vocab() -> Vocab:
@@ -67,15 +71,30 @@ class TestVocab:
 class TestSequenceEncoding:
     def test_padding_and_truncation(self):
         vocab = small_vocab()
-        idx = sequence_indices(["camera", "is"], vocab, length=4)
-        npt.assert_array_equal(idx, [2, 3, PAD_INDEX, PAD_INDEX])
-        idx = sequence_indices(["camera", "is", "great"], vocab, length=2)
-        npt.assert_array_equal(idx, [2, 3])
+        idx = encode([["camera", "is"]], vocab, length=4)
+        npt.assert_array_equal(idx, [[2, 3, PAD_INDEX, PAD_INDEX]])
+        idx = encode([["camera", "is", "great"]], vocab, length=2)
+        npt.assert_array_equal(idx, [[2, 3]])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        # "zebra" is unknown; lists run past every length drawn.
+        token_lists=st.lists(
+            st.lists(st.sampled_from(["camera", "is", "great", "zebra"]), max_size=8), max_size=5
+        ),
+        length=st.integers(1, 6),
+    )
+    def test_encode_matches_the_per_row_reference(self, token_lists, length):
+        vocab = small_vocab()
+        idx = encode(token_lists, vocab, length)
+        assert idx.dtype == np.int64 and idx.shape == (len(token_lists), length)
+        for row, tokens in zip(idx, token_lists):
+            npt.assert_array_equal(row, reference_sequence_indices(tokens, vocab, length))
 
     def test_embed_matches_row_gather(self):
         vocab = small_vocab()
         matrix = init_embedding(len(vocab), dim=4, seed=0)
-        embedded = matrix[sequence_indices(["great", "zebra"], vocab, length=3)]
+        embedded = matrix[encode([["great", "zebra"]], vocab, length=3)[0]]
         npt.assert_array_equal(embedded[0], matrix[vocab.lookup("great")])
         npt.assert_array_equal(embedded[1], matrix[UNK_INDEX])
         npt.assert_array_equal(embedded[2], np.zeros(4))
@@ -83,7 +102,7 @@ class TestSequenceEncoding:
     def test_embed_equals_one_hot_product(self):
         vocab = small_vocab()
         matrix = init_embedding(len(vocab), dim=3, seed=1)
-        idx = sequence_indices(["is", "great", "camera"], vocab, length=3)
+        idx = encode([["is", "great", "camera"]], vocab, length=3)[0]
         one_hot = np.eye(len(vocab))[idx]
         npt.assert_allclose(matrix[idx], one_hot @ matrix, atol=1e-15)
 

@@ -10,6 +10,7 @@ occurrences, with a modifier score of 1 for unmodified words.
 """
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass, field
@@ -76,9 +77,15 @@ def mask_target(text: str, entity: str) -> str:
     """
     if not entity.strip():
         raise LexiconError("entity must hold a non-space character")
-    pattern = re.compile(re.escape(entity), re.IGNORECASE)
+    pattern = _entity_pattern(entity)
     segments = text.split(TARGET_TOKEN)
     return TARGET_TOKEN.join(pattern.sub(TARGET_TOKEN, seg) for seg in segments)
+
+
+@functools.lru_cache
+def _entity_pattern(entity: str) -> re.Pattern[str]:
+    """The compiled case-insensitive pattern of ``entity``, made once per entity."""
+    return re.compile(re.escape(entity), re.IGNORECASE)
 
 
 def masked_text(text: str, entity: str | None) -> str:

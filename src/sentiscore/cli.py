@@ -344,9 +344,9 @@ def _cmd_predict(args: argparse.Namespace) -> int:
             raise ValueError(f"{args.input or '<stdin>'}: not UTF-8 text") from None
     texts = (line.rstrip("\n") for line in lines)
     tokens = (tokenize(masked_text(text, args.entity)) for text in texts if text)
-    for label, probs in zip(*predict(model, tokens, vocab, config)):
-        formatted = " ".join(f"{p:.6f}" for p in probs)
-        print(f"{label}\t{formatted}")
+    labels, probs = predict(model, tokens, vocab, config)
+    for label, (pos, neg, neu) in zip(labels, probs.tolist()):
+        print(f"{label}\t{pos:.6f} {neg:.6f} {neu:.6f}")
     return 0
 
 

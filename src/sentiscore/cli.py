@@ -1,10 +1,11 @@
 """Command-line entry point wiring the toolkit's pipelines together.
 
 Exit codes: 0 success, 1 malformed or missing input, 2 runtime failure
-(non-convergence, diverged training). A command that draws random
-numbers draws them all from its single --seed flag (learn-scores draws
-none), so identical invocations write identical bytes. Flags that set a
-config field take their type and default from that config dataclass.
+(non-convergence, diverged training, out of memory). A command that
+draws random numbers draws them all from its single --seed flag
+(learn-scores draws none), so identical invocations write identical
+bytes. Flags that set a config field take their type and default from
+that config dataclass.
 """
 from __future__ import annotations
 
@@ -380,6 +381,9 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](args)
     except TrainingDiverged as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return 2
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

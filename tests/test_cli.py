@@ -7,6 +7,7 @@ import warnings
 
 import pytest
 
+from sentiscore import cli
 from sentiscore.augment import AugmentConfig
 from sentiscore.cli import _build_parser, _config, _parse_mix, main
 from sentiscore.cnn import CnnConfig
@@ -619,6 +620,32 @@ class TestTrainPredict:
         err = capsys.readouterr().err
         assert (code, err) == (2, "error: non-finite logits; lower the learning rate\n")
         assert "Warning" not in err and [str(w.message) for w in caught] == []
+        assert not checkpoint.exists()
+
+    @pytest.mark.parametrize(
+        "error, message",
+        [
+            (MemoryError("Unable to allocate 71.5 GiB for an array with shape "
+                         "(100000000, 3, 32) and data type float64"),
+             "Unable to allocate 71.5 GiB for an array with shape (100000000, 3, 32) "
+             "and data type float64"),
+            (MemoryError(), "an allocation failed"),
+        ],
+    )
+    def test_out_of_memory_exits_2_without_a_traceback(
+        self, tmp_path, capsys, monkeypatch, error, message
+    ):
+        # Stands in for `train --filters 100000000`, which asks for 71.5 GiB.
+        def exhausted(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, "train_classifier", exhausted)
+        corpus, _ = gen_corpus(tmp_path, size=30, words=6, seed=4)
+        checkpoint = tmp_path / "model.ckpt"
+        code = main(["train", "--corpus", str(corpus), "--out", str(checkpoint)])
+        err = capsys.readouterr().err
+        assert (code, err) == (2, f"error: out of memory: {message}\n")
+        assert "Traceback" not in err
         assert not checkpoint.exists()
 
     def test_checkpoint_with_unknown_config_key_exits_1(self, tmp_path, capsys):

@@ -104,6 +104,12 @@ _CORPUS_FLAGS = {
     "adverb_rate": ("--adverb-rate", "chance a sentiment word is modified"),
     "rng_seed": ("--seed", "rng seed"),
 }
+# Every table maps a shared field, rng_seed, to the same flag.
+_FLAG_OF = {
+    name: spec[0]
+    for table in (_LEARN_FLAGS, _AUGMENT_FLAGS, _TRAIN_FLAGS, _CORPUS_FLAGS)
+    for name, spec in table.items()
+}
 
 
 def _add_config_flags(parser: argparse.ArgumentParser, defaults, table: dict) -> None:
@@ -127,10 +133,20 @@ def _add_config_flags(parser: argparse.ArgumentParser, defaults, table: dict) ->
 
 
 def _config(cls, args: argparse.Namespace, **overrides):
-    """``cls`` from the parsed fields it has; fields without a flag keep their default."""
+    """``cls`` from the parsed fields it has; fields without a flag keep their default.
+
+    A value ``cls`` rejects is reported as ``FLAG: message``: each config
+    check's message begins with the name of the field it rejects.
+    """
     parsed = vars(args)
     values = {f.name: parsed[f.name] for f in fields(cls) if f.name in parsed}
-    return cls(**(values | overrides))
+    try:
+        return cls(**(values | overrides))
+    except ValueError as exc:
+        flag = _FLAG_OF.get(str(exc).split(" ", 1)[0])
+        if flag is None:
+            raise
+        raise ValueError(f"{flag}: {exc}") from None
 
 
 def _parse_penalty(text: str) -> PenaltyMatrix:

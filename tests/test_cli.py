@@ -95,13 +95,13 @@ class TestGenCorpus:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_nan_mix_exits_1_naming_field(self, tmp_path, capsys):
+    def test_nan_mix_exits_1_naming_flag(self, tmp_path, capsys):
         code = main(
             ["gen-corpus", "--out", str(tmp_path / "x.tsv"), "--lexicon-out",
              str(tmp_path / "x.lex"), "--mix", "nan,nan,nan"]
         )
         assert code == 1
-        assert capsys.readouterr().err == "error: class_mix fractions must sum to 1\n"
+        assert capsys.readouterr().err == "error: --mix: class_mix fractions must sum to 1\n"
 
     @pytest.mark.parametrize(
         "mix, message",
@@ -118,13 +118,13 @@ class TestGenCorpus:
         assert (code, capsys.readouterr().err) == (1, f"error: --mix: {message}\n")
         assert not (tmp_path / "x.tsv").exists()
 
-    def test_negative_seed_exits_1_naming_field(self, tmp_path, capsys):
+    def test_negative_seed_exits_1_naming_flag(self, tmp_path, capsys):
         code = main(
             ["gen-corpus", "--out", str(tmp_path / "x.tsv"), "--lexicon-out",
              str(tmp_path / "x.lex"), "--seed", "-1"]
         )
         assert code == 1
-        assert "error: rng_seed must be >= 0" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: --seed: rng_seed must be >= 0\n"
         assert not (tmp_path / "x.tsv").exists()
 
 
@@ -197,6 +197,7 @@ class TestLearnScores:
             (["--tol", "0"], "solver_tol must be finite and > 0"),
             (["--tol", "nan"], "solver_tol must be finite and > 0"),
             (["--tol", "inf"], "solver_tol must be finite and > 0"),
+            (["--iters", "0"], "max_outer_iterations must be >= 1"),
         ],
     )
     def test_bad_solver_flag_exits_1_naming_field(self, tmp_path, capsys, flag, message):
@@ -207,7 +208,7 @@ class TestLearnScores:
             ["learn-scores", "--mentions", str(corpus), "--lexicon", str(seed_path),
              "--out", str(out), *flag]
         )
-        assert (code, capsys.readouterr().err) == (1, f"error: {message}\n")
+        assert (code, capsys.readouterr().err) == (1, f"error: {flag[0]}: {message}\n")
         assert not out.exists()
 
     def test_nonconvergence_exits_2_but_writes(self, tmp_path, capsys):
@@ -416,7 +417,21 @@ class TestAugment:
             ["augment", "--corpus", str(corpus), "--lexicon", str(lexicon_path),
              "--out", str(out), "--seed", seed]
         )
-        assert (code, capsys.readouterr().err) == (1, "error: rng_seed must be in [0, 2**32)\n")
+        assert (code, capsys.readouterr().err) == (
+            1, "error: --seed: rng_seed must be in [0, 2**32)\n"
+        )
+        assert not out.exists()
+
+    def test_nan_delta_exits_1_naming_flag(self, tmp_path, capsys):
+        corpus, lexicon_path = self.corpus_with_lexicon(tmp_path)
+        out = tmp_path / "out.tsv"
+        code = main(
+            ["augment", "--corpus", str(corpus), "--lexicon", str(lexicon_path),
+             "--out", str(out), "--delta", "nan"]
+        )
+        assert (code, capsys.readouterr().err) == (
+            1, "error: --delta: score_tolerance must be >= 0\n"
+        )
         assert not out.exists()
 
     def test_multi_token_lexicon_term_exits_1_naming_file(self, tmp_path, capsys):
@@ -604,7 +619,7 @@ class TestTrainPredict:
         checkpoint = tmp_path / "model.ckpt"
         code = main(["train", "--corpus", str(corpus), "--out", str(checkpoint)] + flag)
         assert code == 1
-        named = "--vocab-size" if field == "vocab_size" else field
+        named = "--vocab-size" if field == "vocab_size" else f"{flag[0]}: {field}"
         assert f"error: {named} must be" in capsys.readouterr().err
         assert not checkpoint.exists()
 
@@ -623,28 +638,27 @@ class TestTrainPredict:
         assert not checkpoint.exists()
 
     @pytest.mark.parametrize(
-        "error, message",
+        "text, message",
         [
-            (MemoryError("Unable to allocate 71.5 GiB for an array with shape "
-                         "(100000000, 3, 32) and data type float64"),
-             "Unable to allocate 71.5 GiB for an array with shape (100000000, 3, 32) "
-             "and data type float64"),
-            (MemoryError(), "an allocation failed"),
+            # What numpy says for `train --filters 100000000`, which asks for 71.5 GiB.
+            ("Unable to allocate 71.5 GiB for an array with shape (100000000, 3, 32) "
+             "and data type float64", None),
+            ("", "an allocation failed"),
         ],
+        ids=["numpy", "bare"],
     )
     def test_out_of_memory_exits_2_without_a_traceback(
-        self, tmp_path, capsys, monkeypatch, error, message
+        self, tmp_path, capsys, monkeypatch, text, message
     ):
-        # Stands in for `train --filters 100000000`, which asks for 71.5 GiB.
         def exhausted(*args, **kwargs):
-            raise error
+            raise MemoryError(text)
 
         monkeypatch.setattr(cli, "train_classifier", exhausted)
         corpus, _ = gen_corpus(tmp_path, size=30, words=6, seed=4)
         checkpoint = tmp_path / "model.ckpt"
         code = main(["train", "--corpus", str(corpus), "--out", str(checkpoint)])
         err = capsys.readouterr().err
-        assert (code, err) == (2, f"error: out of memory: {message}\n")
+        assert (code, err) == (2, f"error: out of memory: {message or text}\n")
         assert "Traceback" not in err
         assert not checkpoint.exists()
 

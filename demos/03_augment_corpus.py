@@ -5,9 +5,10 @@ Score-similarity data augmentation
 Each sentiment word occurrence can be replaced by a word of similar
 absolute score. A same-sign replacement keeps the label; an
 opposite-sign replacement flips it and also swaps mapped comparatives
-(better <-> worse) so the variant text stays coherent.
+(better <-> worse) so the variant text stays coherent. Variants come
+back as token edits; splice_variants writes them into the text.
 """
-from sentiscore.augment import AugmentConfig, augment_corpus
+from sentiscore.augment import AugmentConfig, augment_corpus, splice_variants
 from sentiscore.lexicon import Lexicon, make_mention, mask_target
 
 lexicon = Lexicon(
@@ -19,15 +20,17 @@ mention = make_mention(text, "negative", lexicon)
 
 print("original:", mention.raw_text, f"({mention.label})")
 print()
-for variant in augment_corpus([mention], lexicon, AugmentConfig()):
-    print(f"  {variant.label:8s} {variant.text}")
+variants = augment_corpus([mention], lexicon, AugmentConfig())
+for variant, variant_text in zip(variants, splice_variants([mention], variants)):
+    print(f"  {variant.label:8s} {variant_text}")
     print(f"           substitution: {variant.substitution}")
 
 # With flips off only the label-preserving substitutions remain.
 print()
 print("without flips:")
-for variant in augment_corpus([mention], lexicon, AugmentConfig(include_flips=False)):
-    print(f"  {variant.label:8s} {variant.text}")
+variants = augment_corpus([mention], lexicon, AugmentConfig(include_flips=False))
+for variant, variant_text in zip(variants, splice_variants([mention], variants)):
+    print(f"  {variant.label:8s} {variant_text}")
 
 # augment_corpus applies the same expansion to a whole labeled corpus
 # and tags every variant with its source index.
@@ -38,5 +41,5 @@ corpus = [
 augmented = augment_corpus(corpus, lexicon, AugmentConfig(max_variants_per_sample=2))
 print()
 print(f"{len(corpus)} mentions produced {len(augmented)} new samples")
-for sample in augmented:
-    print(f"  {sample.label:8s} {sample.text}  [{sample.provenance}]")
+for sample, sample_text in zip(augmented, splice_variants(corpus, augmented)):
+    print(f"  {sample.label:8s} {sample_text}  [{sample.provenance}]")

@@ -13,9 +13,10 @@ from __future__ import annotations
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from functools import cache
 from itertools import accumulate
-from typing import Callable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 from sentiscore.lexicon import (
     NEGATIVE,
@@ -73,43 +74,85 @@ class AugmentConfig:
         return frozenset(self.antonyms)
 
 
-def _similarity_lookup(lexicon: Lexicon, delta: float) -> Callable:
-    """A word's sorted peers within ``delta``, ``(same_sign, opposite_sign)``.
+class _PeerIndex:
+    """Every word's peers within ``delta``, counted per sign and named on demand.
 
     Peers are compared by |score|; for a same-sign peer that is the
     score difference itself, rounding included, as ``a - s`` and
     ``s - a`` round to each other's negation. Words are sorted by
     |score| once; those rounded differences are monotone in ``a``, so two
     bisections bound the window of exactly the peers of a word with
-    ``|score| = s``, which is then split by sign. Results are memoised
-    per word.
+    ``|score| = s``. Each sign's words keep that order, so a window is a
+    range of each, and a range is sorted by name only when a sampled
+    variant needs one of its terms.
     """
-    words = lexicon.words
-    by_magnitude = sorted(words, key=lambda term: abs(words[term]))
-    magnitudes = [abs(words[term]) for term in by_magnitude]
 
-    @cache
-    def lookup(word: str) -> tuple[list[str], list[str]]:
-        score = lexicon.word_score(word)
-        magnitude = abs(score)
-        lo = bisect_left(magnitudes, True, key=lambda a: not magnitude - a > delta)
-        hi = bisect_left(magnitudes, True, lo=lo, key=lambda a: a - magnitude > delta)
-        same_sign, opposite_sign = [], []
-        for term in by_magnitude[lo:hi]:
-            if (words[term] > 0) != (score > 0):
-                opposite_sign.append(term)
-            elif term != word:
-                same_sign.append(term)
-        return sorted(same_sign), sorted(opposite_sign)
+    def __init__(self, lexicon: Lexicon, delta: float) -> None:
+        words = lexicon.words
+        by_magnitude = sorted(words, key=lambda term: abs(words[term]))
+        by_sign = {
+            sign: [term for term in by_magnitude if (words[term] > 0) == sign]
+            for sign in (False, True)
+        }
+        self.lexicon, self.delta, self.names = lexicon, delta, sorted(words)
+        rank = self.rank = {term: i for i, term in enumerate(self.names)}
+        # Name ranks of each sign's words; int32 halves the sorted copies.
+        self.ranks = {
+            sign: np.array([rank[t] for t in terms], dtype=np.int32)
+            for sign, terms in by_sign.items()
+        }
+        self.slot = {term: slot for terms in by_sign.values() for slot, term in enumerate(terms)}
+        self.magnitudes = [abs(words[term]) for term in by_magnitude]
+        self.positives = list(accumulate((words[t] > 0 for t in by_magnitude), initial=0))
+        self.windows: dict[str, tuple[bool, range, range]] = {}
+        self.peers: dict[tuple[str, bool, str | None], tuple[np.ndarray, int]] = {}
 
-    return lookup
+    def window(self, word: str) -> tuple[bool, range, range]:
+        """``word``'s sign, and the slots of its peers of that sign (itself
+        among them) and of the other sign."""
+        found = self.windows.get(word)
+        if found is None:
+            score = self.lexicon.word_score(word)
+            magnitude, magnitudes, delta = abs(score), self.magnitudes, self.delta
+            lo = bisect_left(magnitudes, True, key=lambda a: not magnitude - a > delta)
+            hi = bisect_left(magnitudes, True, lo=lo, key=lambda a: a - magnitude > delta)
+            positive = range(self.positives[lo], self.positives[hi])
+            negative = range(lo - positive.start, hi - positive.stop)
+            found = (True, positive, negative) if score > 0 else (False, negative, positive)
+            self.windows[word] = found
+        return found
+
+    def opposes(self, word: str, term: str) -> bool:
+        """Whether ``term`` is an opposite-sign peer of ``word``."""
+        sign, _, other = self.window(word)
+        score = self.lexicon.words.get(term)
+        return score is not None and (score > 0) != sign and self.slot[term] in other
+
+    def term(self, key: tuple[str, bool, str | None], offset: int) -> str:
+        """The ``offset``-th by name of the peers of ``key = (word, flip,
+        skip)``: those of the word's sign, or with ``flip`` of the other
+        sign, with ``skip`` left out."""
+        found = self.peers.get(key)
+        if found is None:
+            word, flip, skip = key
+            sign, *windows = self.window(word)
+            slots = windows[flip]
+            ranks = np.sort(self.ranks[sign != flip][slots.start:slots.stop])
+            at = len(ranks) if skip is None else int(ranks.searchsorted(self.rank[skip]))
+            found = self.peers[key] = (ranks, at)
+        ranks, at = found
+        return self.names[ranks[offset + (offset >= at)]]
 
 
-@dataclass(frozen=True)
-class AugmentedSample:
-    """A generated variant: new text, label, source mention and what changed."""
+class AugmentedSample(NamedTuple):
+    """A generated variant: its token edits, label, source mention and what changed.
 
-    text: str
+    ``edits`` holds ``(token index, term)`` pairs in token order; applied
+    to the source mention's tokens they give the variant's tokens, and
+    :func:`splice_variants` writes them into its text.
+    """
+
+    edits: tuple[tuple[int, str], ...]
     label: str
     source_index: int
     substitution: str
@@ -137,71 +180,102 @@ def augment_corpus(
     candidates are numbered in canonical order (occurrence position;
     same-sign replacements, then flips; replacement term). When more
     than ``max_variants_per_sample`` exist, a sample of the numbers,
-    seeded with ``derive_seed(rng_seed, index)``, is drawn before
-    splicing. Lexicon terms and antonyms are single tokens, so no two
-    candidates share a (text, label), except flips that swap a
-    comparative lexicon word for its own antonym: all give the fully
-    swapped text, and only the first counts.
+    seeded with ``derive_seed(rng_seed, index)``, is drawn, and only the
+    kept numbers are resolved to their edits. Lexicon terms and antonyms
+    are single tokens, so no two candidates share a (tokens, label),
+    except flips that swap a comparative lexicon word for its own
+    antonym: all give the fully swapped tokens, and only the first
+    counts.
 
     ``lexicon`` must hold the same words as the one the mentions were
     made with; a word it lacks raises ``LexiconError``.
     """
-    lookup = _similarity_lookup(lexicon, config.score_tolerance)
-    return [
-        sample
-        for index, mention in enumerate(mentions)
-        for sample in _variants(mention, config, lookup, index)
-    ]
+    peers = _PeerIndex(lexicon, config.score_tolerance)
+    comparatives = config.comparative_terms()
+    variants: list[AugmentedSample] = []
+    for index, mention in enumerate(mentions):
+        if mention.pair_indices:
+            variants += _variants(mention, config, comparatives, peers, index)
+    return variants
 
 
 def _variants(
-    mention: Mention, config: AugmentConfig, lookup: Callable, index: int
+    mention: Mention,
+    config: AugmentConfig,
+    comparatives: frozenset[str],
+    peers: _PeerIndex,
+    index: int,
 ) -> list[AugmentedSample]:
-    tokens, comparatives = mention.tokens, config.comparative_terms()
-    swaps = [
-        (idx, config.antonyms.get(tok)) for idx, tok in enumerate(tokens) if tok in comparatives
-    ]
-    unmapped = [idx for idx, antonym in swaps if antonym is None]
+    tokens, antonyms = mention.tokens, config.antonyms
+    swaps, unmapped = [], []
+    if not comparatives.isdisjoint(tokens):
+        swaps = [(idx, antonyms.get(tok)) for idx, tok in enumerate(tokens) if tok in comparatives]
+        unmapped = [idx for idx, antonym in swaps if antonym is None]
     flips = config.include_flips and mention.label != NEUTRAL
 
-    # (word index, replacements, is_flip) blocks in canonical order.
-    blocks: list[tuple[int, list[str], bool]] = []
+    # (word index, (word, is_flip, peer left out)) blocks in canonical
+    # order, and the number of each block's first candidate.
+    blocks: list[tuple[int, tuple[str, bool, str | None]]] = []
+    starts = [0]
     full_swap_counted = False
     for _, word_idx in mention.pair_indices:
         word = tokens[word_idx]
-        same_sign, opposite_sign = lookup(word)
-        blocks.append((word_idx, same_sign, False))
+        _, same, opposite = peers.window(word)
+        blocks.append((word_idx, (word, False, word)))
+        starts.append(starts[-1] + len(same) - 1)
         if not flips or any(idx != word_idx for idx in unmapped):
             continue
-        antonym = config.antonyms.get(word) if word in comparatives else None
-        if antonym in opposite_sign:
+        antonym = antonyms.get(word) if word in comparatives else None
+        skip = None
+        if antonym is not None and peers.opposes(word, antonym):
             if full_swap_counted:
-                opposite_sign = [term for term in opposite_sign if term != antonym]
+                skip = antonym
             full_swap_counted = True
-        blocks.append((word_idx, opposite_sign, True))
+        blocks.append((word_idx, (word, True, skip)))
+        starts.append(starts[-1] + len(opposite) - (skip is not None))
 
-    starts = list(accumulate((len(terms) for _, terms, _ in blocks), initial=0))
     keep: Sequence[int] = range(starts[-1])
     if len(keep) > config.max_variants_per_sample:
         seed = derive_seed(config.rng_seed, index)
         keep = sorted(random.Random(seed).sample(keep, config.max_variants_per_sample))
 
-    # Character spans only for a mention that keeps a variant to splice.
-    spans = tokenize_with_spans(mention.raw_text) if keep else []
+    flipped = flip_label(mention.label)
     variants: list[AugmentedSample] = []
     for number in keep:
         block = bisect_right(starts, number) - 1
-        word_idx, terms, is_flip = blocks[block]
-        replacement = terms[number - starts[block]]
-        edits = [(word_idx, replacement)]
-        label, note = mention.label, ""
+        word_idx, key = blocks[block]
+        replacement = peers.term(key, number - starts[block])
+        word, is_flip, _ = key
+        edits, label, note = ((word_idx, replacement),), mention.label, ""
         if is_flip:
-            edits += [(idx, new) for idx, new in swaps if idx != word_idx]
-            label, note = flip_label(mention.label), " (flip)"
-        out = mention.raw_text
-        for idx, new in sorted(edits, reverse=True):
-            _, start, end = spans[idx]
-            out = out[:start] + new + out[end:]
-        substitution = f"{tokens[word_idx]}@{word_idx}->{replacement}{note}"
-        variants.append(AugmentedSample(out, label, index, substitution))
+            swapped = ((idx, new) for idx, new in swaps if idx != word_idx)
+            edits, label, note = tuple(sorted([*edits, *swapped])), flipped, " (flip)"
+        substitution = f"{word}@{word_idx}->{replacement}{note}"
+        variants.append(AugmentedSample(edits, label, index, substitution))
     return variants
+
+
+def splice_variants(
+    mentions: Sequence[Mention], samples: Iterable[AugmentedSample]
+) -> Iterator[str]:
+    """Each sample's text: its source mention's raw text with its edits spliced in.
+
+    Texts are yielded one at a time, so a writer holds one at a time.
+    Character spans are found once per run of samples from one mention,
+    and ``augment_corpus`` returns each mention's samples together.
+    Every text tokenizes to its mention's tokens with the sample's edits
+    applied: of a raw character whose lowercase form is longer than one
+    character (``"İ"``, to ``"i"`` and a combining dot), the part that
+    the edited token does not cover is kept, so that the replacement
+    stays apart from any letters after it.
+    """
+    source = None
+    for edits, _, index, _ in samples:
+        if index != source:
+            source, text = index, mentions[index].raw_text
+            spans = tokenize_with_spans(text)
+        out = text
+        for idx, term in reversed(edits):
+            _, start, end = spans[idx]
+            out = out[:start] + term + text[end - 1].lower()[1:] + out[end:]
+        yield out

@@ -17,7 +17,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 
-from sentiscore.augment import AugmentConfig, augment_corpus
+from sentiscore.augment import AugmentConfig, augment_corpus, splice_variants
 from sentiscore.cnn import (
     ACTIVATIONS,
     POOLING_MODES,
@@ -305,12 +305,13 @@ def _cmd_augment(args: argparse.Namespace) -> int:
     lexicon = load_lexicon(args.lexicon)
     mentions = prepare_mentions(records, lexicon)
     samples = augment_corpus(mentions, lexicon, _config(AugmentConfig, args))
+    scores = {label: repr(score) for label, score in LABEL_SCORES.items()}
+    texts = splice_variants(mentions, samples)
     with open(args.out, "w", encoding="utf-8") as fh:
-        for sample in samples:
-            score = repr(LABEL_SCORES[sample.label])
-            fh.write(
-                f"{sample.text}\t{sample.label}\t{score}\t\t{sample.provenance}\n"
-            )
+        fh.writelines(
+            f"{text}\t{sample.label}\t{scores[sample.label]}\t\t{sample.provenance}\n"
+            for text, sample in zip(texts, samples)
+        )
     return 0
 
 
@@ -340,7 +341,10 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     if args.variant is not None:
         config = replace(config, variant=args.variant)
     if args.seed is not None:
-        config = replace(config, rng_seed=args.seed)
+        try:
+            config = replace(config, rng_seed=args.seed)
+        except ValueError as exc:
+            raise ValueError(f"--seed: {exc}") from None
     records = _load_records(args.corpus)
     seed_lexicon = load_lexicon(args.lexicon) if args.lexicon else None
     report = run_experiment(config, records, seed_lexicon)

@@ -393,9 +393,14 @@ def run_experiment(
                 raise EvalError(f"fold {fold}: no sentiment word occurrences in its training split")
             trace = train_iterative(train_mentions, seed_lexicon, config.learning)
             augment_cfg = replace(config.augment, rng_seed=seed)
-            for sample in augment_corpus(train_mentions, trace.lexicon, augment_cfg):
-                train_tokens.append(tokenize(sample.text))
-                train_labels.append(sample.label)
+            for edits, label, source, _ in augment_corpus(
+                train_mentions, trace.lexicon, augment_cfg
+            ):
+                variant = list(train_mentions[source].tokens)
+                for idx, term in edits:
+                    variant[idx] = term
+                train_tokens.append(variant)
+                train_labels.append(label)
         if config.rebalance:
             order = rebalance(train_labels, seed)
             train_tokens = [train_tokens[i] for i in order]

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import random
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
-from sentiscore.augment import AugmentedSample, derive_seed, flip_label
+from sentiscore.augment import derive_seed, flip_label, splice_variants
 from sentiscore.lexicon import NEUTRAL, extract_pair_indices, tokenize, tokenize_with_spans
 
 from sentiscore.boxlsq import ConstrainedLsqProblem, SolverReport, kkt_residual, objective
@@ -230,6 +231,25 @@ def reference_peers(word, lexicon, delta):
     return same_sign, opposite_sign
 
 
+class WrittenSample(NamedTuple):
+    """A variant as the ``augment`` command writes it: its text, label,
+    source index and substitution."""
+
+    text: str
+    label: str
+    source_index: int
+    substitution: str
+
+
+def written_samples(mentions, samples):
+    """``augment_corpus`` samples with the texts :func:`splice_variants` gives them."""
+    texts = splice_variants(mentions, samples)
+    return [
+        WrittenSample(text, sample.label, sample.source_index, sample.substitution)
+        for text, sample in zip(texts, samples)
+    ]
+
+
 def _reference_splice(text, replacements):
     for start, end, new in sorted(replacements, reverse=True):
         text = text[:start] + new + text[end:]
@@ -248,7 +268,7 @@ def reference_variants(mention, lexicon, config, index):
     def emit(text, label, substitution):
         if (text, label) not in seen:
             seen.add((text, label))
-            candidates.append(AugmentedSample(text, label, index, substitution))
+            candidates.append(WrittenSample(text, label, index, substitution))
 
     for _, word_idx in extract_pair_indices(tokens, lexicon):
         word = tokens[word_idx]

@@ -16,7 +16,7 @@ from helpers import grid_oracle
 from test_boxlsq import random_problem
 from test_cnn import finite_difference_check, tiny_config
 
-from sentiscore.augment import AugmentConfig, augment_corpus
+from sentiscore.augment import AugmentConfig, augment_corpus, splice_variants
 from sentiscore.boxlsq import solve
 from sentiscore.cnn import CnnConfig, fit, forward, init_model
 from sentiscore.evaluate import ExperimentConfig, kfold_split, run_experiment
@@ -147,7 +147,7 @@ def test_5_augmentation_goldens(capsys):
     )
     mention = make_mention(text, NEGATIVE, lexicon)
     variants = augment_corpus([mention], lexicon, AugmentConfig())
-    got = [(v.text, v.label) for v in variants]
+    got = [(text, v.label) for text, v in zip(splice_variants([mention], variants), variants)]
     expected = [
         ("Company A is better than TARGET. TARGET is poor", NEGATIVE),
         ("Company A is better than TARGET. TARGET is terrible", NEGATIVE),

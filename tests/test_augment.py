@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import math
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_augment_corpus
+from helpers import reference_augment_corpus, written_samples
 from sentiscore.augment import (
     DEFAULT_ANTONYMS,
     AugmentConfig,
@@ -15,7 +17,20 @@ from sentiscore.augment import (
     derive_seed,
     flip_label,
 )
-from sentiscore.lexicon import LABELS, Lexicon, LexiconError, make_mention, tokenize_with_spans
+from sentiscore import augment
+from sentiscore.cli import main
+from sentiscore.lexicon import (
+    LABELS,
+    Lexicon,
+    LexiconError,
+    MentionRecord,
+    make_mention,
+    prepare_mentions,
+    save_lexicon,
+    save_mention_records,
+    tokenize,
+    tokenize_with_spans,
+)
 
 
 @pytest.fixture
@@ -37,6 +52,18 @@ def make(text, label, lexicon, **kwargs):
     return make_mention(text, label, lexicon, **kwargs)
 
 
+def written(mentions, lexicon, config):
+    """The variants of ``mentions`` with the texts the ``augment`` command writes."""
+    return written_samples(mentions, augment_corpus(mentions, lexicon, config))
+
+
+def edited(tokens, edits):
+    out = list(tokens)
+    for idx, term in edits:
+        out[idx] = term
+    return out
+
+
 class TestSimilarTerms:
     def test_tolerance_excludes_distant_scores(self, lexicon):
         m = make("TARGET is nice", "positive", lexicon)
@@ -44,7 +71,7 @@ class TestSimilarTerms:
 
     def test_opposite_compares_absolute_scores(self):
         lex = Lexicon({"up": 0.8, "down": -0.75, "floor": -2.0})
-        variants = augment_corpus([make("up", "positive", lex)], lex, AugmentConfig())
+        variants = written([make("up", "positive", lex)], lex, AugmentConfig())
         assert [(v.text, v.label) for v in variants] == [("down", "negative")]
 
 
@@ -52,7 +79,7 @@ class TestGenerateVariants:
     def test_same_sign_substitution_keeps_label(self, lexicon):
         m = make("TARGET is horrible", "negative", lexicon)
         config = AugmentConfig(include_flips=False)
-        variants = augment_corpus([m], lexicon, config)
+        variants = written([m], lexicon, config)
         assert [(v.text, v.label) for v in variants] == [
             ("TARGET is poor", "negative"),
             ("TARGET is terrible", "negative"),
@@ -60,14 +87,14 @@ class TestGenerateVariants:
 
     def test_opposite_sign_substitution_flips_label(self, lexicon):
         m = make("TARGET is horrible", "negative", lexicon)
-        variants = augment_corpus([m], lexicon, AugmentConfig())
+        variants = written([m], lexicon, AugmentConfig())
         flips = [(v.text, v.label) for v in variants if v.label == "positive"]
         assert ("TARGET is amazing", "positive") in flips
         assert ("TARGET is great", "positive") in flips
 
     def test_flip_swaps_comparative(self, lexicon):
         m = make("TARGET is better and great", "positive", lexicon)
-        variants = augment_corpus([m], lexicon, AugmentConfig(max_variants_per_sample=10))
+        variants = written([m], lexicon, AugmentConfig(max_variants_per_sample=10))
         flipped = [v for v in variants if v.label == "negative"]
         assert flipped
         assert all("worse" in v.text and "better" not in v.text for v in flipped)
@@ -86,14 +113,14 @@ class TestGenerateVariants:
         config = AugmentConfig(
             antonyms={}, comparatives=frozenset({"worse"}), max_variants_per_sample=10
         )
-        alone = augment_corpus([make("worse", "negative", lex)], lex, config)
+        alone = written([make("worse", "negative", lex)], lex, config)
         assert [(v.text, v.label) for v in alone] == [("fine", "positive")]
         assert augment_corpus([make("worse worse", "negative", lex)], lex, config) == []
 
     def test_same_sign_substitution_leaves_comparative_alone(self, lexicon):
         m = make("TARGET is better and horrible", "negative", lexicon)
         config = AugmentConfig(include_flips=False, max_variants_per_sample=10)
-        variants = augment_corpus([m], lexicon, config)
+        variants = written([m], lexicon, config)
         assert variants
         assert all("better" in v.text for v in variants)
 
@@ -113,7 +140,7 @@ class TestGenerateVariants:
     def test_each_variant_changes_one_occurrence(self, lexicon):
         m = make("horrible camera but great sound", "neutral", lexicon)
         config = AugmentConfig(include_flips=False, max_variants_per_sample=10)
-        for variant in augment_corpus([m], lexicon, config):
+        for variant in written([m], lexicon, config):
             differing = sum(
                 a != b
                 for a, b in zip(m.raw_text.split(), variant.text.split())
@@ -122,8 +149,8 @@ class TestGenerateVariants:
 
     def test_cap_and_seeded_selection_preserve_canonical_order(self, lexicon):
         m = make("horrible and poor and terrible", "negative", lexicon)
-        full = augment_corpus([m], lexicon, AugmentConfig(max_variants_per_sample=100))
-        capped = augment_corpus([m], lexicon, AugmentConfig(max_variants_per_sample=3))
+        full = written([m], lexicon, AugmentConfig(max_variants_per_sample=100))
+        capped = written([m], lexicon, AugmentConfig(max_variants_per_sample=3))
         assert len(capped) == 3
         texts = [v.text for v in full]
         positions = [texts.index(v.text) for v in capped]
@@ -137,7 +164,7 @@ class TestGenerateVariants:
 
     def test_no_duplicate_text_label_pairs(self, lexicon):
         m = make("poor poor poor", "negative", lexicon)
-        variants = augment_corpus([m], lexicon, AugmentConfig(max_variants_per_sample=50))
+        variants = written([m], lexicon, AugmentConfig(max_variants_per_sample=50))
         seen = {(v.text, v.label) for v in variants}
         assert len(seen) == len(variants)
 
@@ -145,7 +172,7 @@ class TestGenerateVariants:
         # Either occurrence, flipped to its antonym, gives "worse worse".
         lex = Lexicon({"better": 0.5, "worse": -0.5})
         m = make("better better", "positive", lex)
-        variants = augment_corpus([m], lex, AugmentConfig(max_variants_per_sample=10))
+        variants = written([m], lex, AugmentConfig(max_variants_per_sample=10))
         assert [(v.text, v.label, v.substitution) for v in variants] == [
             ("worse worse", "negative", "better@0->worse (flip)")
         ]
@@ -155,8 +182,36 @@ class TestGenerateVariants:
         # on the raw text's "good".
         lex = Lexicon({"good": 1.0, "great": 1.0})
         m = make("İ liked it, good movie", "positive", lex)
-        variants = augment_corpus([m], lex, AugmentConfig())
+        variants = written([m], lex, AugmentConfig())
         assert [v.text for v in variants] == ["İ liked it, great movie"]
+
+    @pytest.mark.parametrize(
+        "text, spliced",
+        [
+            ("İyi TARGET", "ok\u0307yi TARGET"),
+            ("İ TARGET", "ok\u0307 TARGET"),
+            ("tamam İ", "tamam ok\u0307"),
+        ],
+    )
+    def test_splice_keeps_the_dot_of_an_edited_dotted_capital_i(self, text, spliced):
+        # "İ" lowercases to "i" and a combining dot; the token "i" ends
+        # at the "i", and the dot kept "yi" apart from it. The splice
+        # keeps the dot, so "ok" does not run into "yi".
+        lex = Lexicon({"i": 0.5, "ok": 0.52})
+        m = make(text, "positive", lex)
+        variants = written([m], lex, AugmentConfig(include_flips=False))
+        assert [v.text for v in variants] == [spliced]
+        assert tokenize(spliced) == ["ok" if t == "i" else t for t in m.tokens]
+
+    def test_variants_are_token_edits_in_token_order(self, lexicon):
+        m = make("TARGET is better and great, not worse", "positive", lexicon)
+        variants = augment_corpus([m], lexicon, AugmentConfig(max_variants_per_sample=10))
+        assert [(v.edits, v.label, v.substitution) for v in variants] == [
+            (((4, "amazing"),), "positive", "great@4->amazing"),
+            (((2, "worse"), (4, "horrible"), (6, "better")), "negative", "great@4->horrible (flip)"),
+            (((2, "worse"), (4, "poor"), (6, "better")), "negative", "great@4->poor (flip)"),
+            (((2, "worse"), (4, "terrible"), (6, "better")), "negative", "great@4->terrible (flip)"),
+        ]
 
     def test_mention_without_sentiment_words_yields_nothing(self, lexicon):
         m = make("nothing to report", "neutral", lexicon)
@@ -188,22 +243,38 @@ class TestAugmentCorpus:
 
         for name, module in list(sys.modules.items()):
             if name.split(".")[0] == "sentiscore":
-                for attr in ("tokenize", "extract_pair_indices"):
+                for attr in ("tokenize", "tokenize_with_spans", "extract_pair_indices"):
                     if hasattr(module, attr):
                         monkeypatch.setattr(module, attr, tokenized_again)
-        # Character spans are made only for a mention that keeps a variant.
+        assert augment_corpus(mentions, lexicon, config) == expected
+        assert augment_corpus(mentions, lexicon, AugmentConfig(max_variants_per_sample=0)) == []
+
+    def test_writer_finds_spans_only_for_mentions_that_keep_a_variant(
+        self, lexicon, monkeypatch, tmp_path
+    ):
+        texts = [
+            "TARGET is very horrible, not better",
+            "TARGET is nice",  # no peer within tolerance
+            "Great! TARGET is amazing",
+            "nothing to report",
+        ]
+        corpus, lexicon_path = tmp_path / "corpus.tsv", tmp_path / "lexicon.tsv"
+        save_mention_records([MentionRecord(t, "positive") for t in texts], corpus)
+        save_lexicon(lexicon, lexicon_path)
         spanned = []
 
         def spans(text):
             spanned.append(text)
             return tokenize_with_spans(text)
 
-        monkeypatch.setattr("sentiscore.augment.tokenize_with_spans", spans)
-        assert augment_corpus(mentions, lexicon, config) == expected
-        assert spanned == [mentions[0].raw_text, mentions[2].raw_text]
+        monkeypatch.setattr(augment, "tokenize_with_spans", spans)
+        args = ["augment", "--corpus", str(corpus), "--lexicon", str(lexicon_path)]
+        assert main([*args, "--out", str(tmp_path / "out.tsv")]) == 0
+        assert spanned == [texts[0], texts[2]]
         spanned.clear()
-        assert augment_corpus(mentions, lexicon, AugmentConfig(max_variants_per_sample=0)) == []
+        assert main([*args, "--out", str(tmp_path / "none.tsv"), "--max-variants", "0"]) == 0
         assert spanned == []
+        assert (tmp_path / "none.tsv").read_bytes() == b""
 
     def test_lexicon_without_a_mention_word_raises(self, lexicon):
         mentions = [make("TARGET is nice", "positive", lexicon)]
@@ -323,6 +394,58 @@ class TestAgainstReference:
         # checked against the reference's scan of the whole lexicon.
         mentions = [make(text, label, lexicon) for text, label in labelled]
         mentions.append(make(" ".join(lexicon.word_terms()), last_label, lexicon))
-        assert augment_corpus(mentions, lexicon, config) == reference_augment_corpus(
+        assert written(mentions, lexicon, config) == reference_augment_corpus(
             mentions, lexicon, config
         )
+
+
+# The augment command's own output: every text it writes tokenizes to its
+# mention's tokens with that variant's edits applied. Pieces run into each
+# other without a separator, so "İ" and the lexicon word "i" sit inside
+# and at the ends of tokens; "Acme" is the masked entity.
+WRITER_WORDS = ("i", "ok", "oki", "yi", "good", "bad", "better", "worse")
+WRITER_PIECES = (*WRITER_WORDS, "İ", "İyi", "OKİ", "Better", "WORSE", "Acme", "ACME", "TARGET")
+WRITER_SEPARATORS = ("", " ", " ", ", ", "-", "İ", "'")
+
+
+@st.composite
+def writer_records(draw):
+    parts = []
+    for piece in draw(st.lists(st.sampled_from(WRITER_PIECES), min_size=1, max_size=8)):
+        parts += [piece, draw(st.sampled_from(WRITER_SEPARATORS))]
+    entity = draw(st.sampled_from([None, "acme"]))
+    return MentionRecord("".join(parts).strip(), draw(st.sampled_from(LABELS)), None, entity)
+
+
+class TestWriter:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        records=st.lists(writer_records(), min_size=1, max_size=4),
+        scores=st.lists(MAGNITUDES, min_size=len(WRITER_WORDS), max_size=len(WRITER_WORDS)),
+        signs=st.lists(st.booleans(), min_size=len(WRITER_WORDS), max_size=len(WRITER_WORDS)),
+        delta=st.sampled_from([0.1, 0.5, math.inf]),
+        seed=st.integers(0, 3),
+    )
+    def test_written_texts_tokenize_to_the_edited_tokens(self, records, scores, signs, delta, seed):
+        words = {w: s if up else -s for w, s, up in zip(WRITER_WORDS, scores, signs)}
+        lexicon = Lexicon(words)
+        config = AugmentConfig(score_tolerance=delta, max_variants_per_sample=3, rng_seed=seed)
+        mentions = prepare_mentions(records, lexicon)
+        samples = augment_corpus(mentions, lexicon, config)
+        with tempfile.TemporaryDirectory() as work:
+            corpus, lexicon_path, out = (Path(work) / name for name in ("c.tsv", "l.tsv", "o.tsv"))
+            save_mention_records(records, corpus)
+            save_lexicon(lexicon, lexicon_path)
+            code = main([
+                "augment", "--corpus", str(corpus), "--lexicon", str(lexicon_path),
+                "--out", str(out), "--delta", str(delta), "--max-variants", "3",
+                "--seed", str(seed),
+            ])
+            lines = out.read_text(encoding="utf-8").splitlines()
+        assert code == 0
+        assert len(lines) == len(samples)
+        for line, sample in zip(lines, samples):
+            text, label, _, _, provenance = line.split("\t")
+            assert (label, provenance) == (sample.label, sample.provenance)
+            tokens = mentions[sample.source_index].tokens
+            assert tokenize(text) == edited(tokens, sample.edits)

@@ -870,8 +870,7 @@ class TestEvaluate:
         code = main(
             ["evaluate", "--corpus", str(corpus), "--out", str(report_path), "--seed", "-3"]
         )
-        assert code == 1
-        assert "error: rng_seed must be >= 0" in capsys.readouterr().err
+        assert (code, capsys.readouterr().err) == (1, "error: --seed: rng_seed must be >= 0\n")
         assert not report_path.exists()
 
 

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sentiscore import evaluate, lexicon
+from sentiscore import augment, evaluate, lexicon
 from sentiscore.augment import AugmentConfig
 from sentiscore.cnn import CnnConfig
 from sentiscore.evaluate import (
@@ -460,7 +460,9 @@ class TestRunExperiment:
             replace(r, text=r.text.replace("TARGET", "Acme Phone"), entity="acme phone")
             for r in plain
         ]
-        made, masked, tokenized, augmented = Counter(), Counter(), Counter(), Counter()
+        masked_texts = Counter(lexicon.masked_text(r.text, r.entity) for r in records)
+        made, masked, tokenized, spanned = Counter(), Counter(), Counter(), Counter()
+        augmented = Counter()
 
         def spy(module, name, note) -> None:
             original = getattr(module, name)
@@ -474,8 +476,11 @@ class TestRunExperiment:
 
         spy(lexicon, "make_mention", lambda args, _: made.update([args[0]]))
         spy(lexicon, "mask_target", lambda args, _: masked.update([args[0]]))
+        spy(lexicon, "tokenize", lambda args, _: tokenized.update([args[0]]))
         spy(evaluate, "tokenize", lambda args, _: tokenized.update([args[0]]))
-        spy(evaluate, "augment_corpus", lambda _, out: augmented.update(s.text for s in out))
+        spy(lexicon, "tokenize_with_spans", lambda args, _: spanned.update([args[0]]))
+        spy(augment, "tokenize_with_spans", lambda args, _: spanned.update([args[0]]))
+        spy(evaluate, "augment_corpus", lambda _, out: augmented.update(s.label for s in out))
         run_experiment(
             tiny_experiment("cnn-total", cnn=quick_cnn()),
             records,
@@ -485,8 +490,10 @@ class TestRunExperiment:
         assert made == texts
         assert masked == texts
         assert sum(augmented.values()) > 0
-        # Each record's tokens come from its mention.
-        assert tokenized == augmented
+        # Each record is tokenized once, by its mention; a variant's tokens
+        # are its mention's with the variant's edits, never a tokenized text.
+        assert tokenized == masked_texts
+        assert spanned == Counter()
 
     def test_too_few_examples_rejected(self):
         records = labeled_records({POSITIVE: 1, NEGATIVE: 1})

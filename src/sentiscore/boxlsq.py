@@ -89,15 +89,6 @@ class ConstrainedLsqProblem:
         object.__setattr__(self, "values", values[kept])
         object.__setattr__(self, "shape", (m, d))
 
-    @classmethod
-    def from_dense(cls, design, bias, targets, lam, lower, upper) -> ConstrainedLsqProblem:
-        """The problem whose design is the dense matrix ``design``."""
-        design = np.asarray(design, dtype=float)
-        if design.ndim != 2:
-            raise BoxLsqError("design must be a 2-D matrix")
-        rows, cols = np.nonzero(design)
-        return cls(rows, cols, design[rows, cols], design.shape, bias, targets, lam, lower, upper)
-
     @property
     def design(self) -> np.ndarray:
         """The dense design matrix, for inspection; the solver never forms it."""

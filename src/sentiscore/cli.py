@@ -104,10 +104,11 @@ _CORPUS_FLAGS = {
     "adverb_rate": ("--adverb-rate", "chance a sentiment word is modified"),
     "rng_seed": ("--seed", "rng seed"),
 }
+_VOCAB_FLAGS = {"vocab_size": ("--vocab-size", "vocabulary cap")}
 # Every table maps a shared field, rng_seed, to the same flag.
 _FLAG_OF = {
     name: spec[0]
-    for table in (_LEARN_FLAGS, _AUGMENT_FLAGS, _TRAIN_FLAGS, _CORPUS_FLAGS)
+    for table in (_LEARN_FLAGS, _AUGMENT_FLAGS, _TRAIN_FLAGS, _CORPUS_FLAGS, _VOCAB_FLAGS)
     for name, spec in table.items()
 }
 
@@ -132,21 +133,24 @@ def _add_config_flags(parser: argparse.ArgumentParser, defaults, table: dict) ->
         )
 
 
-def _config(cls, args: argparse.Namespace, **overrides):
-    """``cls`` from the parsed fields it has; fields without a flag keep their default.
-
-    A value ``cls`` rejects is reported as ``FLAG: message``: each config
-    check's message begins with the name of the field it rejects.
-    """
-    parsed = vars(args)
-    values = {f.name: parsed[f.name] for f in fields(cls) if f.name in parsed}
+def _checked(build, *args, **values):
+    """The config ``build(*args, **values)`` returns. A value it rejects is
+    reported as ``FLAG: message``: each config check's message begins with
+    the name of the field it rejects."""
     try:
-        return cls(**(values | overrides))
+        return build(*args, **values)
     except ValueError as exc:
         flag = _FLAG_OF.get(str(exc).split(" ", 1)[0])
         if flag is None:
             raise
         raise ValueError(f"{flag}: {exc}") from None
+
+
+def _config(cls, args: argparse.Namespace, **overrides):
+    """``cls`` from the parsed fields it has; fields without a flag keep their default."""
+    parsed = vars(args)
+    values = {f.name: parsed[f.name] for f in fields(cls) if f.name in parsed}
+    return _checked(cls, **(values | overrides))
 
 
 def _parse_penalty(text: str) -> PenaltyMatrix:
@@ -208,7 +212,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True, help="labeled mention TSV")
     p.add_argument("--out", required=True, help="checkpoint path")
     _add_config_flags(p, CnnConfig(), _TRAIN_FLAGS)
-    _add_config_flags(p, ExperimentConfig(), {"vocab_size": ("--vocab-size", "vocabulary cap")})
+    _add_config_flags(p, ExperimentConfig(), _VOCAB_FLAGS)
     p.add_argument(
         "--weighted-ce",
         action="store_true",
@@ -316,8 +320,7 @@ def _cmd_augment(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    if args.vocab_size < 1:
-        raise ValueError(f"--vocab-size must be >= 1, got {args.vocab_size}")
+    _checked(ExperimentConfig, vocab_size=args.vocab_size)
     if args.penalty is not None and not args.weighted_ce:
         raise ValueError("--penalty applies only with --weighted-ce")
     penalty = None
@@ -338,13 +341,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     config = load_experiment_config(args.config) if args.config else ExperimentConfig()
-    if args.variant is not None:
-        config = replace(config, variant=args.variant)
-    if args.seed is not None:
-        try:
-            config = replace(config, rng_seed=args.seed)
-        except ValueError as exc:
-            raise ValueError(f"--seed: {exc}") from None
+    overrides = {"variant": args.variant, "rng_seed": args.seed}
+    config = _checked(replace, config, **{k: v for k, v in overrides.items() if v is not None})
     records = _load_records(args.corpus)
     seed_lexicon = load_lexicon(args.lexicon) if args.lexicon else None
     report = run_experiment(config, records, seed_lexicon)

@@ -181,6 +181,12 @@ class ExperimentConfig:
             raise EvalError("rng_seed must be >= 0")
         if self.vocab_size < 1:
             raise EvalError(f"vocab_size must be >= 1, got {self.vocab_size}")
+        for name, sub in _nested(self).items():
+            if getattr(sub, "rng_seed", 0) != 0:
+                raise EvalError(
+                    f"{name}.rng_seed must be 0, got {sub.rng_seed}: each fold's seed "
+                    "derives from the experiment's rng_seed"
+                )
 
 
 def _nested(config: ExperimentConfig) -> dict[str, object]:
@@ -190,8 +196,14 @@ def _nested(config: ExperimentConfig) -> dict[str, object]:
 
 
 def _keys(config) -> list[str]:
-    """A config's plain (non-dataclass) field names, in field order."""
-    return [f.name for f in fields(config) if not is_dataclass(getattr(config, f.name))]
+    """A section's keys: the config's plain (non-dataclass) field names, in
+    field order, less a nested config's rng_seed, which each fold sets."""
+    return [
+        f.name
+        for f in fields(config)
+        if not is_dataclass(getattr(config, f.name))
+        and (f.name != "rng_seed" or isinstance(config, ExperimentConfig))
+    ]
 
 
 def _text(name: str, value) -> str:

@@ -100,6 +100,14 @@ class CorpusConfig:
             raise GeneratorError("adverb_rate must be in [0, 1]")
         if self.rng_seed < 0:
             raise GeneratorError("rng_seed must be >= 0")
+        # Each word and each modifier takes min_occurrences coverage mentions,
+        # all inside the polar quotas: a cheap bound checked before any work.
+        terms = max(self.word_count, self.adverb_count)
+        if self.min_occurrences * terms > self.size:
+            raise GeneratorError(
+                f"size must be >= min_occurrences * max(word_count, adverb_count) = "
+                f"{self.min_occurrences} * {terms}, got {self.size}"
+            )
 
 
 def make_true_lexicon(word_count: int, adverb_count: int, rng: np.random.Generator) -> Lexicon:

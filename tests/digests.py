@@ -8,18 +8,20 @@ codes are recorded under ``"<command>: exit"``.
 
 ``python tests/digests.py --record`` writes that object to
 ``tests/output_digests.json``, the table ``test_output_digests``
-compares against. Re-recording the table changes test data: only a
-change meant to alter output bytes (or a numpy upgrade) does it, and
-says why.
+compares against, and first prints to stderr each key whose digest
+changed, was added or was removed. Re-recording the table changes test
+data: only a change meant to alter output bytes (or a numpy upgrade)
+does it, and says why.
 """
 from __future__ import annotations
 
 import os
 
 BLAS_THREADS = 1
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = str(BLAS_THREADS)
-os.environ["COLUMNS"] = "80"
+if __name__ == "__main__":  # pinned before numpy loads; importing the module pins nothing
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[_var] = str(BLAS_THREADS)
+    os.environ["COLUMNS"] = "80"
 
 import contextlib  # noqa: E402
 import hashlib  # noqa: E402
@@ -218,11 +220,36 @@ def digest_table(work: Path) -> dict:
     return {"numpy": np.__version__, "blas_threads": BLAS_THREADS, "outputs": run_all(work)}
 
 
+def table_changes(old: dict, new: dict) -> list[str]:
+    """One line per key whose entry differs between two digest tables, in
+    key order: ``changed KEY: OLD -> NEW``, ``added KEY: NEW`` or
+    ``removed KEY: OLD``. The numpy version and BLAS thread count count as
+    keys beside the outputs."""
+    def flat(table: dict) -> dict:
+        return {k: v for k, v in table.items() if k != "outputs"} | table.get("outputs", {})
+
+    before, after = flat(old), flat(new)
+    lines = []
+    for key in sorted(before.keys() | after.keys()):
+        if key not in after:
+            lines.append(f"removed {key}: {before[key]}")
+        elif key not in before:
+            lines.append(f"added {key}: {after[key]}")
+        elif before[key] != after[key]:
+            lines.append(f"changed {key}: {before[key]} -> {after[key]}")
+    return lines
+
+
 def main(argv: list[str]) -> int:
     sys.path.insert(0, str(ROOT / "src"))
     if argv == ["--record"]:
         with tempfile.TemporaryDirectory() as work:
             table = digest_table(Path(work))
+        old = json.loads(TABLE.read_text(encoding="utf-8")) if TABLE.exists() else {}
+        changes = table_changes(old, table)
+        for line in changes:
+            print(line, file=sys.stderr)
+        print(f"{len(changes)} entries changed", file=sys.stderr)
         TABLE.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n", encoding="utf-8")
         return 0
     if len(argv) != 1:

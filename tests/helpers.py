@@ -11,8 +11,25 @@ import numpy as np
 from sentiscore.augment import derive_seed, flip_label, splice_variants
 from sentiscore.lexicon import NEUTRAL, extract_pair_indices, tokenize, tokenize_with_spans
 
-from sentiscore.boxlsq import ConstrainedLsqProblem, SolverReport, kkt_residual, objective
+from sentiscore.boxlsq import (
+    BoxLsqError,
+    ConstrainedLsqProblem,
+    SolverReport,
+    kkt_residual,
+    objective,
+)
 from sentiscore.vocab import PAD_INDEX
+
+
+def from_dense(design, bias, targets, lam, lower, upper) -> ConstrainedLsqProblem:
+    """The problem whose design is the dense matrix ``design``."""
+    design = np.asarray(design, dtype=float)
+    if design.ndim != 2:
+        raise BoxLsqError("design must be a 2-D matrix")
+    rows, cols = np.nonzero(design)
+    return ConstrainedLsqProblem(
+        rows, cols, design[rows, cols], design.shape, bias, targets, lam, lower, upper
+    )
 
 
 def ls_center(problem: ConstrainedLsqProblem) -> np.ndarray:

@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from helpers import grid_oracle, ls_center, residual_form_solve
+from helpers import from_dense, grid_oracle, ls_center, residual_form_solve
 from sentiscore.boxlsq import (
     BoxLsqError,
     ConstrainedLsqProblem,
@@ -36,7 +36,7 @@ def random_problem(rng: np.random.Generator, d: int | None = None) -> Constraine
         elif kind == 3:
             lo = float(rng.normal())
             lower[j], upper[j] = lo, lo + float(rng.uniform(0.1, 2.0))
-    return ConstrainedLsqProblem.from_dense(design, bias, targets, lam, lower, upper)
+    return from_dense(design, bias, targets, lam, lower, upper)
 
 
 def random_sparse_problem(rng: np.random.Generator) -> ConstrainedLsqProblem:
@@ -61,7 +61,7 @@ class TestGolden:
         # minimize (v1-1)^2 + (v2+1)^2 + 0.5 ||v||^2 over v >= 0:
         # the first coordinate settles at 2/3, the second pins at 0,
         # for an objective of 4/3.
-        problem = ConstrainedLsqProblem.from_dense(
+        problem = from_dense(
             design=np.eye(2),
             bias=np.zeros(2),
             targets=np.array([1.0, -1.0]),
@@ -79,7 +79,7 @@ class TestGolden:
         for _ in range(25):
             d = int(rng.integers(1, 5))
             m = d + int(rng.integers(1, 6))
-            problem = ConstrainedLsqProblem.from_dense(
+            problem = from_dense(
                 design=rng.normal(size=(m, d)),
                 bias=rng.normal(size=m),
                 targets=rng.normal(size=m),
@@ -136,7 +136,7 @@ class TestSolveProperties:
         assert again.objective == pytest.approx(first.objective, rel=1e-9)
 
     def test_infeasible_start_is_projected(self):
-        problem = ConstrainedLsqProblem.from_dense(
+        problem = from_dense(
             design=np.array([[1.0]]),
             bias=np.zeros(1),
             targets=np.array([5.0]),
@@ -149,7 +149,7 @@ class TestSolveProperties:
 
     def test_binding_upper_bound(self):
         # Unconstrained optimum is 5; the box caps it at 1.
-        problem = ConstrainedLsqProblem.from_dense(
+        problem = from_dense(
             design=np.array([[1.0]]),
             bias=np.zeros(1),
             targets=np.array([5.0]),
@@ -162,7 +162,7 @@ class TestSolveProperties:
         assert report.kkt_residual <= 1e-8
 
     def test_zero_column_with_ridge_goes_to_nearest_feasible_zero(self):
-        problem = ConstrainedLsqProblem.from_dense(
+        problem = from_dense(
             design=np.array([[1.0, 0.0], [0.0, 0.0]]),
             bias=np.zeros(2),
             targets=np.array([2.0, 0.0]),
@@ -174,7 +174,7 @@ class TestSolveProperties:
         assert report.solution[1] == pytest.approx(0.5)
 
     def test_both_bounds_equal_pins_coordinate(self):
-        problem = ConstrainedLsqProblem.from_dense(
+        problem = from_dense(
             design=np.array([[1.0, 1.0]]),
             bias=np.zeros(1),
             targets=np.array([3.0]),
@@ -333,7 +333,7 @@ class TestSparseDesign:
     def test_from_dense_round_trips(self):
         rng = np.random.default_rng(11)
         design = rng.normal(size=(5, 4)) * (rng.random((5, 4)) < 0.4)
-        problem = ConstrainedLsqProblem.from_dense(
+        problem = from_dense(
             design, np.zeros(5), np.zeros(5), 0.0, np.zeros(4), np.ones(4)
         )
         assert problem.shape == (5, 4)
@@ -358,7 +358,7 @@ class TestKktResidual:
     def test_zero_at_unconstrained_optimum(self):
         rng = np.random.default_rng(5)
         d, m = 3, 6
-        problem = ConstrainedLsqProblem.from_dense(
+        problem = from_dense(
             design=rng.normal(size=(m, d)),
             bias=rng.normal(size=m),
             targets=rng.normal(size=m),
@@ -369,7 +369,7 @@ class TestKktResidual:
         assert kkt_residual(problem, ls_center(problem)) <= 1e-8
 
     def test_positive_away_from_optimum(self):
-        problem = ConstrainedLsqProblem.from_dense(
+        problem = from_dense(
             design=np.eye(2),
             bias=np.zeros(2),
             targets=np.array([1.0, 1.0]),
@@ -382,7 +382,7 @@ class TestKktResidual:
     def test_bound_with_inward_gradient_is_optimal(self):
         # Gradient pushes below the lower bound, so sitting on the bound
         # is first-order optimal.
-        problem = ConstrainedLsqProblem.from_dense(
+        problem = from_dense(
             design=np.array([[1.0]]),
             bias=np.zeros(1),
             targets=np.array([-3.0]),
@@ -393,7 +393,7 @@ class TestKktResidual:
         assert kkt_residual(problem, np.array([0.0])) == 0.0
 
     def test_infeasible_point_rejected(self):
-        problem = ConstrainedLsqProblem.from_dense(
+        problem = from_dense(
             design=np.eye(1),
             bias=np.zeros(1),
             targets=np.zeros(1),
@@ -408,7 +408,7 @@ class TestKktResidual:
 class TestValidation:
     def test_design_must_be_2d(self):
         with pytest.raises(BoxLsqError):
-            ConstrainedLsqProblem.from_dense(
+            from_dense(
                 design=np.zeros(3),
                 bias=np.zeros(3),
                 targets=np.zeros(3),
@@ -419,7 +419,7 @@ class TestValidation:
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(BoxLsqError):
-            ConstrainedLsqProblem.from_dense(
+            from_dense(
                 design=np.zeros((3, 2)),
                 bias=np.zeros(2),
                 targets=np.zeros(3),
@@ -430,7 +430,7 @@ class TestValidation:
 
     def test_crossed_bounds_rejected(self):
         with pytest.raises(BoxLsqError):
-            ConstrainedLsqProblem.from_dense(
+            from_dense(
                 design=np.zeros((1, 1)),
                 bias=np.zeros(1),
                 targets=np.zeros(1),
@@ -441,7 +441,7 @@ class TestValidation:
 
     def test_negative_lam_rejected(self):
         with pytest.raises(BoxLsqError):
-            ConstrainedLsqProblem.from_dense(
+            from_dense(
                 design=np.zeros((1, 1)),
                 bias=np.zeros(1),
                 targets=np.zeros(1),
@@ -453,7 +453,7 @@ class TestValidation:
     @pytest.mark.parametrize("lam", [float("nan"), float("inf")])
     def test_non_finite_lam_rejected(self, lam):
         with pytest.raises(BoxLsqError, match="lam must be finite"):
-            ConstrainedLsqProblem.from_dense(
+            from_dense(
                 design=np.zeros((1, 1)),
                 bias=np.zeros(1),
                 targets=np.zeros(1),
@@ -463,7 +463,7 @@ class TestValidation:
             )
 
     def test_objective_on_wrong_shape_rejected(self):
-        problem = ConstrainedLsqProblem.from_dense(
+        problem = from_dense(
             design=np.eye(2),
             bias=np.zeros(2),
             targets=np.zeros(2),

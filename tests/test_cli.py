@@ -127,6 +127,29 @@ class TestGenCorpus:
         assert capsys.readouterr().err == "error: --seed: rng_seed must be >= 0\n"
         assert not (tmp_path / "x.tsv").exists()
 
+    @pytest.mark.parametrize(
+        "flag, product",
+        [("--min-occurrences", "1000000000 * 20"), ("--words", "3 * 1000000000")],
+    )
+    def test_impossible_coverage_exits_1_before_any_work(
+        self, tmp_path, capsys, monkeypatch, flag, product
+    ):
+        calls = []
+        monkeypatch.setattr(
+            "sentiscore.synthetic.make_true_lexicon", lambda *args: calls.append(args)
+        )
+        code = main(
+            ["gen-corpus", "--out", str(tmp_path / "x.tsv"), "--lexicon-out",
+             str(tmp_path / "x.lex"), "--size", "100", flag, "1000000000"]
+        )
+        assert (code, capsys.readouterr().err) == (
+            1,
+            "error: --size: size must be >= min_occurrences * max(word_count, adverb_count)"
+            f" = {product}, got 100\n",
+        )
+        assert calls == []
+        assert not (tmp_path / "x.tsv").exists()
+
 
 class TestLearnScores:
     def test_recovers_generator_truth(self, tmp_path):
@@ -619,8 +642,7 @@ class TestTrainPredict:
         checkpoint = tmp_path / "model.ckpt"
         code = main(["train", "--corpus", str(corpus), "--out", str(checkpoint)] + flag)
         assert code == 1
-        named = "--vocab-size" if field == "vocab_size" else f"{flag[0]}: {field}"
-        assert f"error: {named} must be" in capsys.readouterr().err
+        assert f"error: {flag[0]}: {field} must be" in capsys.readouterr().err
         assert not checkpoint.exists()
 
     def test_divergence_reports_one_line_and_no_warning(self, tmp_path, capsys):
@@ -708,10 +730,15 @@ class TestEvaluate:
             ("[penalty]\npositive = 1 4 3\nnegative = 4 1 3 4\nneutral = 2 2 1\n",
              f"{MALFORMED}penalty negative row must hold three weights, got 4"),
             ("[experiment]\nvocab_size = 0\n", "vocab_size must be >= 1, got 0"),
+            # Each fold's seed derives from [experiment] rng_seed; no other seed is read.
+            ("[cnn]\nrng_seed = 0\n", "unknown key 'rng_seed' in experiment config section [cnn]"),
+            ("[augment]\nrng_seed = 0\n",
+             "unknown key 'rng_seed' in experiment config section [augment]"),
         ],
         ids=[
             "penalty-nan", "penalty-inf", "max-iter-0", "max-iter-negative", "lam-inf",
             "learning-rate-inf", "penalty-row-short", "penalty-row-long", "vocab-size-0",
+            "cnn-seed", "augment-seed",
         ],
     )
     def test_bad_config_value_exits_1_naming_it(self, tmp_path, capsys, text, message):
@@ -808,6 +835,7 @@ class TestEvaluate:
         text = report_path.read_text(encoding="utf-8")
         assert "variant: cnn" in text
         assert "rng_seed = 9" in text
+        assert text.count("rng_seed") == 1  # the experiment's seed is the only one
 
     def test_missing_lexicon_for_total_exits_1(self, tmp_path, capsys):
         corpus, _ = gen_corpus(tmp_path, size=60, words=6, seed=4)

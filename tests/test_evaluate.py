@@ -192,7 +192,6 @@ class TestConfigRoundTrip:
                 score_tolerance=0.25,
                 max_variants_per_sample=2,
                 include_flips=False,
-                rng_seed=5,
                 antonyms={"better": "worse", "worse": "better"},
                 comparatives=frozenset({"better", "worse", "fancier"}),
             ),
@@ -245,6 +244,8 @@ class TestConfigRoundTrip:
             ("[cnn]\nepoch = 3\n", r"unknown key 'epoch' in experiment config section \[cnn\]"),
             ("[experiment]\nk = 3\nfolds = 4\n", r"'folds' in .* section \[experiment\]"),
             ("[penalty]\nmixed = 1 1 1\n", r"'mixed' in experiment config section \[penalty\]"),
+            ("[cnn]\nrng_seed = 0\n", r"unknown key 'rng_seed' in .* section \[cnn\]"),
+            ("[augment]\nrng_seed = 0\n", r"unknown key 'rng_seed' in .* section \[augment\]"),
             ("[cnnn]\nepochs = 3\n", r"unknown experiment config section \[cnnn\]"),
             ("[DEFAULT]\nepochs = 1\n", r"unknown experiment config section \[DEFAULT\]"),
             ("[DEFAULT]\nepochs = 1\n[cnn]\n", r"unknown experiment config section \[DEFAULT\]"),
@@ -257,6 +258,8 @@ class TestConfigRoundTrip:
             "cnn-key",
             "experiment-key",
             "penalty-key",
+            "cnn-seed-key",
+            "augment-seed-key",
             "section",
             "default-alone",
             "default-with-a-section-that-has-the-key",
@@ -291,6 +294,16 @@ class TestConfigRoundTrip:
         with pytest.raises(EvalError, match="rng_seed must be >= 0"):
             ExperimentConfig(rng_seed=-3)
 
+    @pytest.mark.parametrize(
+        "nested", [{"cnn": CnnConfig(rng_seed=5)}, {"augment": AugmentConfig(rng_seed=5)}],
+        ids=["cnn", "augment"],
+    )
+    def test_nested_seed_rejected(self, nested):
+        # run_experiment would overwrite it with each fold's seed.
+        name = next(iter(nested))
+        with pytest.raises(EvalError, match=rf"^{name}\.rng_seed must be 0, got 5"):
+            ExperimentConfig(**nested)
+
 
 def every_section_changed() -> ExperimentConfig:
     return ExperimentConfig(
@@ -303,7 +316,6 @@ def every_section_changed() -> ExperimentConfig:
             score_tolerance=0.25,
             max_variants_per_sample=2,
             include_flips=False,
-            rng_seed=5,
             antonyms={"more": "less", "less": "more", "better": "worse"},
             comparatives=frozenset({"better", "more", "less", "fancier"}),
         ),
@@ -324,7 +336,6 @@ def every_section_changed() -> ExperimentConfig:
             learning_rate=0.125,
             epochs=7,
             batch_size=16,
-            rng_seed=11,
             sequence_length=24,
             embedding_dim=12,
             finetune_embeddings=False,
@@ -343,13 +354,13 @@ class TestConfigTextGolden:
             "[experiment]\nk = 5\nrebalance = true\nvariant = cnn\nrng_seed = 0\n"
             "vocab_size = 5000\n\n"
             "[augment]\nscore_tolerance = 0.1\nmax_variants_per_sample = 4\n"
-            "include_flips = true\nrng_seed = 0\n"
+            "include_flips = true\n"
             "antonyms = better:worse worse:better\ncomparatives = auto\n\n"
             "[learning]\nmax_outer_iterations = 20\nlam = 0.1\n"
             "epsilon_margin = 1e-06\nsolver_tol = 1e-08\nsolver_max_iter = 10000\n\n"
             "[cnn]\nwindow = 3\nfilter_count = 16\npool_window = 2\n"
             "pooling = chunked\nactivation = relu\ndropout_rate = 0.5\n"
-            "learning_rate = 0.05\nepochs = 5\nbatch_size = 32\nrng_seed = 0\n"
+            "learning_rate = 0.05\nepochs = 5\nbatch_size = 32\n"
             "sequence_length = 32\nembedding_dim = 32\nfinetune_embeddings = true\n\n"
             "[penalty]\npositive = 1.0 4.0 3.0\nnegative = 4.0 1.0 3.0\n"
             "neutral = 2.0 2.0 1.0\n\n"
@@ -360,14 +371,14 @@ class TestConfigTextGolden:
             "[experiment]\nk = 7\nrebalance = false\nvariant = cnn-total\n"
             "rng_seed = 99\nvocab_size = 1234\n\n"
             "[augment]\nscore_tolerance = 0.25\nmax_variants_per_sample = 2\n"
-            "include_flips = false\nrng_seed = 5\n"
+            "include_flips = false\n"
             "antonyms = better:worse less:more more:less\n"
             "comparatives = better fancier less more\n\n"
             "[learning]\nmax_outer_iterations = 9\nlam = 0.75\n"
             "epsilon_margin = 0.001\nsolver_tol = 1e-10\nsolver_max_iter = 500\n\n"
             "[cnn]\nwindow = 4\nfilter_count = 6\npool_window = 3\n"
             "pooling = max_over_time\nactivation = tanh\ndropout_rate = 0.25\n"
-            "learning_rate = 0.125\nepochs = 7\nbatch_size = 16\nrng_seed = 11\n"
+            "learning_rate = 0.125\nepochs = 7\nbatch_size = 16\n"
             "sequence_length = 24\nembedding_dim = 12\nfinetune_embeddings = false\n\n"
             "[penalty]\npositive = 1.0 2.5 2.0\nnegative = 2.0 1.0 2.0\n"
             "neutral = 3.0 3.0 1.0\n\n"

@@ -11,6 +11,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from digests import table_changes
+
 HERE = Path(__file__).resolve().parent
 
 
@@ -36,3 +38,19 @@ def test_output_digests(tmp_path):
         if expected.get(name) != got.get(name)
     ]
     assert not differ, "outputs differ from the digest table:\n" + "\n".join(differ)
+
+
+def test_table_changes_lists_changed_added_and_removed_keys_in_order():
+    old = {"numpy": "2.0", "blas_threads": 1, "outputs": {"b: x": "1", "a: y": "2", "c: z": "3"}}
+    new = {"numpy": "2.1", "blas_threads": 1, "outputs": {"a: y": "2", "c: z": "4", "d: w": "5"}}
+    assert table_changes(old, new) == [
+        "removed b: x: 1",
+        "changed c: z: 3 -> 4",
+        "added d: w: 5",
+        "changed numpy: 2.0 -> 2.1",
+    ]
+    assert table_changes(new, new) == []
+    assert table_changes({}, {"blas_threads": 1, "outputs": {"a: y": "2"}}) == [
+        "added a: y: 2",
+        "added blas_threads: 1",
+    ]

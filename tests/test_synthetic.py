@@ -119,6 +119,12 @@ class TestCoverage:
         with pytest.raises(GeneratorError):
             generate_corpus(small_config(size=12, word_count=20, min_occurrences=5))
 
+    def test_coverage_within_size_still_checks_class_quotas(self):
+        # 3 * 20 = 60 mentions fit the size, but not the 0.3 positive quota of 18.
+        config = small_config(size=60, word_count=20, min_occurrences=3)
+        with pytest.raises(GeneratorError, match="coverage needs 30 positive mentions"):
+            generate_corpus(config)
+
 
 class TestLabels:
     def test_labels_match_score_sign_without_noise(self):
@@ -229,6 +235,9 @@ class TestValidation:
             {"adverb_rate": 7.0},
             {"adverb_rate": -1.0},
             {"adverb_rate": math.nan},
+            {"min_occurrences": 9},  # 9 coverage mentions for each of 6 words exceed size 50
+            {"word_count": 51},
+            {"adverb_count": 26},
         ],
     )
     def test_bad_configs_rejected(self, overrides):

@@ -291,8 +291,7 @@ def _cmd_learn_scores(args: argparse.Namespace) -> int:
         raise ValueError(f"{args.mentions}: no sentiment word occurrences")
     trace = train_iterative(mentions, seed_lexicon, _config(LearningConfig, args))
     save_lexicon(trace.lexicon, args.out)
-    trace_path = args.trace or f"{args.out}.trace"
-    with open(trace_path, "w", encoding="utf-8") as fh:
+    with open(args.trace, "w", encoding="utf-8") as fh:
         fh.write("# iteration\tadverb_objective\tword_objective\n")
         for line in trace.trace_lines():
             fh.write(line + "\n")
@@ -391,11 +390,19 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        # Output paths are checked before any work, so a bad one costs no run.
+        # Before any work: each output is a file in an existing directory, no two the same.
+        if args.command == "learn-scores":
+            args.trace = args.trace or f"{args.out}.trace"
+        claimed = {}
         for flag in ("--out", "--trace", "--lexicon-out"):
             path = getattr(args, flag[2:].replace("-", "_"), None)
-            if path and (os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or ".")):
+            if not path:
+                continue
+            if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
                 raise ValueError(f"{flag} {path}: not a file in an existing directory")
+            first = claimed.setdefault(os.path.realpath(path), flag)
+            if first != flag:
+                raise ValueError(f"{first} and {flag} name one file: {path}")
         return _COMMANDS[args.command](args)
     except TrainingDiverged as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -144,34 +144,16 @@ def init_model(vocab_size: int, config: CnnConfig) -> CnnModel:
     return model
 
 
-@dataclass
-class ForwardCache:
-    """Intermediates retained by the forward pass for backpropagation.
-
-    ``windows`` and ``pre`` are views into the workspace the forward
-    pass wrote into, so a cache stays valid only until the next
-    ``forward`` call with that workspace.
-    """
-
-    indices: np.ndarray  # (B, N) token indices
-    windows: np.ndarray  # (B * P, d * K) im2col rows of the input
-    pre: np.ndarray  # (B, P, f) pre-activation features
-    pool_rows: np.ndarray  # (B, q, f) row index feeding each pooled value
-    pooled: np.ndarray  # (B, q * f) pooled vectors before dropout
-    mask: np.ndarray | None  # dropout keep mask, None when inactive
-    kept: np.ndarray  # (B, q * f) dense-layer input
-    workspace: _Workspace
-
-
 class _Workspace:
-    """The intermediates of a forward and backward pass that hold a row
-    per sequence position, for up to ``rows`` sequences.
+    """The state of a forward and backward pass over up to ``rows`` sequences.
 
-    A batch of B <= ``rows`` sequences uses leading slices, so repeated
-    steps reuse the same memory instead of allocating and freeing it.
-    The feature column's zero and -inf pad rows are written once here.
-    The pooled-size arrays, a row per pooled cell, are small enough to
-    make per call.
+    The arrays with a row per sequence position are made once; a batch
+    of B <= ``rows`` sequences uses their leading slices, so repeated
+    steps reuse the memory. The feature column's zero and -inf pad rows
+    are written once here. ``forward`` also leaves the batch's
+    ``indices``, ``pool_rows``, ``pooled``, dropout ``mask`` (None when
+    inactive) and dense-layer input ``kept`` here. What a ``forward``
+    leaves here stays valid until the next ``forward``.
     """
 
     def __init__(self, config: CnnConfig, width: int, rows: int) -> None:
@@ -225,8 +207,8 @@ def forward(
     rng: np.random.Generator | None = None,
     *,
     workspace: _Workspace | None = None,
-) -> tuple[np.ndarray, ForwardCache]:
-    """Logits (B, 3) for B sequences of N token indices, plus the backward cache.
+) -> tuple[np.ndarray, _Workspace]:
+    """Logits (B, 3) for B sequences of N token indices, and the workspace.
 
     Convolution covers the P = N - d + 1 valid window positions of every
     embedded sequence as one ``(B*P, d*K) @ (d*K, f)`` product. The
@@ -235,9 +217,8 @@ def forward(
     uses inverted scaling and only fires, drawing from ``rng``, when
     ``dropout_active`` and the configured rate is nonzero; its one
     ``(B, q*f)`` draw takes the same numbers as B draws of ``q*f``.
-    Intermediates are written into ``workspace``, made for this config
-    and at least B rows; without one, a fresh workspace is made. The
-    returned cache is valid until the next call with the same workspace.
+    Intermediates go into ``workspace`` (made for this config and at least B
+    rows; a fresh one when None), which is returned for :func:`backward`.
     """
     indices = np.asarray(indices)
     n, (vocab_rows, k) = config.sequence_length, model.embedding.shape
@@ -261,56 +242,56 @@ def forward(
         np.maximum(pre, 0.0, out=active)
     else:
         np.tanh(pre, out=active)
-    pool_rows, pooled = _pool(ws.column[:b], ws.span)
+    ws.indices = indices
+    ws.pool_rows, ws.pooled = _pool(ws.column[:b], ws.span)
 
-    mask = None
-    kept = pooled
+    ws.mask, ws.kept = None, ws.pooled
     if dropout_active and config.dropout_rate > 0.0:
-        mask = rng.random(pooled.shape) >= config.dropout_rate
-        kept = pooled * mask / (1.0 - config.dropout_rate)
+        ws.mask = rng.random(ws.pooled.shape) >= config.dropout_rate
+        ws.kept = ws.pooled * ws.mask / (1.0 - config.dropout_rate)
 
-    logits = kept @ model.dense_w + model.dense_b
-    return logits, ForwardCache(indices, windows, pre, pool_rows, pooled, mask, kept, ws)
+    return ws.kept @ model.dense_w + model.dense_b, ws
 
 
 def backward(
     model: CnnModel,
     config: CnnConfig,
-    cache: ForwardCache,
+    workspace: _Workspace,
     dlogits: np.ndarray,
 ) -> CnnModel:
     """Gradients of every parameter tensor, summed over the batch, as a :class:`CnnModel`.
 
-    Backpropagates a (B, 3) logit gradient through the cached forward
-    pass. Pooling routes each pooled gradient to the row that won the
-    max; a pooled cell has one winner and chunks do not overlap, so no
-    two cells write the same row. Zero-padded rows carry no parameters,
-    so gradient landing there is dropped with them. Each embedding row
-    sums the gradient of every position that indexes it, PAD included.
+    Backpropagates a (B, 3) logit gradient through the last forward pass
+    that wrote ``workspace``. Pooling routes each pooled gradient to the
+    row that won the max; a pooled cell has one winner and chunks do not
+    overlap, so no two cells write the same row. Zero-padded rows carry
+    no parameters, so gradient landing there is dropped with them. Each
+    embedding row sums the gradient of every position that indexes it,
+    PAD included.
     """
-    ws = cache.workspace
-    b, positions, _ = cache.pre.shape
-    d_dense_w = cache.kept.T @ dlogits
+    ws = workspace
+    b, positions = len(ws.indices), ws.pre.shape[1]
+    d_dense_w = ws.kept.T @ dlogits
     d_dense_b = dlogits.sum(axis=0)
     d_pooled = dlogits @ model.dense_w.T
-    if cache.mask is not None:
-        d_pooled = d_pooled * cache.mask / (1.0 - config.dropout_rate)
+    if ws.mask is not None:
+        d_pooled = d_pooled * ws.mask / (1.0 - config.dropout_rate)
 
     d_column = ws.d_column[:b]
     d_column.fill(0.0)
     # Flat index of each pooled cell's winning (sequence, row, filter).
     height, f = d_column.shape[1:]
-    winners = cache.pool_rows * f + (np.arange(b) * (height * f))[:, None, None] + np.arange(f)
+    winners = ws.pool_rows * f + (np.arange(b) * (height * f))[:, None, None] + np.arange(f)
     d_column.reshape(-1)[winners] = d_pooled.reshape(winners.shape)
     slope = ws.slope[:b]
     if config.activation == "relu":
-        np.greater(cache.pre, 0.0, out=slope)
+        np.greater(ws.pre[:b], 0.0, out=slope)
     else:  # 1 - tanh², from the activations the forward pass kept
         np.square(ws.column[:b, :positions], out=slope)
         np.subtract(1.0, slope, out=slope)
     d_pre = ws.d_pre[: b * positions]
     np.multiply(d_column[:, :positions], slope, out=d_pre.reshape(slope.shape))
-    d_filters = (d_pre.T @ cache.windows).reshape(model.filters.shape)
+    d_filters = (d_pre.T @ ws.windows[: b * positions]).reshape(model.filters.shape)
     d_filter_bias = d_pre.sum(axis=0)
 
     rows, k = model.embedding.shape
@@ -322,7 +303,7 @@ def backward(
     # A scatter-add over (row, column) cells: bincount adds in the
     # same order as np.add.at, several times faster.
     cells = ws.cells[:b]
-    np.add(cache.indices[..., None] * k, np.arange(k), out=cells)
+    np.add(ws.indices[..., None] * k, np.arange(k), out=cells)
     d_embedding = np.bincount(cells.reshape(-1), d_embedded.reshape(-1), rows * k).reshape(rows, k)
     return CnnModel(d_embedding, d_filters, d_filter_bias, d_dense_w, d_dense_b)
 
@@ -356,7 +337,7 @@ def train_step(
     if labels.min() < 0 or labels.max() >= len(LABELS):
         raise CnnError(f"label indices must lie in [0, {len(LABELS)})")
     with np.errstate(over="ignore", invalid="ignore"):
-        logits, cache = forward(
+        logits, workspace = forward(
             model, indices, config, dropout_active=True, rng=rng, workspace=workspace
         )
         if not np.all(np.isfinite(logits)):
@@ -365,7 +346,7 @@ def train_step(
         mean_loss = float(losses.sum()) / count
     if not np.isfinite(mean_loss):
         raise TrainingDiverged(f"non-finite training loss: {mean_loss}")
-    grads = backward(model, config, cache, dlogits)
+    grads = backward(model, config, workspace, dlogits)
     grads.embedding[PAD_INDEX] = 0.0
     lr = config.learning_rate
     updated = {

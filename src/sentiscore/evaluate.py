@@ -384,6 +384,8 @@ def run_experiment(
         raise EvalError(f"variant {config.variant} requires a seed lexicon")
     labels = [r.label for r in records]
     assignment = np.array(kfold_split(labels, config.k, config.rng_seed))
+    if empty := np.flatnonzero(np.bincount(assignment, minlength=config.k) == 0).tolist():
+        raise EvalError(f"k={config.k} leaves fold(s) {empty} without a test example")
     expected = np.array([LABEL_INDEX[label] for label in labels])
     if learns:  # each mention has masked and tokenized its record
         mentions = prepare_mentions(records, seed_lexicon)

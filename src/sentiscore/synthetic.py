@@ -108,6 +108,15 @@ class CorpusConfig:
                 f"size must be >= min_occurrences * max(word_count, adverb_count) = "
                 f"{self.min_occurrences} * {terms}, got {self.size}"
             )
+        # Each sign's words take their coverage inside that sign's quota (a
+        # bound: generate_corpus checks the count with modifier top-ups).
+        half, quotas = self.word_count // 2, _quotas(self)
+        for label, words in ((POSITIVE, self.word_count - half), (NEGATIVE, half)):
+            if self.min_occurrences * words > quotas[label]:
+                raise GeneratorError(
+                    f"min_occurrences * {label} words = {self.min_occurrences} * {words} exceeds "
+                    f"the {quotas[label]} {label} mentions the class mix allows"
+                )
 
 
 def make_true_lexicon(word_count: int, adverb_count: int, rng: np.random.Generator) -> Lexicon:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import io
 import re
+import traceback
 import warnings
 
 import pytest
@@ -945,9 +946,72 @@ class TestParserBehavior:
             assert args.vocab_size == ExperimentConfig().vocab_size
 
 
+class TestFlagBoundarySweep:
+    """Every config flag given a boundary or malformed value exits 0, 1 or
+    2 without a traceback or a warning; on exit 1 it names the flag and
+    writes nothing."""
+
+    VALUES = ("0", "-1", "nan", "inf", "1e300", "", "abc")
+
+    def test_every_config_flag_exits_cleanly(self, tmp_path, capsys):
+        corpus, truth_path = gen_corpus(tmp_path, size=60)
+        seed_path = write_seed_lexicon(tmp_path, truth_path)
+        train = ["train", "--corpus", str(corpus), "--epochs", "1"]
+        commands = [
+            (cli._LEARN_FLAGS, LearningConfig(),
+             ["learn-scores", "--mentions", str(corpus), "--lexicon", str(seed_path)],
+             ("--out", "--trace")),
+            (cli._AUGMENT_FLAGS, AugmentConfig(),
+             ["augment", "--corpus", str(corpus), "--lexicon", str(truth_path)], ("--out",)),
+            (cli._TRAIN_FLAGS, CnnConfig(), train, ("--out",)),
+            (cli._VOCAB_FLAGS, ExperimentConfig(), train, ("--out",)),
+            (cli._CORPUS_FLAGS, CorpusConfig(),
+             ["gen-corpus", "--size", "60", "--words", "6", "--adverbs", "2"],
+             ("--out", "--lexicon-out")),
+        ]
+        faults, runs = [], 0
+        for table, defaults, base, outputs in commands:
+            for name, (flag, _, *overrides) in table.items():
+                if (isinstance(getattr(defaults, name), bool) or flag == "--mix"
+                        or any("choices" in spec for spec in overrides)):
+                    continue
+                for value in self.VALUES:
+                    runs += 1
+                    out_dir = tmp_path / f"run{runs}"
+                    out_dir.mkdir()
+                    argv = [*base, flag, value]
+                    for output in outputs:
+                        argv += [output, str(out_dir / output[2:])]
+                    with warnings.catch_warnings(record=True) as caught:
+                        warnings.simplefilter("always")
+                        try:
+                            code = main(argv)
+                        except SystemExit as exc:
+                            code = exc.code
+                        except Exception:  # reported below with its traceback
+                            code = traceback.format_exc()
+                    err = capsys.readouterr().err
+                    if (code not in (0, 1, 2) or caught or "Traceback" in err or "Warning" in err
+                            or code == 1 and (not err.startswith(f"error: {flag}: ")
+                                              or any(out_dir.iterdir()))):
+                        faults.append((flag, value, code, [str(w.message) for w in caught], err))
+        assert runs > 0
+        assert faults == []
+
+
 class TestOutputPaths:
     """A command whose output cannot be created exits 1 before it loads
     anything, naming the flag and the path."""
+
+    @pytest.fixture
+    def no_work(self, tmp_path, monkeypatch):
+        """Run in ``tmp_path`` with every loader and the generator failing."""
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the command started its work")
+
+        for name in ("load_mention_records", "load_lexicon", "generate_corpus"):
+            monkeypatch.setattr(f"sentiscore.cli.{name}", forbidden)
+        monkeypatch.chdir(tmp_path)
 
     @pytest.mark.parametrize(
         "command, flag, inputs",
@@ -961,20 +1025,42 @@ class TestOutputPaths:
         ],
     )
     def test_missing_directory_exits_1_before_loading(
-        self, tmp_path, capsys, monkeypatch, command, flag, inputs
+        self, tmp_path, capsys, no_work, command, flag, inputs
     ):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("the command started its work")
-
-        for name in ("load_mention_records", "load_lexicon", "generate_corpus"):
-            monkeypatch.setattr(f"sentiscore.cli.{name}", forbidden)
-        monkeypatch.chdir(tmp_path)
         path = str(tmp_path / "missing" / "output")
         assert main([command, *inputs, flag, path]) == 1
         assert capsys.readouterr().err == (
             f"error: {flag} {path}: not a file in an existing directory\n"
         )
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "command, inputs, flags",
+        [
+            ("learn-scores", ["--mentions", "m.tsv", "--lexicon", "l.lex"], ("--out", "--trace")),
+            ("gen-corpus", [], ("--out", "--lexicon-out")),
+        ],
+    )
+    def test_two_flags_naming_one_file_exit_1_before_loading(
+        self, tmp_path, capsys, no_work, command, inputs, flags
+    ):
+        (tmp_path / "sub").mkdir()
+        first, second = flags
+        assert main([command, *inputs, first, "out", second, "sub/../out"]) == 1
+        assert capsys.readouterr().err == f"error: {first} and {second} name one file: sub/../out\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["sub"]
+
+    def test_default_trace_path_is_checked_before_learning(self, tmp_path, capsys):
+        corpus, truth_path = gen_corpus(tmp_path)
+        seed_path = write_seed_lexicon(tmp_path, truth_path)
+        out = tmp_path / "learned.lexicon"
+        (tmp_path / "learned.lexicon.trace").mkdir()
+        code = main(["learn-scores", "--mentions", str(corpus), "--lexicon", str(seed_path),
+                     "--out", str(out)])
+        assert (code, capsys.readouterr().err) == (
+            1, f"error: --trace {out}.trace: not a file in an existing directory\n"
+        )
+        assert not out.exists()
 
     def test_directory_as_output_exits_1(self, tmp_path, capsys):
         corpus, _ = gen_corpus(tmp_path, size=40, words=6)

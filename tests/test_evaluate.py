@@ -511,6 +511,15 @@ class TestRunExperiment:
         with pytest.raises(EvalError):
             run_experiment(tiny_experiment(), records)
 
+    def test_empty_test_fold_rejected_before_any_fold_trains(self, monkeypatch):
+        records = labeled_records({POSITIVE: 1, NEUTRAL: 2})
+        assert kfold_split([r.label for r in records], 3, 0) == [0, 2, 0]
+        trained = []
+        monkeypatch.setattr(evaluate, "train_classifier", lambda *args: trained.append(args))
+        with pytest.raises(EvalError, match=r"^k=3 leaves fold\(s\) \[1\] without a test example"):
+            run_experiment(tiny_experiment(), records)
+        assert trained == []
+
     def test_vocab_size_follows_the_build_vocab_rule(self):
         records, _ = tiny_corpus()
         assert len(run_experiment(tiny_experiment(vocab_size=2), records).folds) == 3

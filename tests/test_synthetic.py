@@ -120,9 +120,18 @@ class TestCoverage:
             generate_corpus(small_config(size=12, word_count=20, min_occurrences=5))
 
     def test_coverage_within_size_still_checks_class_quotas(self):
-        # 3 * 20 = 60 mentions fit the size, but not the 0.3 positive quota of 18.
-        config = small_config(size=60, word_count=20, min_occurrences=3)
-        with pytest.raises(GeneratorError, match="coverage needs 30 positive mentions"):
+        # 3 * 20 = 60 mentions fit the size, but the 10 positive words'
+        # 3 * 10 do not fit the 0.3 positive quota of 18.
+        with pytest.raises(GeneratorError, match=r"^min_occurrences \* positive words = 3 \* 10 "
+                           "exceeds the 18 positive mentions"):
+            small_config(size=60, word_count=20, min_occurrences=3)
+
+    def test_modifier_top_ups_are_checked_against_class_quotas(self):
+        # The one positive word's 3 mentions fit the quota of 3, but two
+        # modifier top-ups against it make 5.
+        config = small_config(size=10, word_count=2, adverb_count=2, min_occurrences=3)
+        with pytest.raises(GeneratorError, match="coverage needs 5 positive mentions but the "
+                           "class mix allows 3"):
             generate_corpus(config)
 
 

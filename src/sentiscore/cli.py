@@ -390,10 +390,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        # Before any work: each output is a file in an existing directory, no two the same.
+        # Before any work: each output is a file in an existing directory,
+        # naming neither another output nor an input.
         if args.command == "learn-scores":
             args.trace = args.trace or f"{args.out}.trace"
-        claimed = {}
+        claimed = {
+            os.path.realpath(path): flag
+            for flag in ("--mentions", "--lexicon", "--corpus", "--config", "--checkpoint", "--input")
+            if (path := getattr(args, flag[2:], None))
+        }
         for flag in ("--out", "--trace", "--lexicon-out"):
             path = getattr(args, flag[2:].replace("-", "_"), None)
             if not path:

@@ -151,9 +151,8 @@ class _Workspace:
     of B <= ``rows`` sequences uses their leading slices, so repeated
     steps reuse the memory. The feature column's zero and -inf pad rows
     are written once here. ``forward`` also leaves the batch's
-    ``indices``, ``pool_rows``, ``pooled``, dropout ``mask`` (None when
-    inactive) and dense-layer input ``kept`` here. What a ``forward``
-    leaves here stays valid until the next ``forward``.
+    ``indices``, ``pooled`` maxima, dropout ``mask`` (None when inactive)
+    and dense input ``kept`` here, valid until the next ``forward``.
     """
 
     def __init__(self, config: CnnConfig, width: int, rows: int) -> None:
@@ -174,29 +173,33 @@ class _Workspace:
         self.cells = np.empty(self.embedded.shape, dtype=np.intp)
 
 
-def _pool(column: np.ndarray, span: int) -> tuple[np.ndarray, np.ndarray]:
-    """The winning row and the max of every chunk of ``span`` rows of the
-    (B, q * span, f) feature columns, as (B, q, f) rows and (B, q * f) maxima.
-
-    A running max over the chunk rows that picks the row ``argmax``
-    would: the first maximum, or the first NaN, so a NaN feature reaches
-    the logits and a diverging step is caught there. It beats ``argmax``
-    over short chunks, but not at max-over-time's one chunk of N rows.
-    """
+def _pool(column: np.ndarray, span: int) -> np.ndarray:
+    """The (B, q * f) maxima of the ``span``-row chunks of (B, q * span, f)
+    feature columns, by a running ``np.maximum``. It keeps a NaN, so a
+    NaN feature reaches the logits and a diverging step is caught there."""
     b, _, f = column.shape
-    slices = column.reshape(b, -1, span, f)
-    best = slices[:, :, 0].copy()
-    rows = np.zeros(best.shape, dtype=np.intp)
-    better = np.empty(best.shape, dtype=bool)
+    chunks = column.reshape(b, -1, span, f)
+    best = chunks[:, :, 0].copy()
     for s in range(1, span):
-        # Row s wins unless it is <= the best so far or the best is NaN.
-        np.less_equal(slices[:, :, s], best, out=better)
-        better |= np.isnan(best)
-        np.logical_not(better, out=better)
-        np.copyto(best, slices[:, :, s], where=better)
-        np.copyto(rows, s, where=better)
-    rows += span * np.arange(rows.shape[1])[:, None]
-    return rows, best.reshape(b, -1)
+        np.maximum(best, chunks[:, :, s], out=best)
+    return best.reshape(b, -1)
+
+
+def _unpool(column: np.ndarray, span: int, pooled: np.ndarray, d_pooled: np.ndarray,
+            out: np.ndarray) -> None:
+    """Write each pooled gradient into ``out`` (shaped like ``column``) at
+    the first row of its chunk that holds the max, the row ``argmax``
+    picks, and zeros elsewhere. The column must be finite, as every one
+    that reaches :func:`backward` is: :func:`train_step` raises on
+    non-finite logits first."""
+    b, _, f = column.shape
+    chunks, d_chunks = column.reshape(b, -1, span, f), out.reshape(b, -1, span, f)
+    pooled, left = pooled.reshape(b, -1, f), d_pooled.reshape(b, -1, f)
+    for s in range(span - 1):
+        won = chunks[:, :, s] == pooled
+        d_chunks[:, :, s] = np.where(won, left, 0.0)
+        left = np.where(won, 0.0, left)
+    d_chunks[:, :, span - 1] = left
 
 
 def forward(
@@ -243,7 +246,7 @@ def forward(
     else:
         np.tanh(pre, out=active)
     ws.indices = indices
-    ws.pool_rows, ws.pooled = _pool(ws.column[:b], ws.span)
+    ws.pooled = _pool(ws.column[:b], ws.span)
 
     ws.mask, ws.kept = None, ws.pooled
     if dropout_active and config.dropout_rate > 0.0:
@@ -263,11 +266,10 @@ def backward(
 
     Backpropagates a (B, 3) logit gradient through the last forward pass
     that wrote ``workspace``. Pooling routes each pooled gradient to the
-    row that won the max; a pooled cell has one winner and chunks do not
-    overlap, so no two cells write the same row. Zero-padded rows carry
-    no parameters, so gradient landing there is dropped with them. Each
-    embedding row sums the gradient of every position that indexes it,
-    PAD included.
+    first row of its chunk that holds the max (see :func:`_unpool`).
+    Zero-padded rows carry no parameters, so gradient landing there is
+    dropped with them. Each embedding row sums the gradient of every
+    position that indexes it, PAD included.
     """
     ws = workspace
     b, positions = len(ws.indices), ws.pre.shape[1]
@@ -277,12 +279,7 @@ def backward(
     if ws.mask is not None:
         d_pooled = d_pooled * ws.mask / (1.0 - config.dropout_rate)
 
-    d_column = ws.d_column[:b]
-    d_column.fill(0.0)
-    # Flat index of each pooled cell's winning (sequence, row, filter).
-    height, f = d_column.shape[1:]
-    winners = ws.pool_rows * f + (np.arange(b) * (height * f))[:, None, None] + np.arange(f)
-    d_column.reshape(-1)[winners] = d_pooled.reshape(winners.shape)
+    _unpool(ws.column[:b], ws.span, ws.pooled, d_pooled, ws.d_column[:b])
     slope = ws.slope[:b]
     if config.activation == "relu":
         np.greater(ws.pre[:b], 0.0, out=slope)
@@ -290,7 +287,7 @@ def backward(
         np.square(ws.column[:b, :positions], out=slope)
         np.subtract(1.0, slope, out=slope)
     d_pre = ws.d_pre[: b * positions]
-    np.multiply(d_column[:, :positions], slope, out=d_pre.reshape(slope.shape))
+    np.multiply(ws.d_column[:b, :positions], slope, out=d_pre.reshape(slope.shape))
     d_filters = (d_pre.T @ ws.windows[: b * positions]).reshape(model.filters.shape)
     d_filter_bias = d_pre.sum(axis=0)
 
@@ -423,23 +420,22 @@ def predict(
     and runs one forward pass per chunk, all in one workspace sized by
     the first chunk, so an empty input allocates none. A lazy iterable
     is read one chunk at a time, and only that chunk's token indices
-    and intermediates are live; but the labels and probability rows of
-    every sequence are kept and returned, so memory still grows with
-    the input. Argmax ties resolve to the lowest label index (positive,
-    then negative, then neutral).
+    and intermediates are live; but the logits of every sequence are
+    kept, so memory still grows with the input. One softmax and one
+    argmax run over all rows at the end; both work row by row. Argmax
+    ties resolve to the lowest label index (positive, then negative,
+    then neutral).
     """
-    labels: list[str] = []
-    rows = [np.empty((0, len(LABELS)))]
+    logits = [np.empty((0, len(LABELS)))]
     sequences = iter(token_lists)
     workspace = None
     while chunk := list(islice(sequences, config.batch_size)):
         indices = encode(chunk, vocab, config.sequence_length)
         if workspace is None:
             workspace = _Workspace(config, model.embedding.shape[1], len(indices))
-        logits, _ = forward(model, indices, config, workspace=workspace)
-        rows.append(softmax(logits))
-        labels += [LABELS[i] for i in rows[-1].argmax(axis=1)]
-    return labels, np.concatenate(rows)
+        logits.append(forward(model, indices, config, workspace=workspace)[0])
+    probs = softmax(np.concatenate(logits))
+    return [LABELS[i] for i in probs.argmax(axis=1)], probs
 
 
 # ----------------------------------------------------------------------

@@ -44,8 +44,8 @@ class LearningConfig:
             raise LearnerError("max_outer_iterations must be >= 1")
         if not 0 <= self.lam < np.inf:
             raise LearnerError("lam must be finite and >= 0")
-        if not 0 < self.epsilon_margin < np.inf:
-            raise LearnerError("epsilon_margin must be finite and > 0")
+        if not 0 < self.epsilon_margin <= 1:  # it only relaxes a strict sign bound
+            raise LearnerError("epsilon_margin must be in (0, 1]")
         if not 0 < self.solver_tol < np.inf:
             raise LearnerError("solver_tol must be finite and > 0")
         if self.solver_max_iter < 1:

@@ -79,7 +79,7 @@ def mask_target(text: str, entity: str) -> str:
         raise LexiconError("entity must hold a non-space character")
     pattern = _entity_pattern(entity)
     segments = text.split(TARGET_TOKEN)
-    return TARGET_TOKEN.join(pattern.sub(TARGET_TOKEN, seg) for seg in segments)
+    return TARGET_TOKEN.join([pattern.sub(TARGET_TOKEN, seg) for seg in segments])
 
 
 @functools.lru_cache

@@ -59,5 +59,6 @@ def encode(token_lists: Iterable[Sequence[str]], vocab: Vocab, length: int) -> n
     rows = [tokens[:length] for tokens in token_lists]
     out = np.full((len(rows), length), PAD_INDEX, dtype=np.int64)
     filled = np.arange(length) < np.array([len(row) for row in rows], dtype=np.intp)[:, None]
-    out[filled] = [vocab.lookup(token) for row in rows for token in row]
+    index = vocab._index.get
+    out[filled] = [index(token, UNK_INDEX) for row in rows for token in row]
     return out

@@ -308,7 +308,7 @@ def test_8_invariant_spot_checks(capsys):
     model = init_model(9, config)
     indices = rng.integers(0, 9, size=(1, 7))
     _, cache = forward(model, indices, config)
-    if cache.pool_rows.shape != (1, 3, config.filter_count) or config.pooled_rows != 3:
+    if cache.pooled.shape != (1, 3 * config.filter_count) or config.pooled_rows != 3:
         failures.append("pooling shape chain")
 
     elapsed = time.perf_counter() - t0

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: pipelines, formats, exit codes."""
 from __future__ import annotations
 
+import configparser
 import io
 import re
 import traceback
@@ -999,6 +1000,46 @@ class TestFlagBoundarySweep:
         assert faults == []
 
 
+class TestConfigKeyBoundarySweep:
+    """Every key of an ``evaluate --config`` file given a boundary or
+    malformed value exits 0, 1 or 2 without a traceback or a warning; on
+    exit 1 it names the config file and writes no report."""
+
+    def test_every_config_key_exits_cleanly(self, tmp_path, capsys):
+        corpus, truth_path = gen_corpus(tmp_path, size=60)
+        seed_path = write_seed_lexicon(tmp_path, truth_path)
+        base = ExperimentConfig(k=2, variant="cnn-total", cnn=CnnConfig(epochs=1))
+        ini = configparser.ConfigParser(interpolation=None)
+        ini.optionxform = str
+        ini.read_string(config_to_text(base))
+        faults, runs = [], 0
+        for section in ini.sections():
+            for key, default in ini[section].items():
+                for value in TestFlagBoundarySweep.VALUES:
+                    runs += 1
+                    config_path, out_dir = tmp_path / f"run{runs}.ini", tmp_path / f"run{runs}"
+                    out_dir.mkdir()
+                    ini[section][key] = value
+                    with open(config_path, "w", encoding="utf-8") as fh:
+                        ini.write(fh)
+                    ini[section][key] = default
+                    argv = ["evaluate", "--corpus", str(corpus), "--lexicon", str(seed_path),
+                            "--config", str(config_path), "--out", str(out_dir / "report")]
+                    with warnings.catch_warnings(record=True) as caught:
+                        warnings.simplefilter("always")
+                        try:
+                            code = main(argv)
+                        except Exception:  # reported below with its traceback
+                            code = traceback.format_exc()
+                    err = capsys.readouterr().err
+                    if (code not in (0, 1, 2) or caught or "Traceback" in err or "Warning" in err
+                            or code == 1 and (not err.startswith(f"error: {config_path}: ")
+                                              or any(out_dir.iterdir()))):
+                        faults.append((section, key, value, code, len(caught), err))
+        assert runs > 0
+        assert faults == []
+
+
 class TestOutputPaths:
     """A command whose output cannot be created exits 1 before it loads
     anything, naming the flag and the path."""
@@ -1066,6 +1107,24 @@ class TestOutputPaths:
         corpus, _ = gen_corpus(tmp_path, size=40, words=6)
         assert main(["train", "--corpus", str(corpus), "--out", str(tmp_path), *TRAIN_FLAGS]) == 1
         assert f"--out {tmp_path}: not a file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, inputs, flag",
+        [
+            ("augment", ["--corpus", "in", "--lexicon", "l.lex"], "--corpus"),
+            ("learn-scores", ["--mentions", "m.tsv", "--lexicon", "in"], "--lexicon"),
+            ("train", ["--corpus", "in"], "--corpus"),
+        ],
+    )
+    def test_output_naming_an_input_exits_1_before_loading(
+        self, tmp_path, capsys, no_work, command, inputs, flag
+    ):
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "in").write_text("input\n")
+        assert main([command, *inputs, "--out", "sub/../in"]) == 1
+        assert capsys.readouterr().err == f"error: {flag} and --out name one file: sub/../in\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in", "sub"]
+        assert (tmp_path / "in").read_text() == "input\n"
 
 
 class TestUndecodableInput:

@@ -111,7 +111,7 @@ class TestForward:
         assert logits.shape == (2, 3)
         assert cache.indices.shape == (2, config.sequence_length)
         assert cache.pre.shape == (2, config.sequence_length - config.window + 1, 3)
-        assert cache.pool_rows.shape == (2, 3, 3)
+        assert cache.pooled.shape == (2, 9)
         assert cache.kept.shape == (2, 9)
 
     def test_matches_loop_reference(self):
@@ -546,12 +546,21 @@ class TestWorkspace:
                              sequence_length=n)
         workspace = cnn._Workspace(config, 1, b + spare)
         workspace.column[:b, :positions] = np.maximum(np.reshape(pre, (b, positions, f)), 0.0)
-        pool_rows, pooled = cnn._pool(workspace.column[:b], workspace.span)
+        pooled = cnn._pool(workspace.column[:b], workspace.span)
+        rows = [_reference_pool(workspace.column[i, :n], pooling, span) for i in range(b)]
         for i in range(b):
-            column = workspace.column[i, :n]
-            rows = _reference_pool(column, pooling, span)
-            npt.assert_array_equal(pool_rows[i], rows)
-            npt.assert_array_equal(pooled[i], column[rows, np.arange(f)].reshape(-1))
+            npt.assert_array_equal(pooled[i], workspace.column[i, rows[i], np.arange(f)].reshape(-1))
+        if np.isnan(pre).any():
+            return
+        # Gradients land on the reference's winning rows and nowhere else;
+        # backward never sees a NaN column, so NaN draws stop above.
+        d_pooled = np.arange(1.0, pooled.size + 1).reshape(pooled.shape)
+        d_column = np.full_like(workspace.column[:b], np.nan)
+        cnn._unpool(workspace.column[:b], workspace.span, pooled, d_pooled, d_column)
+        expected = np.zeros_like(d_column)
+        for i in range(b):
+            expected[i, rows[i], np.arange(f)] = d_pooled[i].reshape(rows[i].shape)
+        npt.assert_array_equal(d_column, expected)
 
 
 class TestTrainClassifier:
@@ -611,6 +620,26 @@ class TestPredict:
         config = tiny_config()
         labels, probs = predict(init_model(8, config), [], Vocab((PAD, UNK)), config)
         assert labels == [] and probs.shape == (0, 3)
+
+    def test_chunk_contract(self):
+        # Labels and probability bytes are those of one softmax over the
+        # concatenated per-chunk forward logits, the last chunk short.
+        config = tiny_config(batch_size=4)
+        vocab = Vocab((PAD, UNK, "good", "fine", "bad", "poor"))
+        model = random_embedding(init_model(len(vocab), replace(config, rng_seed=7)), 13)
+        rng = default_rng(2)
+        texts = [list(rng.choice(["good", "fine", "bad", "poor", "odd"], size=rng.integers(0, 9)))
+                 for _ in range(2 * config.batch_size + 5)]
+        chunks = [texts[i : i + config.batch_size] for i in range(0, len(texts), config.batch_size)]
+        logits = [forward(model, encode(chunk, vocab, config.sequence_length), config)[0]
+                  for chunk in chunks]
+        expected = softmax(np.concatenate(logits))
+        for source in (texts, (text for text in texts)):
+            labels, probs = predict(model, source, vocab, config)
+            assert labels == [LABELS[i] for i in expected.argmax(axis=1)]
+            assert probs.tobytes() == expected.tobytes()
+        labels, probs = predict(model, iter([]), vocab, config)
+        assert (labels, probs.shape) == ([], (0, 3))
 
 
 class TestCheckpoint:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -74,74 +73,42 @@ class AugmentConfig:
         return frozenset(self.antonyms)
 
 
-class _PeerIndex:
-    """Every word's peers within ``delta``, counted per sign and named on demand.
+class _Peers:
+    """Every word's peers within ``delta``, as name ranks split by sign.
 
     Peers are compared by |score|; for a same-sign peer that is the
     score difference itself, rounding included, as ``a - s`` and
     ``s - a`` round to each other's negation. Words are sorted by
     |score| once; those rounded differences are monotone in ``a``, so two
     bisections bound the window of exactly the peers of a word with
-    ``|score| = s``. Each sign's words keep that order, so a window is a
-    range of each, and a range is sorted by name only when a sampled
-    variant needs one of its terms.
+    ``|score| = s``. A word's window is sorted by name and split by sign
+    the first time the word is seen.
     """
 
     def __init__(self, lexicon: Lexicon, delta: float) -> None:
         words = lexicon.words
-        by_magnitude = sorted(words, key=lambda term: abs(words[term]))
-        by_sign = {
-            sign: [term for term in by_magnitude if (words[term] > 0) == sign]
-            for sign in (False, True)
-        }
         self.lexicon, self.delta, self.names = lexicon, delta, sorted(words)
-        rank = self.rank = {term: i for i, term in enumerate(self.names)}
-        # Name ranks of each sign's words; int32 halves the sorted copies.
-        self.ranks = {
-            sign: np.array([rank[t] for t in terms], dtype=np.int32)
-            for sign, terms in by_sign.items()
-        }
-        self.slot = {term: slot for terms in by_sign.values() for slot, term in enumerate(terms)}
-        self.magnitudes = [abs(words[term]) for term in by_magnitude]
-        self.positives = list(accumulate((words[t] > 0 for t in by_magnitude), initial=0))
-        self.windows: dict[str, tuple[bool, range, range]] = {}
-        self.peers: dict[tuple[str, bool, str | None], tuple[np.ndarray, int]] = {}
+        self.rank = {term: i for i, term in enumerate(self.names)}
+        self.positive = np.array([words[term] > 0 for term in self.names])
+        # Name ranks in |score| order; int32 halves the cached windows.
+        order = sorted(range(len(self.names)), key=lambda i: abs(words[self.names[i]]))
+        self.magnitudes = [abs(words[self.names[i]]) for i in order]
+        self.by_magnitude = np.array(order, dtype=np.int32)
+        self.found: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
-    def window(self, word: str) -> tuple[bool, range, range]:
-        """``word``'s sign, and the slots of its peers of that sign (itself
-        among them) and of the other sign."""
-        found = self.windows.get(word)
+    def __call__(self, word: str) -> tuple[np.ndarray, np.ndarray]:
+        """The name ranks, in name order, of ``word``'s peers of its sign
+        (itself among them) and of the other sign."""
+        found = self.found.get(word)
         if found is None:
             score = self.lexicon.word_score(word)
             magnitude, magnitudes, delta = abs(score), self.magnitudes, self.delta
             lo = bisect_left(magnitudes, True, key=lambda a: not magnitude - a > delta)
             hi = bisect_left(magnitudes, True, lo=lo, key=lambda a: a - magnitude > delta)
-            positive = range(self.positives[lo], self.positives[hi])
-            negative = range(lo - positive.start, hi - positive.stop)
-            found = (True, positive, negative) if score > 0 else (False, negative, positive)
-            self.windows[word] = found
+            ranks = np.sort(self.by_magnitude[lo:hi])
+            same = self.positive[ranks] == (score > 0)
+            found = self.found[word] = (ranks[same], ranks[~same])
         return found
-
-    def opposes(self, word: str, term: str) -> bool:
-        """Whether ``term`` is an opposite-sign peer of ``word``."""
-        sign, _, other = self.window(word)
-        score = self.lexicon.words.get(term)
-        return score is not None and (score > 0) != sign and self.slot[term] in other
-
-    def term(self, key: tuple[str, bool, str | None], offset: int) -> str:
-        """The ``offset``-th by name of the peers of ``key = (word, flip,
-        skip)``: those of the word's sign, or with ``flip`` of the other
-        sign, with ``skip`` left out."""
-        found = self.peers.get(key)
-        if found is None:
-            word, flip, skip = key
-            sign, *windows = self.window(word)
-            slots = windows[flip]
-            ranks = np.sort(self.ranks[sign != flip][slots.start:slots.stop])
-            at = len(ranks) if skip is None else int(ranks.searchsorted(self.rank[skip]))
-            found = self.peers[key] = (ranks, at)
-        ranks, at = found
-        return self.names[ranks[offset + (offset >= at)]]
 
 
 class AugmentedSample(NamedTuple):
@@ -190,7 +157,7 @@ def augment_corpus(
     ``lexicon`` must hold the same words as the one the mentions were
     made with; a word it lacks raises ``LexiconError``.
     """
-    peers = _PeerIndex(lexicon, config.score_tolerance)
+    peers = _Peers(lexicon, config.score_tolerance)
     comparatives = config.comparative_terms()
     variants: list[AugmentedSample] = []
     for index, mention in enumerate(mentions):
@@ -203,7 +170,7 @@ def _variants(
     mention: Mention,
     config: AugmentConfig,
     comparatives: frozenset[str],
-    peers: _PeerIndex,
+    peers: _Peers,
     index: int,
 ) -> list[AugmentedSample]:
     tokens, antonyms = mention.tokens, config.antonyms
@@ -213,26 +180,23 @@ def _variants(
         unmapped = [idx for idx, antonym in swaps if antonym is None]
     flips = config.include_flips and mention.label != NEUTRAL
 
-    # (word index, (word, is_flip, peer left out)) blocks in canonical
-    # order, and the number of each block's first candidate.
-    blocks: list[tuple[int, tuple[str, bool, str | None]]] = []
+    # (word index, word, is_flip, ranks, rank left out) blocks, and each one's first number.
+    blocks: list[tuple[int, str, bool, np.ndarray, int]] = []
     starts = [0]
     full_swap_counted = False
     for _, word_idx in mention.pair_indices:
         word = tokens[word_idx]
-        _, same, opposite = peers.window(word)
-        blocks.append((word_idx, (word, False, word)))
+        same, opposite = peers(word)
+        blocks.append((word_idx, word, False, same, peers.rank[word]))
         starts.append(starts[-1] + len(same) - 1)
         if not flips or any(idx != word_idx for idx in unmapped):
             continue
         antonym = antonyms.get(word) if word in comparatives else None
-        skip = None
-        if antonym is not None and peers.opposes(word, antonym):
-            if full_swap_counted:
-                skip = antonym
-            full_swap_counted = True
-        blocks.append((word_idx, (word, True, skip)))
-        starts.append(starts[-1] + len(opposite) - (skip is not None))
+        full_swap = antonym in peers.rank and np.any(opposite == peers.rank[antonym])
+        skip = peers.rank[antonym] if full_swap and full_swap_counted else len(peers.names)
+        full_swap_counted |= full_swap
+        blocks.append((word_idx, word, True, opposite, skip))
+        starts.append(starts[-1] + len(opposite) - (skip < len(peers.names)))
 
     keep: Sequence[int] = range(starts[-1])
     if len(keep) > config.max_variants_per_sample:
@@ -243,9 +207,9 @@ def _variants(
     variants: list[AugmentedSample] = []
     for number in keep:
         block = bisect_right(starts, number) - 1
-        word_idx, key = blocks[block]
-        replacement = peers.term(key, number - starts[block])
-        word, is_flip, _ = key
+        word_idx, word, is_flip, ranks, skip = blocks[block]
+        offset = number - starts[block]
+        replacement = peers.names[ranks.item(offset + (ranks.item(offset) >= skip))]
         edits, label, note = ((word_idx, replacement),), mention.label, ""
         if is_flip:
             swapped = ((idx, new) for idx, new in swaps if idx != word_idx)

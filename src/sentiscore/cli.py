@@ -31,7 +31,7 @@ from sentiscore.cnn import (
 # Unused here, but perfbench/tests/test_perfbench.py checks that its tracer
 # rebinds this cross-module import of cnn.fit and restores it.
 from sentiscore.cnn import fit  # noqa: F401
-from sentiscore.learner import LearningConfig, train_iterative
+from sentiscore.learner import LearningConfig, ScoreOverflow, train_iterative
 from sentiscore.lexicon import (
     LABEL_SCORES,
     LABELS,
@@ -415,6 +415,9 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError as exc:
         print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return 2
+    except ScoreOverflow as exc:  # only learn-scores and evaluate learn, from --lexicon
+        print(f"error: {args.lexicon}: {exc}", file=sys.stderr)
+        return 1
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

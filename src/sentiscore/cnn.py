@@ -471,7 +471,11 @@ def load_checkpoint(path) -> tuple[CnnModel, Vocab, CnnConfig]:
         raise CnnError(f"{path}: not a sentiscore checkpoint")
     try:
         meta = json.loads(header.decode("utf-8"))
-        config = CnnConfig(**meta["config"])
+        values = meta["config"]
+        for f in fields(CnnConfig):
+            if f.name in values and type(values[f.name]) is not type(f.default):
+                raise TypeError(f"config {f.name} must be {type(f.default).__name__}")
+        config = CnnConfig(**values)
         vocab = Vocab(tuple(meta["vocab"]))
         shapes = [tuple(meta["shapes"][name]) for name in _TENSORS]
     except KeyError as exc:

@@ -24,6 +24,10 @@ class LearnerError(ValueError):
     """Raised when a problem cannot be built from the given corpus."""
 
 
+class ScoreOverflow(LearnerError):
+    """Raised when the seed scores are too large for the learner's arithmetic."""
+
+
 @dataclass(frozen=True)
 class LearningConfig:
     """Knobs for the alternating score learning loop.
@@ -179,24 +183,27 @@ def train_iterative(
     converged = True
     prev_joint = np.inf
     tol, max_iter = config.solver_tol, config.solver_max_iter
-    for _ in range(config.max_outer_iterations):
-        report = solve(
-            build_adverb_problem(index, word_scores, config), tol, max_iter, adverb_scores
-        )
-        converged = converged and report.converged
-        adverb_scores, adverb_objective = report.solution, report.objective
+    # An overflow is one error, raised at once: the solves can end finite
+    # after one, so a check of their results would miss it.
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for _ in range(config.max_outer_iterations):
+                problem = build_adverb_problem(index, word_scores, config)
+                report = solve(problem, tol, max_iter, adverb_scores)
+                converged = converged and report.converged
+                adverb_scores, adverb_objective = report.solution, report.objective
+                problem = build_word_problem(index, adverb_scores, word_scores, config)
+                report = solve(problem, tol, max_iter, word_scores)
+                converged = converged and report.converged
+                word_scores, word_objective = report.solution, report.objective
 
-        report = solve(
-            build_word_problem(index, adverb_scores, word_scores, config), tol, max_iter, word_scores
-        )
-        converged = converged and report.converged
-        word_scores, word_objective = report.solution, report.objective
-
-        iterations.append((adverb_objective, word_objective))
-        joint = word_objective + config.lam * float(adverb_scores @ adverb_scores)
-        if prev_joint - joint < tol:
-            break
-        prev_joint = joint
+                iterations.append((adverb_objective, word_objective))
+                joint = word_objective + config.lam * float(adverb_scores @ adverb_scores)
+                if prev_joint - joint < tol:
+                    break
+                prev_joint = joint
+    except FloatingPointError:
+        raise ScoreOverflow("seed scores overflow the learner") from None
 
     lexicon = seed_lexicon.replace_scores(
         word_scores=dict(zip(index.words, word_scores)),

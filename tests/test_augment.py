@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -341,6 +342,7 @@ class TestConfigValidation:
 # Differential tests against the enumerate, de-duplicate, then sample
 # augmenter kept in tests/helpers.py.
 WORDS = ("good", "fine", "nice", "bad", "poor", "awful", "better", "worse", "meh")
+LARGE_WORDS = tuple(f"w{i:02d}" for i in range(60))
 OTHER_TOKENS = ("the", "camera", "is", "TARGET", "fancier", "very")
 SEPARATORS = (" ", " ", ", ", "-", "! ", " İ", "'s ")
 # A lexicon rejects an infinite score; the largest finite one stands in for it.
@@ -394,6 +396,30 @@ class TestAgainstReference:
         # checked against the reference's scan of the whole lexicon.
         mentions = [make(text, label, lexicon) for text, label in labelled]
         mentions.append(make(" ".join(lexicon.word_terms()), last_label, lexicon))
+        assert written(mentions, lexicon, config) == reference_augment_corpus(
+            mentions, lexicon, config
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        terms=st.lists(st.sampled_from(LARGE_WORDS), min_size=18, max_size=58, unique=True),
+        data=st.data(),
+        label=st.sampled_from(LABELS),
+        delta=st.sampled_from([0.0, 0.2, math.inf]),
+        config=CONFIGS,
+    )
+    def test_every_peer_of_a_large_lexicon(self, terms, data, label, delta, config):
+        # Few magnitudes, 0.1 + 0.2 beside 0.3, and either sign: many words
+        # tie in |score| within and across signs. The comparatives are
+        # opposite peers, so flipping either one can give the full swap,
+        # which counts once. No cap is reached: every peer is compared.
+        magnitudes = st.sampled_from([0.1, 0.2, 0.3, 0.1 + 0.2, 0.5])
+        signs = st.sampled_from([1.0, -1.0])
+        words = {t: data.draw(magnitudes) * data.draw(signs) for t in terms}
+        better = data.draw(magnitudes) * data.draw(signs)
+        lexicon = Lexicon({"better": better, "worse": -better, **words})
+        config = replace(config, score_tolerance=delta, max_variants_per_sample=10**6)
+        mentions = [make(" ".join(lexicon.word_terms()), label, lexicon)]
         assert written(mentions, lexicon, config) == reference_augment_corpus(
             mentions, lexicon, config
         )

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import configparser
 import io
+import json
+import math
 import re
 import traceback
 import warnings
@@ -19,6 +21,7 @@ from sentiscore.lexicon import (
     NEGATIVE,
     NEUTRAL,
     POSITIVE,
+    Lexicon,
     load_lexicon,
     load_mention_records,
     save_lexicon,
@@ -263,6 +266,31 @@ class TestLearnScores:
         assert load_lexicon(out) is not None
         assert "did not converge" in trace.read_text(encoding="utf-8")
         assert "did not converge" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command",
+        [["learn-scores", "--mentions"], ["evaluate", "--variant", "cnn-quad", "--corpus"]],
+        ids=["learn-scores", "evaluate"],
+    )
+    def test_overflowing_seed_scores_exit_1_naming_lexicon(self, tmp_path, capsys, command):
+        corpus, truth_path = gen_corpus(tmp_path, size=200)
+        truth = load_lexicon(truth_path)
+        seed_path = tmp_path / "huge.lexicon"
+        huge = {w: math.copysign(1e140, s) for w, s in truth.words.items()}
+        save_lexicon(Lexicon(huge, truth.adverbs), seed_path)
+        config_path = tmp_path / "experiment.ini"
+        config_path.write_text("[experiment]\nk = 2\n", encoding="utf-8")
+        out = tmp_path / "out"
+        extra = ["--config", str(config_path)] if command[0] == "evaluate" else []
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(
+                [*command, str(corpus), "--lexicon", str(seed_path), "--out", str(out), *extra]
+            )
+        err = capsys.readouterr().err
+        assert (code, err) == (1, f"error: {seed_path}: seed scores overflow the learner\n")
+        assert [str(w.message) for w in caught] == []
+        assert not out.exists()
 
     def test_missing_file_exits_1_naming_path(self, tmp_path, capsys):
         code = main(
@@ -698,6 +726,25 @@ class TestTrainPredict:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(checkpoint) in err
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("sequence_length", 32.0), ("window", 3.0), ("batch_size", 32.0), ("batch_size", True)],
+    )
+    def test_checkpoint_with_mistyped_config_value_exits_1(self, tmp_path, capsys, field, value):
+        corpus, _ = gen_corpus(tmp_path, size=60, words=6, seed=4)
+        checkpoint = self.train(tmp_path, corpus)
+        magic, header, payload = checkpoint.read_bytes().split(b"\n", 2)
+        meta = json.loads(header)
+        meta["config"][field] = value
+        checkpoint.write_bytes(magic + b"\n" + json.dumps(meta).encode() + b"\n" + payload)
+        inputs = tmp_path / "inputs.txt"
+        inputs.write_text("TARGET is fine\n", encoding="utf-8")
+        code = main(["predict", "--checkpoint", str(checkpoint), "--input", str(inputs)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(checkpoint) in err and field in err
+        assert err.count("\n") == 1
 
     def test_corrupt_checkpoint_exits_1(self, tmp_path, capsys):
         bogus = tmp_path / "bogus.ckpt"

@@ -20,7 +20,6 @@ import numpy as np
 from sentiscore.augment import AugmentConfig, augment_corpus, splice_variants
 from sentiscore.cnn import (
     ACTIVATIONS,
-    POOLING_MODES,
     CnnConfig,
     TrainingDiverged,
     load_checkpoint,
@@ -79,7 +78,6 @@ _TRAIN_FLAGS = {
     "window": ("--window", "convolution window height"),
     "filter_count": ("--filters", "convolution filters"),
     "pool_window": ("--pool-window", "pooling chunk height"),
-    "pooling": ("--pooling", "pooling mode", {"choices": POOLING_MODES, "metavar": None}),
     "activation": ("--activation", "convolution activation", {"choices": ACTIVATIONS, "metavar": None}),
     "dropout_rate": ("--dropout", "dropout rate"),
     "learning_rate": ("--learning-rate", "SGD step"),

@@ -4,10 +4,10 @@ The forward pass works on a mini-batch: it embeds B token sequences
 into a B x N x K tensor, convolves every sequence with f window filters
 of height d as one im2col matrix product (one abstract feature per
 filter per position), zero-pads the per-position feature columns back
-to N rows, pools them either over disjoint chunks of p consecutive rows
-(yielding ceil(N/p) pooled rows per filter) or with a single max over
-all positions, applies inverted dropout to the pooled vectors during
-training, and maps through a dense layer to three logits per sequence.
+to N rows, takes each filter's maxima over disjoint chunks of min(p, N)
+rows (ceil(N/p) pooled rows per filter; any p >= N is max over time),
+applies inverted dropout to the pooled vectors during training, and
+maps through a dense layer to three logits per sequence.
 Backward passes are computed analytically for every parameter tensor,
 including the embedding rows touched by the batch.
 """
@@ -26,9 +26,6 @@ from sentiscore.lexicon import LABEL_INDEX, LABELS
 from sentiscore.losses import PenaltyMatrix, loss_and_logit_grad, softmax
 from sentiscore.vocab import PAD_INDEX, Vocab, build_vocab, encode
 
-CHUNKED = "chunked"
-MAX_OVER_TIME = "max_over_time"
-POOLING_MODES = (CHUNKED, MAX_OVER_TIME)
 ACTIVATIONS = ("relu", "tanh")
 
 
@@ -45,14 +42,13 @@ class CnnConfig:
     """Hyperparameters of the classifier.
 
     ``window`` is the filter height d, ``filter_count`` the number of
-    filters f, ``pool_window`` the chunk height p, and
-    ``sequence_length`` the padded input length N.
+    filters f, ``pool_window`` the chunk height p (capped at N, so p >= N
+    is max over time), and ``sequence_length`` the padded input length N.
     """
 
     window: int = 3
     filter_count: int = 16
     pool_window: int = 2
-    pooling: str = CHUNKED
     activation: str = "relu"
     dropout_rate: float = 0.5
     learning_rate: float = 0.05
@@ -71,8 +67,6 @@ class CnnConfig:
                 raise CnnError(f"{name} must be >= 1")
         if self.window < 1 or self.window > self.sequence_length:
             raise CnnError("window must satisfy 1 <= window <= sequence_length")
-        if self.pooling not in POOLING_MODES:
-            raise CnnError(f"pooling must be one of {POOLING_MODES}")
         if self.activation not in ACTIVATIONS:
             raise CnnError(f"activation must be one of {ACTIVATIONS}")
         if not 0.0 <= self.dropout_rate < 1.0:
@@ -84,9 +78,7 @@ class CnnConfig:
 
     @property
     def pooled_rows(self) -> int:
-        """Rows of the pooled matrix: ceil(N/p) chunked, 1 max-over-time."""
-        if self.pooling == MAX_OVER_TIME:
-            return 1
+        """Rows of the pooled matrix, ceil(N/p): one per chunk."""
         return -(-self.sequence_length // self.pool_window)
 
 
@@ -158,7 +150,7 @@ class _Workspace:
     def __init__(self, config: CnnConfig, width: int, rows: int) -> None:
         n, d, f, q = config.sequence_length, config.window, config.filter_count, config.pooled_rows
         positions = n - d + 1
-        self.span = n if config.pooling == MAX_OVER_TIME else config.pool_window
+        self.span = min(config.pool_window, n)
         self.embedded = np.empty((rows, n, width))
         self.frames = sliding_window_view(self.embedded, (d, width), axis=(1, 2))
         self.windows = np.empty((rows * positions, d * width))
@@ -215,8 +207,8 @@ def forward(
 
     Convolution covers the P = N - d + 1 valid window positions of every
     embedded sequence as one ``(B*P, d*K) @ (d*K, f)`` product. The
-    feature columns are zero-padded back to N rows, and chunked pooling
-    pads them on to whole chunks with -inf rows that never win a max. Dropout
+    feature columns are zero-padded back to N rows, and pooling pads
+    them on to whole chunks with -inf rows that never win a max. Dropout
     uses inverted scaling and only fires, drawing from ``rng``, when
     ``dropout_active`` and the configured rate is nonzero; its one
     ``(B, q*f)`` draw takes the same numbers as B draws of ``q*f``.
@@ -475,6 +467,13 @@ def load_checkpoint(path) -> tuple[CnnModel, Vocab, CnnConfig]:
         for f in fields(CnnConfig):
             if f.name in values and type(values[f.name]) is not type(f.default):
                 raise TypeError(f"config {f.name} must be {type(f.default).__name__}")
+        # Older headers name a pooling mode; max-over-time is one chunk of N rows.
+        if isinstance(values, dict) and "pooling" in values:
+            pooling = values.pop("pooling")
+            if pooling == "max_over_time":
+                values["pool_window"] = values.get("sequence_length", CnnConfig.sequence_length)
+            elif pooling != "chunked":
+                raise ValueError(f"config pooling must be chunked or max_over_time, not {pooling!r}")
         config = CnnConfig(**values)
         vocab = Vocab(tuple(meta["vocab"]))
         shapes = [tuple(meta["shapes"][name]) for name in _TENSORS]

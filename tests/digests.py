@@ -150,7 +150,7 @@ def run_all(work: Path) -> dict[str, str]:
     run("train --weighted-ce --penalty --static-embeddings", [
         "train", "--corpus", path("corpus.tsv"), "--out", path("static.ckpt"),
         *SMALL_CNN, "--weighted-ce", "--penalty", "1,5,3;5,1,3;2,2,1", "--static-embeddings",
-        "--pooling", "max_over_time", "--activation", "tanh",
+        "--pool-window", "12", "--activation", "tanh",
     ], ["static.ckpt"])
     texts = (work / "corpus.tsv").read_text(encoding="utf-8").splitlines()[:20]
     (work / "texts.txt").write_text(
@@ -160,6 +160,12 @@ def run_all(work: Path) -> dict[str, str]:
     run("predict", [
         "predict", "--checkpoint", path("plain.ckpt"), "--input", path("texts.txt"),
         "--entity", "camera",
+    ])
+    # A checkpoint written by `train --pooling max_over_time` (SMALL_CNN, on
+    # this corpus) before max over time became a pool window of N.
+    run("predict v1 max-over-time", [
+        "predict", "--checkpoint", str(ROOT / "tests" / "data" / "max_over_time_v1.ckpt"),
+        "--input", path("texts.txt"), "--entity", "camera",
     ])
     run("predict <stdin>", [
         "predict", "--checkpoint", path("weighted.ckpt"), "--entity", "camera",

@@ -135,11 +135,9 @@ def grid_oracle(
     return best, objective(problem, best)
 
 
-def _reference_pool(column: np.ndarray, pooling: str, p: int) -> np.ndarray:
-    """Winning row per pooled cell, one chunk (or the whole column) at a time."""
+def _reference_pool(column: np.ndarray, p: int) -> np.ndarray:
+    """Winning row per pooled cell, one chunk of up to p rows at a time."""
     n, f = column.shape
-    if pooling == "max_over_time":
-        return np.argmax(column, axis=0)[None]
     q = -(-n // p)
     rows = np.empty((q, f), dtype=np.int64)
     for c in range(q):
@@ -168,7 +166,7 @@ def reference_step(model, batch, config, penalty, gen):
         act = np.maximum(pre, 0.0) if config.activation == "relu" else np.tanh(pre)
         column = np.zeros((n, f))
         column[:positions] = act
-        rows = _reference_pool(column, config.pooling, p)
+        rows = _reference_pool(column, p)
         pooled = column[rows, np.arange(f)].reshape(-1)
         mask = gen.random(pooled.shape) >= rate if rate > 0.0 else np.ones(pooled.shape, bool)
         kept = pooled * mask / (1.0 - rate)

@@ -164,9 +164,9 @@ def test_5_augmentation_goldens(capsys):
 def test_6_gradient_correctness(capsys):
     t0 = time.perf_counter()
     worst = 0.0
-    for pooling in ("chunked", "max_over_time"):
+    for pool_window in (2, 6):  # chunked, and max over time (p = N = 6)
         for seed in range(5):
-            config = tiny_config(pooling=pooling)
+            config = tiny_config(pool_window=pool_window)
             worst = max(worst, finite_difference_check(config, seed))
             worst = max(
                 worst,
@@ -303,13 +303,14 @@ def test_8_invariant_spot_checks(capsys):
             failures.append("softmax normalization")
             break
 
-    # Shape chain: pooling yields ceil(N / p) rows per filter.
-    config = tiny_config(sequence_length=7, pool_window=3)
-    model = init_model(9, config)
+    # Shape chain: pooling yields ceil(N / p) rows per filter, one (max
+    # over time) for any p >= N.
     indices = rng.integers(0, 9, size=(1, 7))
-    _, cache = forward(model, indices, config)
-    if cache.pooled.shape != (1, 3 * config.filter_count) or config.pooled_rows != 3:
-        failures.append("pooling shape chain")
+    for p, rows in ((3, 3), (7, 1), (10**11, 1)):
+        config = tiny_config(sequence_length=7, pool_window=p)
+        _, cache = forward(init_model(9, config), indices, config)
+        if cache.pooled.shape != (1, rows * config.filter_count) or config.pooled_rows != rows:
+            failures.append(f"pooling shape chain at p = {p}")
 
     elapsed = time.perf_counter() - t0
     announce(

@@ -8,13 +8,15 @@ import math
 import re
 import traceback
 import warnings
+from pathlib import Path
 
 import pytest
+from digests import SMALL_CNN
 
 from sentiscore import cli
 from sentiscore.augment import AugmentConfig
 from sentiscore.cli import _build_parser, _config, _parse_mix, main
-from sentiscore.cnn import CnnConfig
+from sentiscore.cnn import CnnConfig, load_checkpoint
 from sentiscore.evaluate import ExperimentConfig, config_to_text
 from sentiscore.learner import LearningConfig
 from sentiscore.lexicon import (
@@ -758,6 +760,92 @@ class TestTrainPredict:
         assert "error:" in capsys.readouterr().err
 
 
+#: Written by ``train --pooling max_over_time`` with the ``SMALL_CNN`` flags on
+#: the corpus of :meth:`TestPoolWindow.corpus`, before pooling had one rule.
+V1_MAX_OVER_TIME = Path(__file__).resolve().parent / "data" / "max_over_time_v1.ckpt"
+
+
+def tensors(checkpoint) -> bytes:
+    """A checkpoint's tensor payload, the bytes after its two header lines."""
+    return checkpoint.read_bytes().split(b"\n", 2)[2]
+
+
+class TestPoolWindow:
+    """Max over time is a pool window of N: a chunk stops at the sequence."""
+
+    def corpus(self, tmp_path):
+        corpus, _ = gen_corpus(tmp_path, size=120, words=8, adverbs=3, noise=0.1, seed=7)
+        return corpus
+
+    def train(self, tmp_path, corpus, pool_window):
+        checkpoint = tmp_path / f"p{pool_window}.ckpt"
+        code = main(["train", "--corpus", str(corpus), "--out", str(checkpoint), *SMALL_CNN,
+                     "--pool-window", str(pool_window)])
+        assert code == 0
+        return checkpoint
+
+    def predict(self, tmp_path, checkpoint, capsys):
+        inputs = tmp_path / "inputs.txt"
+        inputs.write_text("TARGET is fine\nthe TARGET is not bad\nmy TARGET\n", encoding="utf-8")
+        code = main(["predict", "--checkpoint", str(checkpoint), "--input", str(inputs)])
+        return code, *capsys.readouterr()
+
+    def test_oversize_pool_window_trains_the_pool_window_n_model(self, tmp_path, capsys):
+        corpus = self.corpus(tmp_path)
+        whole = self.train(tmp_path, corpus, 12)
+        oversize = self.train(tmp_path, corpus, 100000000000)
+        assert tensors(oversize) == tensors(whole)
+        assert self.predict(tmp_path, oversize, capsys) == self.predict(tmp_path, whole, capsys)
+
+    def test_oversize_pool_window_in_a_config_finishes_a_fold(self, tmp_path):
+        corpus, _ = gen_corpus(tmp_path, size=30, words=6, seed=4)
+        config_path = tmp_path / "experiment.ini"
+        config_path.write_text(
+            "[experiment]\nk = 2\n\n[cnn]\npool_window = 100000000000\nepochs = 1\n"
+            "sequence_length = 8\nfilter_count = 2\nembedding_dim = 4\n",
+            encoding="utf-8",
+        )
+        report_path = tmp_path / "report.txt"
+        code = main(["evaluate", "--corpus", str(corpus), "--config", str(config_path),
+                     "--out", str(report_path)])
+        assert code == 0
+        assert "pool_window = 100000000000" in report_path.read_text(encoding="utf-8")
+
+    def test_v1_max_over_time_checkpoint_is_the_pool_window_n_model(self, tmp_path, capsys):
+        _, _, config = load_checkpoint(V1_MAX_OVER_TIME)
+        assert config.pool_window == config.sequence_length == 12
+        whole = self.train(tmp_path, self.corpus(tmp_path), 12)
+        assert load_checkpoint(whole)[2] == config
+        assert tensors(V1_MAX_OVER_TIME) == tensors(whole)
+        expected = self.predict(tmp_path, whole, capsys)
+        assert expected[0] == 0
+        assert self.predict(tmp_path, V1_MAX_OVER_TIME, capsys) == expected
+
+    def test_v1_chunked_header_loads_unchanged(self, tmp_path):
+        checkpoint = self.train(tmp_path, self.corpus(tmp_path), 2)
+        magic, header, payload = checkpoint.read_bytes().split(b"\n", 2)
+        meta = json.loads(header)
+        meta["config"]["pooling"] = "chunked"
+        v1 = tmp_path / "v1.ckpt"
+        v1.write_bytes(magic + b"\n" + json.dumps(meta).encode() + b"\n" + payload)
+        model, vocab, config = load_checkpoint(checkpoint)
+        v1_model, v1_vocab, v1_config = load_checkpoint(v1)
+        assert (v1_vocab, v1_config) == (vocab, config)
+        for name in ("embedding", "filters", "filter_bias", "dense_w", "dense_b"):
+            assert getattr(v1_model, name).tobytes() == getattr(model, name).tobytes()
+
+    def test_unknown_v1_pooling_mode_exits_1_naming_the_file(self, tmp_path, capsys):
+        magic, header, payload = V1_MAX_OVER_TIME.read_bytes().split(b"\n", 2)
+        checkpoint = tmp_path / "avg.ckpt"
+        checkpoint.write_bytes(
+            magic + b"\n" + header.replace(b'"max_over_time"', b'"avg"') + b"\n" + payload
+        )
+        assert self.predict(tmp_path, checkpoint, capsys) == (1, "", (
+            f"error: {checkpoint}: bad checkpoint header: "
+            "config pooling must be chunked or max_over_time, not 'avg'\n"
+        ))
+
+
 #: The prefix of every config error but those ExperimentConfig raises itself.
 MALFORMED = "malformed experiment config: "
 
@@ -783,11 +871,14 @@ class TestEvaluate:
             ("[cnn]\nrng_seed = 0\n", "unknown key 'rng_seed' in experiment config section [cnn]"),
             ("[augment]\nrng_seed = 0\n",
              "unknown key 'rng_seed' in experiment config section [augment]"),
+            # Max over time is spelt pool_window = sequence_length.
+            ("[cnn]\npooling = max_over_time\n",
+             "unknown key 'pooling' in experiment config section [cnn]"),
         ],
         ids=[
             "penalty-nan", "penalty-inf", "max-iter-0", "max-iter-negative", "lam-inf",
             "learning-rate-inf", "penalty-row-short", "penalty-row-long", "vocab-size-0",
-            "cnn-seed", "augment-seed",
+            "cnn-seed", "augment-seed", "cnn-pooling",
         ],
     )
     def test_bad_config_value_exits_1_naming_it(self, tmp_path, capsys, text, message):

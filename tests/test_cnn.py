@@ -55,12 +55,14 @@ class TestConfig:
         assert tiny_config(sequence_length=6, pool_window=2).pooled_rows == 3
         assert tiny_config(sequence_length=7, pool_window=2).pooled_rows == 4
         assert tiny_config(sequence_length=7, pool_window=3).pooled_rows == 3
-        assert tiny_config(pooling="max_over_time").pooled_rows == 1
+        # A chunk stops at the sequence: any p >= N pools over all N rows.
+        assert tiny_config(sequence_length=6, pool_window=6).pooled_rows == 1
+        assert tiny_config(sequence_length=6, pool_window=10**11).pooled_rows == 1
 
     @pytest.mark.parametrize(
         "overrides",
         [
-            {"pooling": "avg"},
+            {"window": 0},
             {"activation": "sigmoid"},
             {"dropout_rate": 1.0},
             {"dropout_rate": -0.1},
@@ -143,7 +145,7 @@ class TestForward:
             npt.assert_allclose(row_logits, expected, atol=1e-12)
 
     def test_max_over_time_pools_whole_columns(self):
-        config = tiny_config(pooling="max_over_time")
+        config = tiny_config(pool_window=6)
         model = random_embedding(init_model(vocab_size=9, config=replace(config, rng_seed=2)), 3)
         _, cache = forward(model, random_indices(config, seed=3), config)
         assert cache.pooled.shape == (3, 3)
@@ -255,20 +257,21 @@ def finite_difference_check(config: CnnConfig, seed: int, penalty=None) -> float
 
 
 class TestGradients:
-    @pytest.mark.parametrize("pooling", ["chunked", "max_over_time"])
+    # p = N = 6 is max-over-time pooling.
+    @pytest.mark.parametrize("pool_window", [2, 6], ids=["chunked", "max_over_time"])
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
-    def test_finite_differences(self, pooling, activation):
-        config = tiny_config(pooling=pooling, activation=activation)
+    def test_finite_differences(self, pool_window, activation):
+        config = tiny_config(pool_window=pool_window, activation=activation)
         worst = finite_difference_check(config, seed=1)
         assert worst < 1e-4
 
     @pytest.mark.parametrize("weighted", [False, True])
-    @pytest.mark.parametrize("pooling", ["chunked", "max_over_time"])
+    @pytest.mark.parametrize("pool_window", [2, 7], ids=["chunked", "max_over_time"])
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
-    def test_finite_differences_ragged_chunks(self, pooling, activation, weighted):
+    def test_finite_differences_ragged_chunks(self, pool_window, activation, weighted):
         # N = 7 is not a multiple of p = 2: the last chunk holds one
-        # zero-padded row and one row past N.
-        config = tiny_config(pooling=pooling, activation=activation, sequence_length=7)
+        # zero-padded row and one row past N. p = N = 7 is max over time.
+        config = tiny_config(pool_window=pool_window, activation=activation, sequence_length=7)
         penalty = PenaltyMatrix.default() if weighted else None
         assert finite_difference_check(config, seed=3, penalty=penalty) < 1e-4
 
@@ -416,9 +419,10 @@ class TestFit:
         "overrides, weighted",
         [
             ({}, False),
-            ({"pooling": "max_over_time", "activation": "tanh"}, True),
+            ({"pool_window": 7, "activation": "tanh"}, True),
             ({"activation": "tanh", "finetune_embeddings": False}, True),
-            ({"pooling": "max_over_time", "pool_window": 3}, False),
+            # A chunk taller than N = 7 stops at the sequence: max over time.
+            ({"pool_window": 40}, False),
             # d = 1 leaves no zero-padded row, so the last chunk of N = 7
             # holds one real row and one row past N.
             ({"window": 1, "activation": "tanh"}, True),
@@ -480,7 +484,7 @@ class TestWorkspace:
 
     @pytest.mark.parametrize(
         "overrides",
-        [{"activation": "relu"}, {"pooling": "max_over_time", "activation": "tanh"}],
+        [{"activation": "relu"}, {"pool_window": 7, "activation": "tanh"}],
         ids=["chunked-relu", "max-over-time-tanh"],
     )
     def test_fit_equals_steps_without_a_workspace(self, overrides):
@@ -533,8 +537,8 @@ class TestWorkspace:
     def test_pool_matches_the_reference(self, data):
         n = data.draw(st.integers(1, 9), label="n")
         d = data.draw(st.integers(1, n), label="d")
-        span = data.draw(st.integers(1, n), label="span")
-        pooling = "max_over_time" if span == n and data.draw(st.booleans()) else "chunked"
+        # p > N stops each chunk at the sequence, as p = N does.
+        span = data.draw(st.integers(1, n + 2), label="span")
         b, f, spare = (data.draw(st.integers(1, 3)) for _ in range(3))
         positions = n - d + 1
         # Few distinct values: after ReLU, zeros and equal maxima tie often;
@@ -542,12 +546,11 @@ class TestWorkspace:
         values = [-1.0, 0.0, 0.5, 1.0, np.inf, np.nan]
         pre = data.draw(st.lists(st.sampled_from(values),
                                  min_size=b * positions * f, max_size=b * positions * f))
-        config = tiny_config(window=d, filter_count=f, pool_window=span, pooling=pooling,
-                             sequence_length=n)
+        config = tiny_config(window=d, filter_count=f, pool_window=span, sequence_length=n)
         workspace = cnn._Workspace(config, 1, b + spare)
         workspace.column[:b, :positions] = np.maximum(np.reshape(pre, (b, positions, f)), 0.0)
         pooled = cnn._pool(workspace.column[:b], workspace.span)
-        rows = [_reference_pool(workspace.column[i, :n], pooling, span) for i in range(b)]
+        rows = [_reference_pool(workspace.column[i, :n], span) for i in range(b)]
         for i in range(b):
             npt.assert_array_equal(pooled[i], workspace.column[i, rows[i], np.arange(f)].reshape(-1))
         if np.isnan(pre).any():
@@ -693,6 +696,9 @@ class TestCheckpoint:
             (lambda meta: meta["vocab"].pop(), "embedding rows"),
             (lambda meta: meta["config"].update(filter_count=2), "filter bank shape"),
             (lambda meta: meta["shapes"].update(filters=[24]), "3-D"),
+            (lambda meta: meta.update(config=None), "bad checkpoint header"),
+            (lambda meta: meta["config"].update(pooling=None),
+             "config pooling must be chunked or max_over_time, not None"),
         ],
     )
     def test_bad_header_raises_cnn_error_naming_path(self, tmp_path, corrupt, message):

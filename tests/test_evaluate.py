@@ -199,8 +199,7 @@ class TestConfigRoundTrip:
             cnn=CnnConfig(
                 window=4,
                 filter_count=6,
-                pool_window=3,
-                pooling="max_over_time",
+                pool_window=24,
                 activation="tanh",
                 dropout_rate=0.25,
                 sequence_length=24,
@@ -226,7 +225,7 @@ class TestConfigRoundTrip:
 
     @pytest.mark.parametrize(
         "text, field",
-        [("[experiment]\nvariant = cnn%\n", "variant"), ("[cnn]\npooling = %(x)s\n", "pooling")],
+        [("[experiment]\nvariant = cnn%\n", "variant"), ("[cnn]\nactivation = %(x)s\n", "activation")],
         ids=["percent", "interpolation-syntax"],
     )
     def test_percent_is_literal(self, text, field):
@@ -329,8 +328,7 @@ def every_section_changed() -> ExperimentConfig:
         cnn=CnnConfig(
             window=4,
             filter_count=6,
-            pool_window=3,
-            pooling="max_over_time",
+            pool_window=24,
             activation="tanh",
             dropout_rate=0.25,
             learning_rate=0.125,
@@ -359,7 +357,7 @@ class TestConfigTextGolden:
             "[learning]\nmax_outer_iterations = 20\nlam = 0.1\n"
             "epsilon_margin = 1e-06\nsolver_tol = 1e-08\nsolver_max_iter = 10000\n\n"
             "[cnn]\nwindow = 3\nfilter_count = 16\npool_window = 2\n"
-            "pooling = chunked\nactivation = relu\ndropout_rate = 0.5\n"
+            "activation = relu\ndropout_rate = 0.5\n"
             "learning_rate = 0.05\nepochs = 5\nbatch_size = 32\n"
             "sequence_length = 32\nembedding_dim = 32\nfinetune_embeddings = true\n\n"
             "[penalty]\npositive = 1.0 4.0 3.0\nnegative = 4.0 1.0 3.0\n"
@@ -376,8 +374,8 @@ class TestConfigTextGolden:
             "comparatives = better fancier less more\n\n"
             "[learning]\nmax_outer_iterations = 9\nlam = 0.75\n"
             "epsilon_margin = 0.001\nsolver_tol = 1e-10\nsolver_max_iter = 500\n\n"
-            "[cnn]\nwindow = 4\nfilter_count = 6\npool_window = 3\n"
-            "pooling = max_over_time\nactivation = tanh\ndropout_rate = 0.25\n"
+            "[cnn]\nwindow = 4\nfilter_count = 6\npool_window = 24\n"
+            "activation = tanh\ndropout_rate = 0.25\n"
             "learning_rate = 0.125\nepochs = 7\nbatch_size = 16\n"
             "sequence_length = 24\nembedding_dim = 12\nfinetune_embeddings = false\n\n"
             "[penalty]\npositive = 1.0 2.5 2.0\nnegative = 2.0 1.0 2.0\n"
